@@ -150,10 +150,14 @@ def config_defaults(ctx, param, value):
     """--config JSON supplies defaults; explicit flags override."""
     if value is None:
         return None
-    with open(value) as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise click.UsageError("config file must hold a JSON object")
+    try:
+        with open(value) as handle:
+            data = json.load(handle)
+        if not isinstance(data, dict):
+            raise ValueError("it must hold a JSON object")
+    except (OSError, ValueError) as exc:  # parsing runs outside with_error_codes
+        click.echo(f"error: bad config file {value!r}: {exc}", err=True)
+        ctx.exit(2)
     ctx.default_map = {**data, **(ctx.default_map or {})}
     return value
 

@@ -98,12 +98,6 @@ def tr_sqrt_sandwich(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.svd(sym_psd_sqrt(a) @ d @ sym_psd_sqrt(b), compute_uv=False).sum())
 
 
-def tr_sqrt_product(a: np.ndarray, s: np.ndarray) -> float:
-    """tr sqrt(a @ s) for PSD a and s (same nonzero spectrum as the
-    symmetric sandwich sqrt(a) s sqrt(a))."""
-    return float(np.linalg.svd(sym_psd_sqrt(a) @ sym_psd_sqrt(s), compute_uv=False).sum())
-
-
 @dataclass(frozen=True, eq=False)
 class CouplingCovariance:
     """A cross-covariance with its feasibility certificate.

@@ -44,9 +44,7 @@ class SimConfig:
     trajectories: int
     seed: int = 0
     cut_margin: float = 0.1
-    record_every: int | None = None
     workers: int = 1
-    store_states: bool = False
 
     def __post_init__(self):
         if not (0 < self.dt <= self.horizon):
@@ -61,9 +59,9 @@ class SimConfig:
 class CoupledTrajectory:
     """Recorded states of one coupled pair.
 
-    log_distance and kappa_integral are sampled on `times`; defect is the
-    pathwise violation of the contraction identity,
-    log d(t) - log d(0) + int_0^t kappa ds.
+    pair_states holds the final (x, y); log_distance and kappa_integral are
+    sampled on `times`; defect is the pathwise violation of the contraction
+    identity, log d(t) - log d(0) + int_0^t kappa ds.
     """
 
     times: np.ndarray
@@ -120,7 +118,6 @@ def step_coupled(spec: DiffusionSpec, x: Point, y: Point, dt: float,
     covariance.  Coincident points receive identical increments."""
     m = spec.manifold
     if _same_point(x, y):
-        E = m.frame(x)
         z = rng.standard_normal(m.dim)
         xn = step_single(spec, x, dt, z)
         return xn, xn
@@ -192,7 +189,7 @@ def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> li
     steps = int(round(cfg.horizon / cfg.dt))
     if abs(steps * cfg.dt - cfg.horizon) > 1e-9 * cfg.horizon:
         steps = math.ceil(cfg.horizon / cfg.dt)
-    stride = cfg.record_every or max(1, steps // 512)
+    stride = max(1, steps // 512)
     chunks = [(j, min(j + _CHUNK, cfg.trajectories)) for j in range(0, cfg.trajectories, _CHUNK)]
     results: list = [None] * cfg.trajectories
 
@@ -241,12 +238,8 @@ def _run_chunk_fast(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     rec_set = set(rec_idx.tolist())
     logs = np.empty((count, len(rec_idx)))
     integ = np.empty((count, len(rec_idx)))
-    states = [[] for _ in range(count)]
     logs[:, 0] = np.log(d)
     integ[:, 0] = 0.0
-    if cfg.store_states:
-        for i in range(count):
-            states[i].append((m.point(X[i].copy()), m.point(Y[i].copy())))
     pos = 1
     euclid = m.kind == EUCLIDEAN
     lam = spec.drift.rate if isinstance(spec.drift, LinearDrift) else 0.0
@@ -276,17 +269,12 @@ def _run_chunk_fast(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
         if (s + 1) in rec_set:
             logs[:, pos] = np.log(np.maximum(d, 1e-300))
             integ[:, pos] = integral
-            if cfg.store_states:
-                for i in range(count):
-                    states[i].append((m.point(X[i].copy()), m.point(Y[i].copy())))
             pos += 1
-    if not cfg.store_states:
-        for i in range(count):
-            states[i].append((m.point(X[i].copy()), m.point(Y[i].copy())))
     out = []
     for i in range(count):
         out.append(CoupledTrajectory(
-            times=times.copy(), pair_states=states[i], log_distance=logs[i].copy(),
+            times=times.copy(), pair_states=[(m.point(X[i].copy()), m.point(Y[i].copy()))],
+            log_distance=logs[i].copy(),
             kappa_integral=integ[i].copy(), aborted=not alive[i],
             abort_reason="" if alive[i] else "cut-locus",
         ))
@@ -332,7 +320,6 @@ def _run_one_generic(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     integral = 0.0
     logs = [math.log(d)]
     integ = [0.0]
-    states = [(x, y)] if cfg.store_states else []
     aborted = False
     reason = ""
     for s in range(steps):
@@ -353,11 +340,7 @@ def _run_one_generic(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
         if (s + 1) in rec_set:
             logs.append(math.log(max(d, 1e-300)))
             integ.append(integral)
-            if cfg.store_states:
-                states.append((x, y))
-    if not cfg.store_states:
-        states.append((x, y))
-    return CoupledTrajectory(times=times, pair_states=states,
+    return CoupledTrajectory(times=times, pair_states=[(x, y)],
                              log_distance=np.asarray(logs), kappa_integral=np.asarray(integ),
                              aborted=aborted, abort_reason=reason)
 

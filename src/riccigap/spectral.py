@@ -27,10 +27,8 @@ from .errors import (
     InputError,
     NonPositiveCurvatureError,
 )
-from .fields import DiffusionSpec, ZonalPolynomial
+from .fields import DiffusionSpec, PotentialDrift, ZonalPolynomial
 from .manifolds import SPHERE, ModelManifold
-
-_GAP_ZERO_TOL = 1e-8  # relative threshold identifying the constant mode
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +67,18 @@ def _validate(op: DiscretizedOperator, zero_rows: bool = True) -> DiscretizedOpe
     return op
 
 
+def _periodic_three_point(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Dense m x m matrix with L[i, i-1] = lower[i], L[i, i] = diag[i] and
+    L[i, i+1] = upper[i], indices mod m."""
+    m = diag.size
+    L = np.zeros((m, m))
+    idx = np.arange(m)
+    L[idx, (idx - 1) % m] = lower
+    L[idx, idx] = diag
+    L[idx, (idx + 1) % m] = upper
+    return L
+
+
 def discretize_s1(potential: ZonalPolynomial, m: int, radius: float = 1.0) -> DiscretizedOperator:
     """L = (1/(2 r^2)) e^{phi} d/dth (e^{-phi} d/dth) on the circle,
     periodic uniform grid."""
@@ -76,22 +86,18 @@ def discretize_s1(potential: ZonalPolynomial, m: int, radius: float = 1.0) -> Di
         raise GridTooCoarseError("need at least 16 grid points")
     h = 2.0 * math.pi / m
     theta = h * np.arange(m)
-    half = theta + 0.5 * h
-    b = np.exp(-potential.value(half))        # conductances at i+1/2
+    b = np.exp(-potential.value(theta + 0.5 * h))   # conductances at i+1/2
     phi_i = potential.value(theta)
-    L = np.zeros((m, m))
-    idx = np.arange(m)
-    nxt = (idx + 1) % m
-    coef = 1.0 / (2.0 * radius**2 * h**2)
-    L[idx, nxt] += coef * np.exp(phi_i) * b
-    L[nxt, idx] += coef * np.exp(phi_i[nxt]) * b
-    L[idx, idx] -= coef * np.exp(phi_i) * (b + np.roll(b, 1))
+    scale = 1.0 / (2.0 * radius**2 * h**2) * np.exp(phi_i)
+    L = _periodic_three_point(scale * np.roll(b, 1), -scale * (b + np.roll(b, 1)), scale * b)
     w = np.exp(-phi_i)
     w = w / w.sum()
     return _validate(DiscretizedOperator("s1", radius, theta, L, w, potential))
 
 
 def _zonal_parts(potential: ZonalPolynomial, m: int, radius: float):
+    """Half-cell colatitude grid: the periodic three-point operator with
+    zero conductance across the poles (the wrap)."""
     if m < 16:
         raise GridTooCoarseError("need at least 16 grid points")
     h = math.pi / m
@@ -102,20 +108,12 @@ def _zonal_parts(potential: ZonalPolynomial, m: int, radius: float):
     c[-1] = 0.0
     phi_i = potential.value(theta)
     sin_i = np.sin(theta)
-    coef = 1.0 / (2.0 * radius**2 * h**2)
-    L = np.zeros((m, m))
-    idx = np.arange(m)
-    diag = np.zeros(m)
-    up = coef * np.exp(phi_i[:-1]) * c[1:-1] / sin_i[:-1]
-    dn = coef * np.exp(phi_i[1:]) * c[1:-1] / sin_i[1:]
-    L[idx[:-1], idx[:-1] + 1] = up
-    L[idx[1:], idx[1:] - 1] = dn
-    diag[:-1] -= up
-    diag[1:] -= dn
-    L[idx, idx] = diag
+    scale = 1.0 / (2.0 * radius**2 * h**2) * np.exp(phi_i)
+    lower = scale * c[:-1] / sin_i
+    upper = scale * c[1:] / sin_i
     w = sin_i * np.exp(-phi_i)
     w = w / w.sum()
-    return theta, L, w
+    return theta, _periodic_three_point(lower, -(lower + upper), upper), w
 
 
 def discretize_zonal(potential: ZonalPolynomial, m: int, radius: float = 1.0) -> DiscretizedOperator:
@@ -135,13 +133,24 @@ def azimuthal_operator(potential: ZonalPolynomial, m: int, radius: float = 1.0) 
                      zero_rows=False)
 
 
+def _reversible_potential(spec: DiffusionSpec) -> ZonalPolynomial:
+    """The potential of a spec of the form (1/2)(Laplacian - grad(phi).grad);
+    InputError for any other diffusion tensor or drift."""
+    if spec.diffusion.constant_inverse_metric != 1.0:
+        raise InputError("expected the unit metric-proportional diffusion")
+    pot = spec.potential or ZonalPolynomial((0.0,))
+    drift = spec.drift
+    if not ((drift.is_zero and pot.is_zero)
+            or (isinstance(drift, PotentialDrift) and drift.potential == pot)):
+        raise InputError("expected the drift -(1/2) grad(phi) of the spec's potential")
+    return pot
+
+
 def discretize(spec: DiffusionSpec, m: int) -> DiscretizedOperator:
     """Discretize a reversible metric-proportional diffusion on the circle
     or the zonal 2-sphere."""
     mf = spec.manifold
-    pot = spec.potential or ZonalPolynomial((0.0,))
-    if spec.diffusion.constant_inverse_metric not in (1.0, None):
-        raise InputError("discretize expects the unit metric-proportional diffusion")
+    pot = _reversible_potential(spec)
     if mf.kind == SPHERE and mf.dim == 1:
         return discretize_s1(pot, m, mf.radius)
     if mf.kind == SPHERE and mf.dim == 2:
@@ -159,10 +168,12 @@ def _sym_eigvals(op: DiscretizedOperator) -> np.ndarray:
 def spectral_gap(op: DiscretizedOperator) -> float:
     """Smallest nonzero eigenvalue of -L in the weighted inner product."""
     w = _sym_eigvals(op)
-    scale = max(abs(w[-1]), 1.0)
-    if abs(w[0]) > _GAP_ZERO_TOL * scale:
+    # the zero mode is known to the solver's error, about m eps |lambda_max|;
+    # lambda_max grows like m^2, so a fixed fraction of it swallows small gaps
+    tol = w.size * np.finfo(float).eps * abs(w[-1])
+    if abs(w[0]) > tol:
         raise DegenerateSpectrumError("no zero mode found (operator does not kill constants)")
-    if w.size > 1 and abs(w[1]) <= _GAP_ZERO_TOL * scale:
+    if w.size > 1 and abs(w[1]) <= tol:
         raise DegenerateSpectrumError("zero eigenvalue is not simple")
     return float(w[1])
 
@@ -254,10 +265,10 @@ def harmonic_mean_bound(kappa_values, weights) -> float:
     return float(1.0 / np.sum(w / k))
 
 
-def _maximize_scalar(fn, lo: float, hi: float, tol: float = 1e-10,
-                     coarse: int = 129) -> tuple[float, float]:
+def _maximize_scalar(fn, lo: float, hi: float) -> tuple[float, float]:
     """Coarse scan then golden-section refinement of a scalar maximum on
-    [lo, hi]; endpoint maxima are found exactly."""
+    [lo, hi] to width 1e-10; endpoint maxima are found exactly."""
+    coarse, tol = 129, 1e-10
     xs = np.linspace(lo, hi, coarse)
     vals = np.array([fn(x) for x in xs])
     i = int(np.argmax(vals))
@@ -281,6 +292,19 @@ def _maximize_scalar(fn, lo: float, hi: float, tol: float = 1e-10,
     return best[1], best[0]
 
 
+def _dimensional_bound(values: np.ndarray, weights: np.ndarray, fac: float,
+                       hi: float) -> tuple[float, float]:
+    """max over c in [0, hi] of fac c + harmonic mean of (values - c)."""
+
+    def val(c):
+        gap = values - c
+        if gap.min() <= 0:
+            return fac * c
+        return fac * c + 1.0 / float(np.sum(weights / gap))
+
+    return _maximize_scalar(val, 0.0, hi)
+
+
 def interpolated_bound(ric_values, weights, n: int) -> tuple[float, float]:
     """max over c in [0, K] of n c/(n-1) + harmonic mean of (Ric - c);
     c = 0 recovers the plain harmonic-mean bound, c = K the
@@ -292,59 +316,51 @@ def interpolated_bound(ric_values, weights, n: int) -> tuple[float, float]:
     K = float(ric.min())
     if K <= 0:
         raise NonPositiveCurvatureError("needs positive curvature on the grid")
-    fac = n / (n - 1)
-
-    def val(c):
-        gap = ric - c
-        if gap.min() <= 0:
-            return fac * c
-        return fac * c + 1.0 / float(np.sum(w / gap))
-
-    return _maximize_scalar(val, 0.0, K)
+    return _dimensional_bound(ric, w, n / (n - 1), K)
 
 
-def bakry_emery_rho(spec: DiffusionSpec, n_prime: float, mesh: int = 256):
+def _zonal_potential(spec: DiffusionSpec) -> ZonalPolynomial:
+    m = spec.manifold
+    if m.kind != SPHERE or m.dim != 2:
+        raise InputError("the zonal curvature fields are implemented on 2-spheres")
+    return _reversible_potential(spec)
+
+
+def _zonal_curvature(pot: ZonalPolynomial, theta: np.ndarray, radius: float,
+                     slack: float) -> np.ndarray:
+    """Half the minimum over unit directions u of
+    Ric(u,u) + Hess(phi)(u,u) - (grad(phi).u)^2/slack at colatitudes theta
+    on the 2-sphere.  The quantity is linear in cos^2 of the angle between
+    u and the meridian, so the minimum is at the meridian or the parallel;
+    slack = inf drops the penalty."""
+    r2 = radius**2
+    c = np.cos(theta)
+    h_tt = pot.d2theta(theta) / r2                 # Hess(phi) along the meridian
+    h_pp = -pot.dp(c) * c / r2                     # ... and along the parallel
+    pen = (pot.dtheta(theta) / radius) ** 2 / slack   # (d phi / d arclength)^2 / slack
+    return 0.5 * np.minimum(1.0 / r2 + h_tt - pen, 1.0 / r2 + h_pp)
+
+
+def bakry_emery_rho(spec: DiffusionSpec, n_prime: float):
     """Optimal curvature function of the dimension-n_prime
     curvature-dimension inequality for a zonal reversible diffusion on the
     2-sphere: at each point, half the minimum over unit directions of
     Ric(u,u) + Hess(phi)(u,u) - (grad(phi).u)^2/(n_prime - n).
 
-    Returns rho(theta_array); the direction minimization scans `mesh`
-    angles with golden-section refinement around the best one.
+    Returns rho(theta_array), in closed form (see _zonal_curvature).
     """
-    m = spec.manifold
-    if m.kind != SPHERE or m.dim != 2:
-        raise InputError("the curvature-dimension field is implemented on 2-spheres")
-    n = m.dim
+    pot = _zonal_potential(spec)
+    n = spec.manifold.dim
     if n_prime < n:
         raise DimensionMismatchError("effective dimension below the manifold dimension")
-    pot = spec.potential or ZonalPolynomial((0.0,))
     if n_prime == n and not pot.is_zero:
         raise DimensionMismatchError(
             "effective dimension equal to the manifold dimension needs a zero potential")
-    r2 = m.radius**2
-    ric = 1.0 / r2
+    slack = math.inf if n_prime == n else n_prime - n
 
     def rho(theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        dphi = pot.dtheta(theta) / m.radius          # derivative along arclength
-        h_tt = pot.d2theta(theta) / r2
-        h_pp = np.cos(theta) / np.sin(theta) * pot.dtheta(theta) / r2
-        slack = np.inf if n_prime == n else (n_prime - n)
-        out = np.empty_like(theta)
-        alphas = np.linspace(0.0, math.pi / 2, mesh)
-        for i in range(theta.size):
-            def val(a):
-                cs2 = math.cos(a) ** 2
-                hess = cs2 * h_tt[i] + (1 - cs2) * h_pp[i]
-                pen = 0.0 if slack == np.inf else cs2 * dphi[i] ** 2 / slack
-                return ric + hess - pen
-            vals = [val(a) for a in alphas]
-            j = int(np.argmin(vals))
-            lo = alphas[max(j - 1, 0)]
-            hi = alphas[min(j + 1, mesh - 1)]
-            a_best, neg = _maximize_scalar(lambda a: -val(a), lo, hi, tol=1e-12)
-            out[i] = 0.5 * min(min(vals), -neg)
+        out = _zonal_curvature(pot, np.atleast_1d(np.asarray(theta, dtype=float)),
+                               spec.manifold.radius, slack)
         return out if out.size > 1 else float(out[0])
 
     return rho
@@ -359,14 +375,7 @@ def cd_bound(rho_values, weights, n_prime: float) -> tuple[float, float]:
     if R <= 0:
         raise NonPositiveCurvatureError("needs positive curvature-dimension curvature")
     fac = 1.0 if n_prime == math.inf else n_prime / (n_prime - 1)
-
-    def val(c):
-        gap = rho - c
-        if gap.min() <= 0:
-            return fac * c
-        return fac * c + 1.0 / float(np.sum(w / gap))
-
-    return _maximize_scalar(val, 0.0, max(R - 1e-12, 0.0))
+    return _dimensional_bound(rho, w, fac, max(R - 1e-12, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +446,8 @@ def build_s1_generator(coeffs: S1Coefficients, m: int) -> tuple[np.ndarray, np.n
     Fv = np.asarray(coeffs.F(x), dtype=float)
     if a.min() <= 0:
         raise InputError("the diffusion coefficient must be positive")
-    L = np.zeros((m, m))
-    idx = np.arange(m)
-    nxt = (idx + 1) % m
-    prv = (idx - 1) % m
-    L[idx, nxt] += 0.5 * a / h**2 + Fv / (2 * h)
-    L[idx, prv] += 0.5 * a / h**2 - Fv / (2 * h)
-    L[idx, idx] -= a / h**2
-    return x, L
+    return x, _periodic_three_point(0.5 * a / h**2 - Fv / (2 * h), -a / h**2,
+                                    0.5 * a / h**2 + Fv / (2 * h))
 
 
 def lipschitz_derivative_identity_check(coeffs: S1Coefficients, fn: S1TestFunction,
@@ -535,18 +538,10 @@ class BoundsReport:
 
 def effective_kappa_grid(spec: DiffusionSpec, theta: np.ndarray) -> np.ndarray:
     """inf over unit directions of the directional coarse Ricci curvature at
-    the zonal points x(theta) (half-Laplacian units)."""
-    from .curvature import kappa_dir
-
-    m = spec.manifold
-    r = m.radius
-    out = np.empty(theta.size)
-    for i, th in enumerate(theta):
-        x = m.point(np.array([math.sin(th), 0.0, math.cos(th)]) * r)
-        e_th = m.tangent(x, np.array([math.cos(th), 0.0, -math.sin(th)]))
-        e_ps = m.tangent(x, np.array([0.0, 1.0, 0.0]))
-        out[i] = min(kappa_dir(spec, x, e_th).kappa, kappa_dir(spec, x, e_ps).kappa)
-    return out
+    the zonal points x(theta) (half-Laplacian units): the closed form of
+    min(kappa_dir(e_theta), kappa_dir(e_psi)) for reversible potential specs."""
+    return _zonal_curvature(_zonal_potential(spec), np.asarray(theta, dtype=float),
+                            spec.manifold.radius, math.inf)
 
 
 def s1_effective_kappa(potential: ZonalPolynomial, theta: np.ndarray,

@@ -88,6 +88,15 @@ def test_spectrum_command(runner, tmp_path):
     assert float(read_csv(str(out))[0]["lambda1"]) == pytest.approx(0.5, abs=1e-6)
 
 
+def test_spectrum_small_gap_at_fine_grid(runner, tmp_path):
+    # the Richardson step runs at grid 2048, where lambda_max ~ 1e6 dwarfs the gap
+    out = tmp_path / "s.csv"
+    res = invoke(runner, ["spectrum", "--manifold", "sphere:1:1", "--potential", "8*cos^2",
+                          "--grid", "1024", "--out", str(out)])
+    assert res.exit_code == 0
+    assert float(read_csv(str(out))[0]["lambda1"]) == pytest.approx(1.5885e-3, rel=1e-4)
+
+
 def test_coupling_command(runner, tmp_path):
     a = tmp_path / "a.csv"
     d = tmp_path / "d.csv"
@@ -143,6 +152,18 @@ def test_check_h_and_variance(runner, tmp_path):
                           "--out", str(out2)])
     assert res.exit_code == 0
     assert read_csv(str(out2))[0]["within_bound"] == "true"
+
+
+def test_malformed_config_exits_2(runner, tmp_path):
+    out = tmp_path / "s.csv"
+    for name, text in (("broken.json", '{"grid": 64,'), ("list.json", "[1, 2]")):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        res = invoke(runner, ["spectrum", "--manifold", "sphere:1:1", "--config", str(cfg),
+                              "--out", str(out)])
+        assert res.exit_code == 2
+        assert "error: bad config file" in res.output
+        assert not out.exists()
 
 
 def test_config_file_defaults_and_override(runner, tmp_path):

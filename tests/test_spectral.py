@@ -3,14 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from riccigap.curvature import kappa_dir
 from riccigap.errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
     DimensionOneError,
     GridTooCoarseError,
+    InputError,
     NonPositiveCurvatureError,
 )
-from riccigap.fields import ZonalPolynomial, parse_potential, reversible_potential
+from riccigap.fields import (
+    DiffusionSpec,
+    InverseMetricField,
+    PotentialDrift,
+    ZonalPolynomial,
+    brownian,
+    parse_potential,
+    random_riemann_like,
+    reversible_potential,
+    tensor_diffusion,
+)
 from riccigap.manifolds import parse_manifold
 from riccigap import spectral as sp
 
@@ -90,11 +102,38 @@ def test_degenerate_spectrum_detected():
         sp.spectral_gap(broken)
 
 
+def test_small_gap_survives_fine_grid():
+    # gap 1.5885e-3 at every grid while lambda_max grows like m^2: the
+    # zero-mode test must scale with the solver's error, not with lambda_max
+    pot = parse_potential("8*cos^2")
+    coarse = sp.spectral_gap(sp.discretize_s1(pot, 256))
+    fine = sp.spectral_gap(sp.discretize_s1(pot, 2048))
+    assert fine == pytest.approx(1.5885e-3, rel=1e-4)
+    assert fine == pytest.approx(coarse, rel=1e-5)
+
+
 def test_discretize_dispatch():
     spec1 = reversible_potential(parse_manifold("sphere:1:1"), parse_potential("cos"))
     assert sp.discretize(spec1, 64).kind == "s1"
     spec2 = reversible_potential(S2, parse_potential("0.1*cos"))
     assert sp.discretize(spec2, 64).kind == "s2-zonal"
+    assert sp.discretize(brownian(S2), 64).kind == "s2-zonal"
+
+
+def other_specs():
+    """Specs on S^2 that are not (1/2)(Laplacian - grad(phi).grad)."""
+    pot = parse_potential("0.2*cos")
+    return [tensor_diffusion(S2, random_riemann_like(3, seed=1)),
+            brownian(S2, 2.0),
+            DiffusionSpec(S2, InverseMetricField(1.0), PotentialDrift(pot)),
+            DiffusionSpec(S2, InverseMetricField(1.0), PotentialDrift(pot),
+                          potential=parse_potential("0.3*cos"))]
+
+
+def test_discretize_rejects_other_diffusions():
+    for spec in other_specs():
+        with pytest.raises(InputError):
+            sp.discretize(spec, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +206,6 @@ def test_bakry_emery_rho_values_and_mesh():
     want = 0.5 * np.minimum(1 - a * np.cos(theta) - (a * np.sin(theta)) ** 2 / (3 - 2),
                             1 - a * np.cos(theta))
     assert np.abs(got - want).max() < 1e-9
-    dense = sp.bakry_emery_rho(spec, 3.0, mesh=4096)(theta)
-    assert np.abs(got - dense).max() < 1e-6
 
 
 def test_bakry_emery_rho_no_potential():
@@ -183,6 +220,63 @@ def test_bakry_emery_rho_guards():
         sp.bakry_emery_rho(spec, 1.5)
     with pytest.raises(DimensionMismatchError):
         sp.bakry_emery_rho(spec, 2.0)
+
+
+POTENTIALS = ["0", "0.3*cos", "-0.25*cos", "0.2*cos^2", "poly:0.1,0.2,-0.15,0.05"]
+
+
+def rng(seed):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 31], dtype=np.uint64)))
+
+
+def test_effective_kappa_grid_matches_kappa_dir():
+    g = rng(1)
+    for radius in (1.0, 2.0):
+        mfd = parse_manifold(f"sphere:2:{radius:g}")
+        for text in POTENTIALS:
+            spec = reversible_potential(mfd, parse_potential(text))
+            theta = g.uniform(0.01, math.pi - 0.01, 24)
+            want = []
+            for th in theta:
+                x = mfd.point(np.array([math.sin(th), 0.0, math.cos(th)]) * radius)
+                e_th = mfd.tangent(x, np.array([math.cos(th), 0.0, -math.sin(th)]))
+                e_ps = mfd.tangent(x, np.array([0.0, 1.0, 0.0]))
+                want.append(min(kappa_dir(spec, x, e_th).kappa, kappa_dir(spec, x, e_ps).kappa))
+            got = sp.effective_kappa_grid(spec, theta)
+            assert np.abs(got - np.array(want)).max() <= 1e-12, (radius, text)
+
+
+def test_bakry_emery_rho_matches_direction_scan():
+    # the penalised curvature at angle alpha to the meridian, minimised over
+    # a dense scan of [0, pi/2] that includes both endpoints
+    cs2 = np.cos(np.linspace(0.0, math.pi / 2, 2049))[:, None] ** 2
+    cs2[-1] = 0.0       # cos(pi/2) is 6e-17 in floating point
+    g = rng(2)
+    for radius in (1.0, 2.0):
+        mfd = parse_manifold(f"sphere:2:{radius:g}")
+        for text in POTENTIALS:
+            pot = parse_potential(text)
+            spec = reversible_potential(mfd, pot)
+            theta = g.uniform(0.01, math.pi - 0.01, 24)
+            h_tt = pot.d2theta(theta) / radius**2
+            h_pp = np.cos(theta) / np.sin(theta) * pot.dtheta(theta) / radius**2
+            dphi2 = (pot.dtheta(theta) / radius) ** 2
+            for n_prime in ([2.0] if pot.is_zero else []) + [3.0, 10.0, math.inf]:
+                slack = n_prime - 2.0
+                pen = 0.0 if slack in (0.0, math.inf) else cs2 * dphi2 / slack
+                scan = 1.0 / radius**2 + cs2 * h_tt + (1.0 - cs2) * h_pp - pen
+                want = 0.5 * scan.min(axis=0)
+                got = sp.bakry_emery_rho(spec, n_prime)(theta)
+                assert np.abs(got - want).max() <= 1e-12, (radius, text, n_prime)
+
+
+def test_curvature_fields_reject_other_specs():
+    for spec in other_specs() + [brownian(parse_manifold("sphere:3:1")),
+                                 brownian(parse_manifold("sphere:1:1"))]:
+        with pytest.raises(InputError):
+            sp.effective_kappa_grid(spec, np.array([0.5, 1.0]))
+        with pytest.raises(InputError):
+            sp.bakry_emery_rho(spec, 3.0)
 
 
 def test_rho_below_kappa():
