@@ -205,7 +205,10 @@ def kappa_row(manifold: str, field: str, method: str, point: str | None,
         u = TangentVector(x, mfd.frame(x)[:, 0].copy())
     else:
         u = mfd.tangent(x, np.asarray([float(v) for v in direction.split(",")]), project=True)
-        u = TangentVector(x, u.components / mfd.norm(u))
+        nu = mfd.norm(u)
+        if not nu > 0:
+            raise InputError("direction has no tangent part at the point")
+        u = TangentVector(x, u.components / nu)
     row.update(point=point, direction=direction or "any")
     if method == "formula":
         rep = curvature.kappa_dir(spec, x, u)

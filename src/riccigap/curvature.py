@@ -26,7 +26,7 @@ from .errors import (
     SingularDiffusionError,
 )
 from .fields import DiffusionSpec, h_residual
-from .manifolds import EUCLIDEAN, SPHERE, ModelManifold, Point, TangentVector
+from .manifolds import EUCLIDEAN, ModelManifold, Point, TangentVector
 
 _H_TOL = 1e-8  # admissibility residual allowed before the constrained
                # curvature is considered undefined
@@ -237,10 +237,11 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
     extrapolated in t.
 
     W1 between equal-size empirical clouds is computed by exact optimal
-    assignment.  The two clouds share their noise (transported along the
-    connecting geodesics on curved spaces): the marginal laws are
-    unaffected, while the assignment estimator loses the order-statistic
-    bias that independent clouds suffer in dimension >= 2.
+    assignment.  The two clouds move by run_coupled's coupled step, so they
+    share their noise (transported along the connecting geodesics on curved
+    spaces): the marginal laws are unaffected, while the assignment
+    estimator loses the order-statistic bias that independent clouds suffer
+    in dimension >= 2.
     Returns (estimate, (lo, hi)); the interval combines a 95% normal CI
     from the batch spread with the size of the Richardson correction (a
     conservative gauge of the remaining O(t^2) truncation).
@@ -280,58 +281,23 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
 
 def _simulate_clouds(spec: DiffusionSpec, x: Point, y: Point, count: int,
                      dt: float, steps: int, rng: np.random.Generator):
-    """Evolve two sample clouds from x and y for `steps` Euler substeps,
-    sharing the noise between the clouds (parallel transported on curved
-    spaces).  Drift uses the exact flow when the field provides one.
-    """
+    """Evolve two sample clouds from x and y for `steps` substeps of
+    run_coupled's coupled step, which shares the noise between the clouds;
+    also report whether any pair passed the cut threshold."""
+    from .simulate import _coupled_step, _pairs  # simulate imports this module
+
     m = spec.manifold
-    k = m.ambient_dim
-    c = spec.diffusion.constant_inverse_metric
-    if c is None:
+    if spec.diffusion.constant_inverse_metric is None:
         raise InputError("the direct estimator supports metric-proportional diffusions")
-    sig = math.sqrt(c * dt)
-    X = np.broadcast_to(x.coords, (count, k)).copy()
-    Y = np.broadcast_to(y.coords, (count, k)).copy()
+    X = np.broadcast_to(x.coords, (count, m.ambient_dim)).copy()
+    Y = np.broadcast_to(y.coords, (count, m.ambient_dim)).copy()
+    p = _pairs(spec, X, Y, m.dist_many(X, Y))
     hit = False
-    euclid = m.kind == EUCLIDEAN
     for _ in range(steps):
-        if euclid:
-            z = sig * rng.standard_normal((count, k))
-            X = _drift_step(spec, X, dt) + z
-            Y = _drift_step(spec, Y, dt) + z
-        else:
-            z = rng.standard_normal((count, k))
-            zx = m.project_tangent(X, z)
-            vx = sig * zx
-            vy = sig * m.transport_many(X, Y, zx)
-            Xd = _drift_points(spec, m, X, dt)
-            Yd = _drift_points(spec, m, Y, dt)
-            X = m.exp_many(Xd, m.project_tangent(Xd, vx))
-            Y = m.exp_many(Yd, m.project_tangent(Yd, vy))
-        if m.kind == SPHERE:
-            dmax = float(m.dist_many(X, Y).max())
-            if dmax > m.cut_threshold:
-                hit = True
+        X, Y = _coupled_step(spec, p, rng.standard_normal((count, m.ambient_dim)), dt)
+        p = _pairs(spec, X, Y, m.dist_many(X, Y))
+        hit = hit or bool(p.d.max() > m.cut_threshold)
     return X, Y, hit
-
-
-def _drift_step(spec: DiffusionSpec, X: np.ndarray, dt: float) -> np.ndarray:
-    """Euclidean drift substep (exact flow for linear drift)."""
-    drift = spec.drift
-    if drift.is_zero:
-        return X
-    if hasattr(drift, "rate"):
-        return math.exp(-drift.rate * dt) * X
-    m = spec.manifold
-    F = np.stack([drift.vector(m.point(row)) for row in X])
-    return X + dt * F
-
-
-def _drift_points(spec: DiffusionSpec, m: ModelManifold, X: np.ndarray, dt: float) -> np.ndarray:
-    if spec.drift.is_zero:
-        return X
-    F = np.stack([spec.drift.vector(m.point(row)) for row in X])
-    return m.exp_many(X, dt * F)
 
 
 def _assignment_w1(m: ModelManifold, X: np.ndarray, Y: np.ndarray) -> float:

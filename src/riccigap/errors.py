@@ -41,21 +41,25 @@ class DegenerateSpectrumError(RicciGapError):
     """The zero eigenvalue of a discretized generator is not simple."""
 
 
+class InputError(RicciGapError):
+    """Invalid user input (CLI / config validation)."""
+
+
 class GridTooCoarseError(RicciGapError):
     """Discretization residuals exceed tolerance at the requested grid size."""
 
 
-class DimensionOneError(RicciGapError):
+class GridSizeError(GridTooCoarseError, InputError):
+    """Fewer grid points than the discretization needs."""
+
+
+class DimensionOneError(InputError):
     """A bound formula with an n/(n-1) factor was requested at n = 1."""
 
 
-class DimensionMismatchError(RicciGapError):
+class DimensionMismatchError(InputError):
     """Inconsistent dimensions (e.g. effective dimension below the manifold
     dimension, or a nonzero potential with no dimension headroom)."""
-
-
-class InputError(RicciGapError):
-    """Invalid user input (CLI / config validation)."""
 
 
 class NonPSDWarning(UserWarning):

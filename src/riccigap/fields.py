@@ -356,12 +356,16 @@ def parse_potential(text: str) -> ZonalPolynomial:
 
 
 class DriftField:
-    """Vector field F; vector(x) returns ambient tangent components."""
+    """Vector field F; vector(x) returns ambient tangent components, and
+    vector_many(manifold, X) the same for each row of stacked points X."""
 
     is_zero = False
 
     def vector(self, x: Point) -> np.ndarray:
         raise NotImplementedError
+
+    def vector_many(self, manifold: ModelManifold, X: np.ndarray) -> np.ndarray:
+        return np.stack([self.vector(manifold.point(row)) for row in X])
 
     def du_uu(self, x: Point, u: TangentVector, step: float = _FD_STEP) -> float:
         """<u, grad_u F> for a unit tangent u (central differences along the
@@ -374,10 +378,6 @@ class DriftField:
             vals.append(float(m.ip(self.vector(y), uy)))
         return (vals[0] - vals[1]) / (2.0 * step)
 
-    def flow(self, x: Point, dt: float) -> Point | None:
-        """Exact time-dt flow of xdot = F(x) when available, else None."""
-        return None
-
 
 class ZeroDrift(DriftField):
     is_zero = True
@@ -385,11 +385,11 @@ class ZeroDrift(DriftField):
     def vector(self, x: Point) -> np.ndarray:
         return np.zeros(x.manifold.ambient_dim)
 
+    def vector_many(self, manifold: ModelManifold, X: np.ndarray) -> np.ndarray:
+        return np.zeros_like(X)
+
     def du_uu(self, x: Point, u: TangentVector, step: float = _FD_STEP) -> float:
         return 0.0
-
-    def flow(self, x: Point, dt: float) -> Point:
-        return x
 
 
 class LinearDrift(DriftField):
@@ -399,15 +399,15 @@ class LinearDrift(DriftField):
         self.rate = float(rate)
 
     def vector(self, x: Point) -> np.ndarray:
-        if x.manifold.kind != EUCLIDEAN:
+        return self.vector_many(x.manifold, x.coords)
+
+    def vector_many(self, manifold: ModelManifold, X: np.ndarray) -> np.ndarray:
+        if manifold.kind != EUCLIDEAN:
             raise InputError("linear drift is defined on Euclidean space")
-        return -self.rate * x.coords
+        return -self.rate * X
 
     def du_uu(self, x: Point, u: TangentVector, step: float = _FD_STEP) -> float:
         return -self.rate
-
-    def flow(self, x: Point, dt: float) -> Point:
-        return x.manifold.point(math.exp(-self.rate * dt) * x.coords)
 
 
 class PotentialDrift(DriftField):
@@ -422,13 +422,14 @@ class PotentialDrift(DriftField):
         return float(x.coords[-1] / m.radius)
 
     def vector(self, x: Point) -> np.ndarray:
-        m = x.manifold
-        if m.kind != SPHERE:
+        return self.vector_many(x.manifold, x.coords)
+
+    def vector_many(self, manifold: ModelManifold, X: np.ndarray) -> np.ndarray:
+        if manifold.kind != SPHERE:
             raise InputError("zonal potential drift is defined on spheres")
-        c = self._cos_colat(x)
-        grad_amb = np.zeros(m.ambient_dim)
-        grad_amb[-1] = float(self.potential.dp(c)) / m.radius
-        return -0.5 * m.project_tangent(x.coords, grad_amb)
+        grad_amb = np.zeros_like(X)
+        grad_amb[..., -1] = self.potential.dp(X[..., -1] / manifold.radius) / manifold.radius
+        return -0.5 * manifold.project_tangent(X, grad_amb)
 
     def hess_uu(self, x: Point, u: TangentVector) -> float:
         """Hessian of phi along the unit tangent u (second derivative of phi
@@ -441,9 +442,6 @@ class PotentialDrift(DriftField):
 
     def du_uu(self, x: Point, u: TangentVector, step: float = _FD_STEP) -> float:
         return -0.5 * self.hess_uu(x, u)
-
-    def flow(self, x: Point, dt: float):
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -105,18 +105,6 @@ class ModelManifold:
     def point(self, coords) -> "Point":
         return Point(self, _as_vec(coords))
 
-    def project_point(self, coords) -> "Point":
-        """Rescale ambient coordinates onto the model space."""
-        c = _as_vec(coords)
-        if self.kind == SPHERE:
-            c = c * (self.radius / np.linalg.norm(c))
-        elif self.kind == HYPERBOLIC:
-            s = -self.ip(c, c)
-            if s <= 0 or c[-1] <= 0:
-                raise InputError("coordinates do not rescale onto the upper hyperboloid")
-            c = c * (self.radius / math.sqrt(s))
-        return Point(self, c)
-
     def tangent(self, x: "Point", components, project: bool = False) -> "TangentVector":
         c = _as_vec(components)
         if project:
@@ -129,11 +117,21 @@ class ModelManifold:
         x = x_coords
         return v - (self.ip(v, x) / self.ip(x, x))[..., None] * x
 
+    def tangent_noise(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """Tangent vectors at X with the standard Gaussian law of the metric,
+        from ambient standard normals Z.  On the hyperboloid projection would
+        not do that, so the first n components of Z (a standard Gaussian at
+        the base point) are carried to X by the boost between them."""
+        if self.kind != HYPERBOLIC:
+            return self.project_tangent(X, Z)
+        r = self.radius
+        W = Z[..., :-1]
+        Xs, Xt = X[..., :-1], X[..., -1:]
+        s = np.sum(Xs * W, axis=-1, keepdims=True) / r
+        return np.concatenate([W + Xs * (s / (r + Xt)), s], axis=-1)
+
     def norm(self, v: "TangentVector") -> float:
         return math.sqrt(max(self.ip(v.components, v.components), 0.0))
-
-    def zero_tangent(self, x: "Point") -> "TangentVector":
-        return TangentVector(x, np.zeros(self.ambient_dim))
 
     # -- random sampling (uniform point, unit tangent) ---------------------
 

@@ -3,20 +3,25 @@ and the Lipschitz variance check.
 
 Two schemes, both in the exponential chart:
 
-- Generic path (any field and drift; `step_coupled`): Gaussian
-  Euler-Maruyama.  Each step draws one joint Gaussian tangent pair with
-  block covariance [[A(x), C+], [C+^T, A(y)]] from the parallel extremal
-  coupling.  `step_single` is the same Gaussian step for one point.
-- Fast path (metric-proportional diffusions A = c g^{-1}, vectorized over
-  trajectories): the parallel-transport coupling.  In flat space both
-  points take the same Gaussian increment, and linear drifts use their
+- The coupled-step kernel (`_coupled_step`; every A = c g^{-1} on the
+  sphere, hyperbolic or Euclidean space, with any drift): the
+  parallel-transport coupling, vectorised over pairs.  `run_coupled` and
+  the Monte Carlo curvature estimator both step through it.  In flat space
+  both points take the same Gaussian increment, and a linear drift its
   exact flow, so the contraction identity holds to machine precision.  On
-  the sphere each step is Gaussian along the geodesic direction and of
-  fixed norm sqrt((n - 1) c dt) orthogonal to it, with the same covariance
-  as the Gaussian step (a bounded-increment weak Euler scheme, Kloeden &
-  Platen 1992, sec. 14.1).  A Gaussian orthogonal part w would move log d
-  by a multiple of the fluctuating |w|^2 and leave a defect of size
+  curved spaces each noise increment is Gaussian along the geodesic
+  direction and of fixed norm sqrt((n - 1) c dt) orthogonal to it, with the
+  same covariance as the Gaussian step (a bounded-increment weak Euler
+  scheme, Kloeden & Platen 1992, sec. 14.1); a drift adds its Euler
+  increment dt F.  A Gaussian orthogonal part w would move log d by a
+  multiple of the fluctuating |w|^2 and leave a defect of size
   O(sqrt(T dt)); with |w| fixed the pathwise defect is O(dt).
+- The per-pair path (`step_coupled`; fields without
+  constant_inverse_metric, such as tensor-constructed or scalar-scaled
+  ones): Gaussian Euler-Maruyama.  Each step draws one joint Gaussian
+  tangent pair with block covariance [[A(x), C+], [C+^T, A(y)]] from the
+  parallel extremal coupling.  `step_single` is the same Gaussian step for
+  one point.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,18 +104,13 @@ def step_single(spec: DiffusionSpec, x: Point, dt: float, noise) -> Point:
 
 def _advance_ambient(spec: DiffusionSpec, x: Point, noise_inc: np.ndarray, dt: float) -> Point:
     m = spec.manifold
+    drift = spec.drift
     inc = noise_inc
-    flowed = spec.drift.flow(x, dt)
-    if flowed is not None:
-        if not _same_point(x, flowed):
-            inc = inc + m.log_map(x, flowed).components
-    else:
-        inc = inc + dt * spec.drift.vector(x)
+    if isinstance(drift, LinearDrift) and m.kind == EUCLIDEAN:
+        inc = inc + (math.exp(-drift.rate * dt) * x.coords - x.coords)  # exact flow
+    elif not drift.is_zero:
+        inc = inc + dt * drift.vector(x)
     return m.exp_map(x, TangentVector(x, m.project_tangent(x.coords, inc)))
-
-
-def _same_point(a: Point, b: Point) -> bool:
-    return np.array_equal(a.coords, b.coords)
 
 
 def step_coupled(spec: DiffusionSpec, x: Point, y: Point, dt: float,
@@ -117,7 +118,7 @@ def step_coupled(spec: DiffusionSpec, x: Point, y: Point, dt: float,
     """One coupled Euler step with the parallel-transport-extremal block
     covariance.  Coincident points receive identical increments."""
     m = spec.manifold
-    if _same_point(x, y):
+    if np.array_equal(x.coords, y.coords):
         z = rng.standard_normal(m.dim)
         xn = step_single(spec, x, dt, z)
         return xn, xn
@@ -131,49 +132,115 @@ def step_coupled(spec: DiffusionSpec, x: Point, y: Point, dt: float,
     blk = np.block([[A_x, cplus.C], [cplus.C.T, A_y]])
     root = sym_psd_sqrt(blk)
     z = root @ rng.standard_normal(2 * m.dim)
-    xi, eta = z[: m.dim], z[m.dim:]
-    xn = _advance(spec, x, jet.frame_x, xi, dt)
-    yn = _advance(spec, y, jet.frame_y, eta, dt)
-    return xn, yn
-
-
-def _advance(spec: DiffusionSpec, x: Point, frame: np.ndarray, comps: np.ndarray,
-             dt: float) -> Point:
-    m = spec.manifold
-    return _advance_ambient(spec, x, math.sqrt(dt) * m.from_frame(frame, comps), dt)
+    return (_advance_ambient(spec, x, math.sqrt(dt) * m.from_frame(jet.frame_x, z[:m.dim]), dt),
+            _advance_ambient(spec, y, math.sqrt(dt) * m.from_frame(jet.frame_y, z[m.dim:]), dt))
 
 
 # ---------------------------------------------------------------------------
-# vectorized kappa along fast-path specs
+# the coupled-step kernel for A = c g^{-1}
 
 
-def kappa_fast(spec: DiffusionSpec, d):
-    """kappa(x, y) as a function of the distance only, for
-    metric-proportional diffusions with zero or linear drift (matches
-    kappa_pair; cross-checked in the test suite)."""
+class _Pairs(NamedTuple):
+    """Stacked pairs at distances d, with the unit velocity u of the geodesic
+    X -> Y at X and u' at Y, and the drift at both ends (None where the
+    coupled step and kappa do not need them)."""
+
+    X: np.ndarray
+    Y: np.ndarray
+    d: np.ndarray
+    u: np.ndarray | None = None
+    uy: np.ndarray | None = None
+    fx: np.ndarray | None = None
+    fy: np.ndarray | None = None
+
+
+def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray) -> _Pairs:
+    """The _Pairs of X, Y at distances d.  Flat space with zero or linear
+    drift needs no direction; pairs closer than 1e-15 (the threshold of
+    transport_many) get u = 0."""
     m = spec.manifold
-    c = spec.diffusion.constant_inverse_metric
-    if c is None:
+    if m.kind == EUCLIDEAN and (spec.drift.is_zero or isinstance(spec.drift, LinearDrift)):
+        return _Pairs(X, Y, d)
+    deg = (d < 1e-15)[:, None]
+    u = np.where(deg, 0.0, m.log_many(X, Y) / np.where(deg, 1.0, d[:, None]))
+    uy = u if m.kind == EUCLIDEAN else m._forward_unit(X, Y, u, d)
+    if spec.drift.is_zero:
+        return _Pairs(X, Y, d, u, uy)
+    return _Pairs(X, Y, d, u, uy, spec.drift.vector_many(m, X), spec.drift.vector_many(m, Y))
+
+
+def _coupled_step(spec: DiffusionSpec, p: _Pairs, z: np.ndarray,
+                  dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One parallel-transport coupled step of every pair in p from ambient
+    standard normals z, one row per pair: the _split_increments (the common
+    Gaussian increment in flat space) plus the Euler drift increment, or in
+    flat space the exact flow of a zero or linear drift."""
+    m = spec.manifold
+    sig = math.sqrt(spec.diffusion.constant_inverse_metric * dt)
+    if p.u is None:
+        # exact: the common Gaussian increment cancels in Y - X
+        decay = math.exp(-spec.drift.rate * dt) if isinstance(spec.drift, LinearDrift) else 1.0
+        return decay * p.X + sig * z, decay * p.Y + sig * z
+    if m.kind == EUCLIDEAN:
+        vx = vy = sig * z
+    else:
+        # Gaussian along the geodesic, fixed norm across it: O(dt) defect
+        vx, vy = _split_increments(m, p, m.tangent_noise(p.X, z))
+        vx, vy = sig * vx, sig * vy
+    if p.fx is not None:
+        vx, vy = vx + dt * p.fx, vy + dt * p.fy
+    return m.exp_many(p.X, vx), m.exp_many(p.Y, vy)
+
+
+def _split_increments(m: ModelManifold, p: _Pairs, zt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-variance tangent increments at X and Y for one parallel-transport
+    coupled step.  The tangent noise zt splits into a Gaussian part a*u along
+    the geodesic direction u and a part w orthogonal to it; w is rescaled to
+    the fixed norm sqrt(n - 1), which keeps the covariance at the identity
+    and the odd moments at zero.  X moves by a*u + w and Y by a*u' + w: that
+    is the parallel transport of the X increment, since w is orthogonal to
+    u.  Pairs with u = 0 get the unsplit zt at both ends."""
+    a = m.ip(zt, p.u)[:, None]
+    w = zt - a * p.u
+    nw = np.sqrt(np.maximum(m.ip(w, w), 0.0))[:, None]
+    w = w * (math.sqrt(m.dim - 1) / np.where(nw > 0.0, nw, 1.0))
+    vx = a * p.u + w
+    vy = a * p.uy + w
+    deg = (p.d < 1e-15)[:, None]
+    if deg.any():
+        vx = np.where(deg, zt, vx)
+        vy = np.where(deg, zt, vy)
+    return vx, vy
+
+
+def kappa_fast(spec: DiffusionSpec, d, X=None, Y=None):
+    """kappa(x, y) for A = c * g^{-1} at distance d (matches kappa_pair;
+    cross-checked in the test suite).  With zero or linear drift it depends
+    on d alone.  Any other drift F adds (<u, F(x)> - <u', F(y)>)/d, the
+    drift term of kappa_pair, which needs the points: X and Y, stacked."""
+    if spec.diffusion.constant_inverse_metric is None:
         raise InputError("kappa_fast needs A = c * g^{-1}")
     d = np.asarray(d, dtype=float)
-    drift = 0.0
-    if isinstance(spec.drift, LinearDrift):
-        drift = spec.drift.rate
-    elif not spec.drift.is_zero:
-        raise InputError("kappa_fast supports zero or linear drift")
+    if spec.drift.is_zero or isinstance(spec.drift, LinearDrift):
+        return _kappa(spec, _Pairs(X, Y, d))
+    if X is None or Y is None:
+        raise InputError("kappa_fast needs the points for a drift other than zero or linear")
+    return _kappa(spec, _pairs(spec, np.atleast_2d(X), np.atleast_2d(Y), np.atleast_1d(d)))
+
+
+def _kappa(spec: DiffusionSpec, p: _Pairs):
+    m = spec.manifold
+    c = spec.diffusion.constant_inverse_metric
+    d = np.maximum(p.d, 1e-300)
+    drift = spec.drift.rate if isinstance(spec.drift, LinearDrift) else 0.0
     if m.kind == EUCLIDEAN:
-        return np.full_like(d, drift)
-    th = d / m.radius
-    quad = c * (m.dim - 1) * (_scale_b(m.kind, th) - _scale_a(m.kind, th)) / d**2
-    return drift + quad
-
-
-def _fast_path_ok(spec: DiffusionSpec) -> bool:
-    if spec.diffusion.constant_inverse_metric is None:
-        return False
-    if spec.manifold.kind == EUCLIDEAN:
-        return spec.drift.is_zero or isinstance(spec.drift, LinearDrift)
-    return spec.manifold.kind == SPHERE and spec.drift.is_zero
+        kap = np.full_like(d, drift)
+    else:
+        th = d / m.radius
+        kap = drift + c * (m.dim - 1) * (_scale_b(m.kind, th) - _scale_a(m.kind, th)) / d**2
+    if p.fx is None:
+        return kap
+    return kap + (m.ip(p.u, p.fx) - m.ip(p.uy, p.fy)) / d
 
 
 def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> list[CoupledTrajectory]:
@@ -195,7 +262,7 @@ def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> li
 
     def work(bounds):
         j0, j1 = bounds
-        if _fast_path_ok(spec):
+        if spec.diffusion.constant_inverse_metric is not None:
             return j0, _run_chunk_fast(spec, x0, y0, cfg, steps, stride, j0, j1 - j0)
         return j0, [_run_one_generic(spec, x0, y0, cfg, steps, stride, j)
                     for j in range(j0, j1)]
@@ -223,88 +290,42 @@ def _run_chunk_fast(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     m = spec.manifold
     k = m.ambient_dim
     dt = cfg.dt
-    c = spec.diffusion.constant_inverse_metric
-    sig = math.sqrt(c * dt)
     cut = m.cut_threshold - cfg.cut_margin if m.kind == SPHERE else math.inf
     noise = np.stack([_traj_rng(cfg.seed, j0 + i).standard_normal((steps, k))
                       for i in range(count)])
     X = np.broadcast_to(x0.coords, (count, k)).copy()
     Y = np.broadcast_to(y0.coords, (count, k)).copy()
-    d = m.dist_many(X, Y)
-    kap = kappa_fast(spec, d)
+    p = _pairs(spec, X, Y, m.dist_many(X, Y))
+    kap = _kappa(spec, p)
     integral = np.zeros(count)
     alive = np.ones(count, dtype=bool)
     rec_idx, times = _record_times(steps, stride, dt)
     rec_set = set(rec_idx.tolist())
     logs = np.empty((count, len(rec_idx)))
     integ = np.empty((count, len(rec_idx)))
-    logs[:, 0] = np.log(d)
+    logs[:, 0] = np.log(p.d)
     integ[:, 0] = 0.0
     pos = 1
-    euclid = m.kind == EUCLIDEAN
-    lam = spec.drift.rate if isinstance(spec.drift, LinearDrift) else 0.0
-    decay = math.exp(-lam * dt)
     for s in range(steps):
-        z = noise[:, s, :]
-        if euclid:
-            # exact: the common Gaussian increment cancels in Y - X
-            Xn = decay * X + sig * z
-            Yn = decay * Y + sig * z
-        else:
-            # Gaussian along the geodesic, fixed norm across it: O(dt) defect
-            vx, vy = _split_increments(m, X, Y, d, m.project_tangent(X, z))
-            Xn = m.exp_many(X, sig * vx)
-            Yn = m.exp_many(Y, sig * vy)
+        Xn, Yn = _coupled_step(spec, p, noise[:, s, :], dt)
         dn = m.dist_many(Xn, Yn)
         # abort before accepting a state at or beyond the guard
         newly_cut = alive & (dn >= cut)
         accept = alive & ~newly_cut
-        X = np.where(accept[:, None], Xn, X)
-        Y = np.where(accept[:, None], Yn, Y)
-        kn = kappa_fast(spec, np.maximum(np.where(accept, dn, d), 1e-300))
+        p = _pairs(spec, np.where(accept[:, None], Xn, p.X), np.where(accept[:, None], Yn, p.Y),
+                   np.where(accept, dn, p.d))
+        kn = _kappa(spec, p)
         integral = np.where(accept, integral + 0.5 * dt * (kap + kn), integral)
-        d = np.where(accept, dn, d)
         kap = np.where(accept, kn, kap)
         alive = alive & ~newly_cut
         if (s + 1) in rec_set:
-            logs[:, pos] = np.log(np.maximum(d, 1e-300))
+            logs[:, pos] = np.log(np.maximum(p.d, 1e-300))
             integ[:, pos] = integral
             pos += 1
-    out = []
-    for i in range(count):
-        out.append(CoupledTrajectory(
-            times=times.copy(), pair_states=[(m.point(X[i].copy()), m.point(Y[i].copy()))],
-            log_distance=logs[i].copy(),
-            kappa_integral=integ[i].copy(), aborted=not alive[i],
-            abort_reason="" if alive[i] else "cut-locus",
-        ))
-    return out
-
-
-def _split_increments(m: ModelManifold, X: np.ndarray, Y: np.ndarray, d: np.ndarray,
-                      zt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-variance tangent increments at X and Y for one parallel-transport
-    coupled step.  The projected noise zt splits into a Gaussian part a*u
-    along the geodesic direction u = log_X(Y)/d and a part w orthogonal to
-    it; w is rescaled to the fixed norm sqrt(n - 1), which keeps the
-    covariance at the identity and the odd moments at zero.  X moves by
-    a*u + w and Y by a*u' + w, with u' the geodesic's velocity at Y: that is
-    the parallel transport of the X increment, since w is orthogonal to u.
-    Pairs closer than 1e-15 (the threshold of transport_many) get the
-    unsplit zt at both ends."""
-    deg = (d < 1e-15)[:, None]
-    u = np.where(deg, 0.0, m.log_many(X, Y) / np.where(deg, 1.0, d[:, None]))
-    uy = m._forward_unit(X, Y, u, d)
-    a = m.ip(zt, u)[:, None]
-    w = zt - a * u
-    nw = np.sqrt(np.maximum(m.ip(w, w), 0.0))[:, None]
-    w = w * (math.sqrt(m.dim - 1) / np.where(nw > 0.0, nw, 1.0))
-    vx = a * u + w
-    vy = a * uy + w
-    if deg.any():
-        vx = np.where(deg, zt, vx)
-        vy = np.where(deg, zt, vy)
-    return vx, vy
+    return [CoupledTrajectory(
+        times=times.copy(), pair_states=[(m.point(p.X[i].copy()), m.point(p.Y[i].copy()))],
+        log_distance=logs[i].copy(), kappa_integral=integ[i].copy(), aborted=not alive[i],
+        abort_reason="" if alive[i] else "cut-locus") for i in range(count)]
 
 
 def _run_one_generic(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,

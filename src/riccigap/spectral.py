@@ -23,6 +23,7 @@ from .errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
     DimensionOneError,
+    GridSizeError,
     GridTooCoarseError,
     InputError,
     NonPositiveCurvatureError,
@@ -56,6 +57,8 @@ class DiscretizedOperator:
 
 def _validate(op: DiscretizedOperator, zero_rows: bool = True) -> DiscretizedOperator:
     scale = float(np.abs(op.matrix).max())
+    if not (math.isfinite(scale) and np.isfinite(op.weights).all()):
+        raise InputError("the discretized operator overflows: the potential is too large")
     if zero_rows:
         rowsum = float(np.abs(op.matrix.sum(axis=1)).max())
         if rowsum > 1e-10 * max(scale, 1.0):
@@ -79,11 +82,12 @@ def _periodic_three_point(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
     return L
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is rejected by _validate
 def discretize_s1(potential: ZonalPolynomial, m: int, radius: float = 1.0) -> DiscretizedOperator:
     """L = (1/(2 r^2)) e^{phi} d/dth (e^{-phi} d/dth) on the circle,
     periodic uniform grid."""
     if m < 16:
-        raise GridTooCoarseError("need at least 16 grid points")
+        raise GridSizeError("need at least 16 grid points")
     h = 2.0 * math.pi / m
     theta = h * np.arange(m)
     b = np.exp(-potential.value(theta + 0.5 * h))   # conductances at i+1/2
@@ -95,11 +99,12 @@ def discretize_s1(potential: ZonalPolynomial, m: int, radius: float = 1.0) -> Di
     return _validate(DiscretizedOperator("s1", radius, theta, L, w, potential))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is rejected by _validate
 def _zonal_parts(potential: ZonalPolynomial, m: int, radius: float):
     """Half-cell colatitude grid: the periodic three-point operator with
     zero conductance across the poles (the wrap)."""
     if m < 16:
-        raise GridTooCoarseError("need at least 16 grid points")
+        raise GridSizeError("need at least 16 grid points")
     h = math.pi / m
     theta = (np.arange(m) + 0.5) * h
     edges = np.arange(m + 1) * h

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,47 @@ def test_numerical_error_exits_3(runner, tmp_path):
     res = runner.invoke(main, ["kappa", "--manifold", "sphere:2:1", "--pair",
                                "0,0,1;0,0,-1", "--out", str(tmp_path / "k.csv")])
     assert res.exit_code == 3
+
+
+def invoke_bad_input(runner, args):
+    """A command that must fail on its arguments: exit 2 with an `error:`
+    line, no output file and no warning on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = invoke(runner, args)
+    assert res.exit_code == 2
+    assert res.output.startswith("error: ")
+    assert [str(w.message) for w in caught] == []
+
+
+def test_overflowing_potential_exits_2(runner, tmp_path):
+    # exp(phi) overflows double precision on the grid
+    out = tmp_path / "s.csv"
+    invoke_bad_input(runner, ["spectrum", "--manifold", "sphere:1:1", "--potential", "800*cos",
+                              "--grid", "64", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_nprime_below_dimension_exits_2(runner, tmp_path):
+    out = tmp_path / "b.csv"
+    invoke_bad_input(runner, ["bounds", "--manifold", "sphere:2:1", "--nprime", "1.5",
+                              "--out", str(out)])
+    assert not out.exists()
+
+
+def test_grid_below_minimum_exits_2(runner, tmp_path):
+    out = tmp_path / "s.csv"
+    invoke_bad_input(runner, ["spectrum", "--manifold", "sphere:2:1", "--grid", "8",
+                              "--out", str(out)])
+    assert not out.exists()
+
+
+def test_kappa_normal_direction_exits_2(runner, tmp_path):
+    # the direction is normal to the sphere: its tangent part is zero
+    out = tmp_path / "k.csv"
+    invoke_bad_input(runner, ["kappa", "--manifold", "sphere:2:1", "--point", "0,0,1",
+                              "--direction", "0,0,1", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_bounds_command_values(runner, tmp_path):

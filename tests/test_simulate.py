@@ -7,11 +7,14 @@ from riccigap.curvature import kappa_pair
 from riccigap.errors import InputError
 from riccigap.fields import (
     DiffusionSpec,
+    ScalarScaledMetricField,
     ZeroDrift,
     brownian,
     h_admissible_field,
     ornstein_uhlenbeck,
+    parse_potential,
     random_riemann_like,
+    reversible_potential,
 )
 from riccigap.manifolds import TangentVector, parse_manifold
 from riccigap.simulate import (
@@ -163,15 +166,33 @@ def test_run_coupled_sphere_defect_small_and_shrinking():
 
 
 def test_run_coupled_generic_path_agrees_with_fast():
-    # generic per-pair stepping on the Brownian sphere stays statistically
-    # consistent with the vectorized path (same contraction identity)
-    spec = brownian(S2)
+    # A = 1 * g^{-1} given as a scalar-scaled field is the same law without
+    # constant_inverse_metric, so it takes the per-pair Gaussian Euler path;
+    # the means of log d(T) and of the kappa integral must agree with the
+    # vectorised kernel's within a combined CI
+    paths = 100
+    for name, make in (("sphere:2:1", brownian),
+                       ("sphere:2:1", lambda m: reversible_potential(m, parse_potential("0.3*cos"))),
+                       ("hyperbolic:2:1", brownian)):
+        m = parse_manifold(name)
+        fast = make(m)
+        generic = DiffusionSpec(m, ScalarScaledMetricField(lambda x: 1.0), fast.drift)
+        x0 = m.point([math.sin(0.6), 0.0, math.cos(0.6)] if m.kind == "sphere" else [0, 0, 1.0])
+        y0 = m.exp_map(x0, m.tangent(x0, [0.0, 0.5, 0.0], project=True))
+        runs = [run_coupled(spec, x0, y0, SimConfig(dt=1e-2, horizon=0.2, trajectories=paths,
+                                                    seed=seed))
+                for spec, seed in ((fast, 1), (generic, 2))]
+        for what in ("log_distance", "kappa_integral"):
+            vals = [np.array([getattr(t, what)[-1] for t in trajs]) for trajs in runs]
+            gap = vals[0].mean() - vals[1].mean()
+            se = math.hypot(*(v.std(ddof=1) / math.sqrt(paths) for v in vals))
+            assert abs(gap) < 4 * se, (name, fast.label, what, gap, se)
+    # the per-pair path on a tensor field keeps the defect finite and small
     x0 = S2.point([0.0, 0.0, 1.0])
     y0 = S2.exp_map(x0, TangentVector(x0, 0.5 * S2.tangent(x0, [1.0, 0, 0]).components))
-    cfg = SimConfig(dt=1e-2, horizon=0.1, trajectories=6, seed=5)
     fld = h_admissible_field(S2, random_riemann_like(3, seed=12, psd=True))
-    generic = DiffusionSpec(S2, fld, ZeroDrift())
-    trajs = run_coupled(generic, x0, y0, cfg)
+    trajs = run_coupled(DiffusionSpec(S2, fld, ZeroDrift()), x0, y0,
+                        SimConfig(dt=1e-2, horizon=0.1, trajectories=6, seed=5))
     assert len(trajs) == 6
     for tr in trajs:
         assert np.isfinite(tr.defect).all()
@@ -213,11 +234,14 @@ def test_run_coupled_reproducible_across_workers():
         assert np.array_equal(ta.kappa_integral, tb.kappa_integral)
 
 
-@pytest.mark.parametrize("name", ["sphere:2:1", "sphere:3:1"])
+@pytest.mark.parametrize("name", ["sphere:2:1", "sphere:3:1", "hyperbolic:2:1"])
 def test_run_coupled_fast_step_keeps_brownian_law(name):
-    # <x, x0> is an eigenfunction of half the Laplacian with eigenvalue -n/2,
-    # so E<X_T, x0> = exp(-n T / 2) for both marginals of the coupled pair
+    # half the Laplacian has the eigenfunction <x, x0> with eigenvalue -n/2
+    # on the unit sphere, and -<x, x0>_L (= cosh d(x, x0)) with eigenvalue
+    # n/2 on the unit hyperboloid, so E<X_T, x0> = exp(-n T / 2) and
+    # E[-<X_T, x0>_L] = exp(n T / 2) for both marginals of the coupled pair
     m = parse_manifold(name)
+    sign = 1.0 if m.kind == "sphere" else -1.0
     n = m.dim
     x0 = m.point(np.eye(n + 1)[-1])
     y0 = m.exp_map(x0, TangentVector(x0, 0.5 * np.eye(n + 1)[0]))
@@ -225,9 +249,9 @@ def test_run_coupled_fast_step_keeps_brownian_law(name):
     cfg = SimConfig(dt=5e-3, horizon=horizon, trajectories=paths, seed=8)
     trajs = run_coupled(brownian(m), x0, y0, cfg)
     assert not any(t.aborted for t in trajs)
-    want = math.exp(-n * horizon / 2)
+    want = math.exp(-sign * n * horizon / 2)
     for end, start in ((0, x0), (1, y0)):
-        f = np.array([t.pair_states[-1][end].coords for t in trajs]) @ start.coords
+        f = sign * m.ip(np.array([t.pair_states[-1][end].coords for t in trajs]), start.coords)
         se = f.std(ddof=1) / math.sqrt(paths)
         assert abs(f.mean() - want) < 4 * se
 
@@ -262,6 +286,17 @@ def test_kappa_fast_matches_kappa_pair():
         u = m.random_tangent(g, x)
         y = m.exp_map(x, TangentVector(x, d * u.components))
         assert kappa_fast(spec, d) == pytest.approx(kappa_pair(spec, x, y).kappa, rel=1e-10)
+    # a potential drift adds its kappa_pair drift term, which needs the points
+    for mstr, d in (("sphere:2:1", 0.8), ("sphere:3:1", 1.1)):
+        m = parse_manifold(mstr)
+        spec = reversible_potential(m, parse_potential("poly:0.1,0.7,-0.4"))
+        g = rng(14)
+        x = m.random_point(g)
+        y = m.exp_map(x, TangentVector(x, d * m.random_tangent(g, x).components))
+        want = kappa_pair(spec, x, y).kappa
+        assert kappa_fast(spec, d, x.coords, y.coords)[0] == pytest.approx(want, rel=1e-10)
+        with pytest.raises(InputError):
+            kappa_fast(spec, d)
 
 
 def test_lipschitz_variance_sphere():
