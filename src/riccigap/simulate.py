@@ -221,6 +221,8 @@ def kappa_fast(spec: DiffusionSpec, d, X=None, Y=None):
     if spec.diffusion.constant_inverse_metric is None:
         raise InputError("kappa_fast needs A = c * g^{-1}")
     d = np.asarray(d, dtype=float)
+    if isinstance(spec.drift, LinearDrift) and spec.manifold.kind != EUCLIDEAN:
+        raise InputError("linear drift is defined on Euclidean space")
     if spec.drift.is_zero or isinstance(spec.drift, LinearDrift):
         return _kappa(spec, _Pairs(X, Y, d))
     if X is None or Y is None:

@@ -9,6 +9,13 @@ full Laplacian are rescaled by the caller (the report pipeline does this).
 Discretization is in divergence form on a half-cell-offset grid, which
 makes the operator exactly self-adjoint for the discrete reversible
 weights and second-order accurate.
+
+Every operator is stored as its periodic three-point stencil (three bands
+of length m), so spectral work runs in O(m) memory.  Only the eigenvalues
+that are needed are computed, by Sturm-sequence bisection (LAPACK stebz).
+On the zonal sectors the wrap across the poles is zero and the symmetrised
+operator is tridiagonal.  On the circle the unknowns are taken in the
+order 0, m-1, 1, m-2, ..., which turns the cycle into a pentadiagonal band.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from .errors import (
     DegenerateSpectrumError,
@@ -37,16 +44,21 @@ class DiscretizedOperator:
     """Grid generator with its reversible weights.
 
     kind: "s1" (uniform angle grid) or "s2-zonal" / "s2-azimuthal"
-    (half-cell colatitude grid with sin(theta) weights).  matrix rows sum
-    to zero (exactly, up to roundoff) except for the azimuthal sector,
-    which carries a positive diagonal angular-momentum term; weights are
-    the discrete reversible measure, normalized to total mass one.
+    (half-cell colatitude grid with sin(theta) weights).  The generator is
+    the periodic three-point stencil L[i, i-1] = lower[i], L[i, i] = diag[i],
+    L[i, i+1] = upper[i], indices mod m; the zonal sectors have zero wrap
+    entries (lower[0] = upper[-1] = 0).  Rows sum to zero (exactly, up to
+    roundoff) except for the azimuthal sector, which carries a positive
+    diagonal angular-momentum term; weights are the discrete reversible
+    measure, normalized to total mass one.
     """
 
     kind: str
     radius: float
     theta: np.ndarray
-    matrix: np.ndarray
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
     weights: np.ndarray
     potential: ZonalPolynomial
 
@@ -54,32 +66,48 @@ class DiscretizedOperator:
     def size(self) -> int:
         return self.theta.size
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense m x m view of the stencil, built on each access; for
+        inspection only, no computation in this module reads it."""
+        return _periodic_three_point(self.lower, self.diag, self.upper).toarray()
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """L f on the grid.  The neighbours are summed before the diagonal,
+        so a row whose diagonal is -(lower + upper) kills constants exactly."""
+        return (self.lower * np.roll(f, 1) + self.upper * np.roll(f, -1)) + self.diag * f
+
+
+def _periodic_three_point(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+    """Sparse m x m matrix with L[i, i-1] = lower[i], L[i, i] = diag[i] and
+    L[i, i+1] = upper[i], indices mod m."""
+    from scipy.sparse import csr_array
+
+    m = diag.size
+    idx = np.arange(m)
+    return csr_array((np.concatenate([lower, diag, upper]),
+                      (np.tile(idx, 3), np.concatenate([idx - 1, idx, idx + 1]) % m)),
+                     shape=(m, m))
+
+
+def _abs_max(*arrays) -> float:
+    return max(float(np.abs(a).max()) for a in arrays)
+
 
 def _validate(op: DiscretizedOperator, zero_rows: bool = True) -> DiscretizedOperator:
-    scale = float(np.abs(op.matrix).max())
+    scale = _abs_max(op.lower, op.diag, op.upper)
     if not (math.isfinite(scale) and np.isfinite(op.weights).all()):
         raise InputError("the discretized operator overflows: the potential is too large")
     if zero_rows:
-        rowsum = float(np.abs(op.matrix.sum(axis=1)).max())
+        rowsum = float(np.abs(op.lower + op.diag + op.upper).max())
         if rowsum > 1e-10 * max(scale, 1.0):
             raise GridTooCoarseError(f"row sums {rowsum:.3e} exceed tolerance")
-    sym = op.weights[:, None] * op.matrix
-    asym = float(np.abs(sym - sym.T).max())
-    if asym > 1e-8 * max(float(np.abs(sym).max()), 1.0):
+    # w_i L[i, i+1] against w_{i+1} L[i+1, i]; the diagonal is symmetric
+    w = op.weights
+    asym = float(np.abs(w * op.upper - np.roll(w * op.lower, -1)).max())
+    if asym > 1e-8 * max(_abs_max(w * op.lower, w * op.diag, w * op.upper), 1.0):
         raise GridTooCoarseError(f"weighted symmetry residual {asym:.3e} exceeds tolerance")
     return op
-
-
-def _periodic_three_point(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Dense m x m matrix with L[i, i-1] = lower[i], L[i, i] = diag[i] and
-    L[i, i+1] = upper[i], indices mod m."""
-    m = diag.size
-    L = np.zeros((m, m))
-    idx = np.arange(m)
-    L[idx, (idx - 1) % m] = lower
-    L[idx, idx] = diag
-    L[idx, (idx + 1) % m] = upper
-    return L
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is rejected by _validate
@@ -93,16 +121,17 @@ def discretize_s1(potential: ZonalPolynomial, m: int, radius: float = 1.0) -> Di
     b = np.exp(-potential.value(theta + 0.5 * h))   # conductances at i+1/2
     phi_i = potential.value(theta)
     scale = 1.0 / (2.0 * radius**2 * h**2) * np.exp(phi_i)
-    L = _periodic_three_point(scale * np.roll(b, 1), -scale * (b + np.roll(b, 1)), scale * b)
     w = np.exp(-phi_i)
     w = w / w.sum()
-    return _validate(DiscretizedOperator("s1", radius, theta, L, w, potential))
+    return _validate(DiscretizedOperator("s1", radius, theta, scale * np.roll(b, 1),
+                                         -scale * (b + np.roll(b, 1)), scale * b, w, potential))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is rejected by _validate
 def _zonal_parts(potential: ZonalPolynomial, m: int, radius: float):
-    """Half-cell colatitude grid: the periodic three-point operator with
-    zero conductance across the poles (the wrap)."""
+    """Half-cell colatitude grid: the three-point operator with zero
+    conductance across the poles (the wrap); returns the grid, the bands
+    (lower, diag, upper) and the weights."""
     if m < 16:
         raise GridSizeError("need at least 16 grid points")
     h = math.pi / m
@@ -118,24 +147,24 @@ def _zonal_parts(potential: ZonalPolynomial, m: int, radius: float):
     upper = scale * c[1:] / sin_i
     w = sin_i * np.exp(-phi_i)
     w = w / w.sum()
-    return theta, _periodic_three_point(lower, -(lower + upper), upper), w
+    return theta, (lower, -(lower + upper), upper), w
 
 
 def discretize_zonal(potential: ZonalPolynomial, m: int, radius: float = 1.0) -> DiscretizedOperator:
     """Zonal sector of L = (1/2)(Laplacian - grad(phi).grad) on the
     2-sphere, for colatitude potentials; half-cell grid avoids the poles."""
-    theta, L, w = _zonal_parts(potential, m, radius)
-    return _validate(DiscretizedOperator("s2-zonal", radius, theta, L, w, potential))
+    theta, bands, w = _zonal_parts(potential, m, radius)
+    return _validate(DiscretizedOperator("s2-zonal", radius, theta, *bands, w, potential))
 
 
 def azimuthal_operator(potential: ZonalPolynomial, m: int, radius: float = 1.0) -> DiscretizedOperator:
     """First angular-momentum sector: the zonal operator plus the
     1/(2 r^2 sin^2 theta) centrifugal diagonal.  Its lowest eigenvalue
     competes with the zonal gap for the full spectral gap."""
-    theta, L, w = _zonal_parts(potential, m, radius)
-    L = L - np.diag(1.0 / (2.0 * radius**2 * np.sin(theta) ** 2))
-    return _validate(DiscretizedOperator("s2-azimuthal", radius, theta, L, w, potential),
-                     zero_rows=False)
+    theta, (lower, diag, upper), w = _zonal_parts(potential, m, radius)
+    diag = diag - 1.0 / (2.0 * radius**2 * np.sin(theta) ** 2)
+    return _validate(DiscretizedOperator("s2-azimuthal", radius, theta, lower, diag, upper,
+                                         w, potential), zero_rows=False)
 
 
 def _reversible_potential(spec: DiffusionSpec) -> ZonalPolynomial:
@@ -163,29 +192,48 @@ def discretize(spec: DiffusionSpec, m: int) -> DiscretizedOperator:
     raise InputError("discretization is implemented for sphere:1:r and sphere:2:r")
 
 
-def _sym_eigvals(op: DiscretizedOperator) -> np.ndarray:
+def _sym_eigvals(op: DiscretizedOperator, *ranges: tuple[int, int]) -> np.ndarray:
+    """Eigenvalues lo..hi (0-based, ascending) of -L symmetrised in the
+    weighted inner product, (S + S^T)/2 with S = W^{1/2} (-L) W^{-1/2}, for
+    each (lo, hi) in ranges, concatenated; by bisection."""
     s = np.sqrt(op.weights)
-    sym = (s[:, None] * (-op.matrix)) / s[None, :]
-    sym = 0.5 * (sym + sym.T)
-    return np.linalg.eigvalsh(sym)
+    s_next = np.roll(s, -1)
+    d = (s * -op.diag) / s
+    # the (i, i+1) entries, indices mod m; e[-1] is the wrap
+    e = 0.5 * ((s * -op.upper) / s_next + (s_next * -np.roll(op.lower, -1)) / s)
+    if e[-1] == 0.0:
+        return np.concatenate([eigh_tridiagonal(d, e[:-1], eigvals_only=True, select="i",
+                                                select_range=r) for r in ranges])
+    # the order 0, m-1, 1, m-2, ... puts both ends of every cycle edge
+    # within two places of each other: a pentadiagonal band (lower storage)
+    m = d.size
+    i = np.arange(m)
+    pos = np.where(2 * i < m, 2 * i, 2 * (m - 1 - i) + 1)
+    nxt = np.roll(pos, -1)
+    band = np.zeros((3, m))
+    band[0, pos] = d
+    band[np.abs(pos - nxt), np.minimum(pos, nxt)] = e
+    return np.concatenate([eig_banded(band, lower=True, eigvals_only=True, select="i",
+                                      select_range=r) for r in ranges])
 
 
 def spectral_gap(op: DiscretizedOperator) -> float:
     """Smallest nonzero eigenvalue of -L in the weighted inner product."""
-    w = _sym_eigvals(op)
+    m = op.size
+    w0, w1, top = _sym_eigvals(op, (0, 1), (m - 1, m - 1))
     # the zero mode is known to the solver's error, about m eps |lambda_max|;
     # lambda_max grows like m^2, so a fixed fraction of it swallows small gaps
-    tol = w.size * np.finfo(float).eps * abs(w[-1])
-    if abs(w[0]) > tol:
+    tol = m * np.finfo(float).eps * abs(top)
+    if abs(w0) > tol:
         raise DegenerateSpectrumError("no zero mode found (operator does not kill constants)")
-    if w.size > 1 and abs(w[1]) <= tol:
+    if abs(w1) <= tol:
         raise DegenerateSpectrumError("zero eigenvalue is not simple")
-    return float(w[1])
+    return float(w1)
 
 
 def lowest_eigenvalue(op: DiscretizedOperator) -> float:
     """Ground eigenvalue of -L (for sectors without a constant mode)."""
-    return float(_sym_eigvals(op)[0])
+    return float(_sym_eigvals(op, (0, 0))[0])
 
 
 def sphere_spectrum(potential: ZonalPolynomial, m: int, radius: float = 1.0,
@@ -394,14 +442,14 @@ def gamma_operators(op: DiscretizedOperator, f) -> tuple[np.ndarray, np.ndarray]
     f = np.asarray(f, dtype=float)
     if f.shape != (op.size,):
         raise InputError("grid function has the wrong size")
-    L = op.matrix
+    L = op.apply
 
     def gamma_bilinear(a, b):
-        return 0.5 * (L @ (a * b) - a * (L @ b) - b * (L @ a))
+        return 0.5 * (L(a * b) - a * L(b) - b * L(a))
 
     g = gamma_bilinear(f, f)
-    lf = L @ f
-    g2 = 0.5 * (L @ g - 2.0 * gamma_bilinear(f, lf))
+    lf = L(f)
+    g2 = 0.5 * (L(g) - 2.0 * gamma_bilinear(f, lf))
     return g, g2
 
 
@@ -410,7 +458,7 @@ def cd_inequality_residual(op: DiscretizedOperator, f, rho_values, n_prime: floa
     """Most negative value of Gamma2 - rho Gamma - (Lf)^2/n' away from the
     poles (nonnegative means the curvature-dimension inequality holds)."""
     g, g2 = gamma_operators(op, f)
-    lf = op.matrix @ np.asarray(f, dtype=float)
+    lf = op.apply(np.asarray(f, dtype=float))
     rho = np.asarray(rho_values, dtype=float)
     slack = g2 - rho * g - lf**2 / n_prime
     if exclude_cells > 0:
@@ -442,9 +490,9 @@ class S1TestFunction:
     d3f: object
 
 
-def build_s1_generator(coeffs: S1Coefficients, m: int) -> tuple[np.ndarray, np.ndarray]:
+def build_s1_generator(coeffs: S1Coefficients, m: int):
     """Central-difference matrix of L = (1/2) a d^2 + F d on the periodic
-    grid; returns (grid, matrix)."""
+    grid, sparse; returns (grid, matrix)."""
     h = 2.0 * math.pi / m
     x = h * np.arange(m)
     a = np.asarray(coeffs.a(x), dtype=float)
@@ -459,13 +507,16 @@ def lipschitz_derivative_identity_check(coeffs: S1Coefficients, fn: S1TestFuncti
                                         m: int = 1024, crit_tol: float = 1e-3,
                                         t_ladder=(1e-5, 5e-6)) -> float:
     """Sup-norm residual between the time derivative at zero of the squared
-    gradient norm of the semigroup (matrix exponential on the grid, finite
-    differenced and extrapolated in t) and its closed-form expression
+    gradient norm of the semigroup (the action of the matrix exponential on
+    the grid, finite differenced and extrapolated in t) and its closed-form
+    expression
 
         h (2 L h + u a' h' u) + h^2 (2 u F' u)
 
     with h = |f'| and u = sign(f'), evaluated away from critical points of
     f (cells with |f'| < crit_tol are excluded)."""
+    from scipy.sparse.linalg import expm_multiply
+
     x, L = build_s1_generator(coeffs, m)
     f = np.asarray(fn.f(x), dtype=float)
     df = np.asarray(fn.df(x), dtype=float)
@@ -479,7 +530,7 @@ def lipschitz_derivative_identity_check(coeffs: S1Coefficients, fn: S1TestFuncti
     psi0 = grad(f) ** 2
     derivs = []
     for t in t_ladder:
-        ft = expm(t * L) @ f
+        ft = expm_multiply(t * L, f)
         derivs.append((grad(ft) ** 2 - psi0) / t)
     ts = np.asarray(t_ladder, dtype=float)
     lhs = derivs[0]

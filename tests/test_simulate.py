@@ -7,6 +7,8 @@ from riccigap.curvature import kappa_pair
 from riccigap.errors import InputError
 from riccigap.fields import (
     DiffusionSpec,
+    InverseMetricField,
+    LinearDrift,
     ScalarScaledMetricField,
     ZeroDrift,
     brownian,
@@ -297,6 +299,17 @@ def test_kappa_fast_matches_kappa_pair():
         assert kappa_fast(spec, d, x.coords, y.coords)[0] == pytest.approx(want, rel=1e-10)
         with pytest.raises(InputError):
             kappa_fast(spec, d)
+
+
+def test_kappa_fast_rejects_linear_drift_off_euclidean():
+    spec = DiffusionSpec(S2, InverseMetricField(1.0), LinearDrift(1.0))
+    with pytest.raises(InputError):
+        kappa_fast(spec, 0.5)
+    with pytest.raises(InputError):
+        run_coupled(spec, S2.point([0.0, 0.0, 1.0]), S2.point([math.sin(0.5), 0.0, math.cos(0.5)]),
+                    SimConfig(dt=1e-2, horizon=0.1, trajectories=2))
+    flat = ornstein_uhlenbeck(E2, 0.7)
+    assert kappa_fast(flat, 0.5) == pytest.approx(0.7, rel=1e-15)
 
 
 def test_lipschitz_variance_sphere():

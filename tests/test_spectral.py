@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,21 +86,67 @@ def test_zonal_gap_legendre():
 
 def test_spectral_gap_linear_in_generator_scale():
     op = sp.discretize_zonal(parse_potential("0.2*cos"), 256)
-    doubled = sp.DiscretizedOperator(op.kind, op.radius, op.theta, 2.0 * op.matrix,
-                                     op.weights, op.potential)
+    doubled = sp.DiscretizedOperator(op.kind, op.radius, op.theta, lower=2.0 * op.lower,
+                                     diag=2.0 * op.diag, upper=2.0 * op.upper,
+                                     weights=op.weights, potential=op.potential)
     assert sp.spectral_gap(doubled) == pytest.approx(2.0 * sp.spectral_gap(op), rel=1e-12)
 
 
 def test_degenerate_spectrum_detected():
-    op = sp.discretize_s1(ZERO, 64)
-    two = np.zeros((128, 128))
-    two[:64, :64] = op.matrix
-    two[64:, 64:] = op.matrix
+    # two zonal chains side by side: zero wrap and zero coupling between
+    # them, so the constant on each chain is a zero mode
+    op = sp.discretize_zonal(ZERO, 64)
+    two = [np.concatenate([band, band]) for band in (op.lower, op.diag, op.upper)]
     w = np.concatenate([op.weights, op.weights]) / 2.0
-    broken = sp.DiscretizedOperator("s1", 1.0, np.concatenate([op.theta, op.theta]),
-                                    two, w, ZERO)
+    broken = sp.DiscretizedOperator("s2-zonal", 1.0, np.concatenate([op.theta, op.theta]),
+                                    *two, weights=w, potential=ZERO)
+    assert broken.lower[0] == broken.upper[63] == broken.lower[64] == broken.upper[-1] == 0.0
     with pytest.raises(DegenerateSpectrumError):
         sp.spectral_gap(broken)
+
+
+def sector_operators(m):
+    """Every builder on a few potentials: the cyclic S^1 band and the
+    tridiagonal zonal and azimuthal sectors."""
+    ops = [sp.discretize_s1(parse_potential(p), m) for p in ("0", "0.7*cos", "8*cos^2")]
+    for p in ("0", "0.3*cos"):
+        ops += [sp.discretize_zonal(parse_potential(p), m),
+                sp.azimuthal_operator(parse_potential(p), m)]
+    return ops
+
+
+@pytest.mark.parametrize("m", [64, 65, 512])
+def test_bisection_agrees_with_dense_eigvalsh(m):
+    eps = np.finfo(float).eps
+    for op in sector_operators(m):
+        s = np.sqrt(op.weights)
+        sym = (s[:, None] * -op.matrix) / s[None, :]
+        dense = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+        got = sp._sym_eigvals(op, (0, 1), (m - 1, m - 1))
+        want = dense[[0, 1, -1]]
+        tol = m * eps * abs(want[-1])
+        assert np.abs(got - want).max() <= tol, (op.kind, str(op.potential), got - want)
+
+
+def test_band_view_and_apply_match_dense():
+    for op in sector_operators(64):
+        L = op.matrix
+        assert np.count_nonzero(L) <= 3 * op.size
+        f = np.cos(op.theta) + 0.3 * np.sin(3 * op.theta)
+        assert np.abs(op.apply(f) - L @ f).max() <= 1e-12 * np.abs(L).max()
+
+
+def test_spectra_run_in_linear_memory():
+    # a dense operator at the refinement grid 8192 alone would be 537 MB
+    for fn, want in ((sp.sphere_spectrum, 1.0), (sp.s1_spectrum, 0.5)):
+        tracemalloc.start()
+        try:
+            lam = fn(ZERO, 4096)["lambda1"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, (fn.__name__, peak)
+        assert lam == pytest.approx(want, abs=1e-8)
 
 
 def test_small_gap_survives_fine_grid():
