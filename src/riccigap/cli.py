@@ -4,13 +4,19 @@ simulation, spectra and bound reports, with reproducible CSV/JSON output.
 Exit codes: 0 success, 2 invalid input, 3 numerical failure inside a
 computation.  Every float is serialized with 17 significant digits and all
 files are written atomically (temp file + rename).
+
+CSV rows are either a list of dicts (one row per command, or a sweep) or a
+typed table (`simulate`: a numpy structured array, one column per field).
+`write_csv` formats them a block of rows at a time, with one %-conversion
+per column, and streams each block to the temp file or to stdout; the bytes
+are those of csv.writer over fmt() cells.
 """
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import functools
-import io
+import itertools
 import json
 import math
 import os
@@ -50,37 +56,74 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str | None, rows: list[dict], columns: list[str] | None = None):
+# %-conversions of typed table columns; '%.17g' % x is f"{x:.17g}"
+_COLUMN_SPECS = {"f": "%.17g", "i": "%d"}
+_BLOCK_ROWS = 4096
+
+
+def _quote(text: str) -> str:
+    """A CSV cell as csv.writer's QUOTE_MINIMAL writes it."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_blocks(rows, columns: list[str]):
+    """The CSV text in blocks of _BLOCK_ROWS rows, each formatted by one
+    %-operation.  Rows are a numpy structured array, whose columns are
+    formatted by type, or a list of dicts, whose cells are fmt() strings."""
+    yield f"# schema={SCHEMA_VERSION}\r\n" + ",".join(map(_quote, columns)) + "\r\n"
+    typed = isinstance(rows, np.ndarray)
+    if typed:
+        line = ",".join(_COLUMN_SPECS[rows.dtype[c].kind] for c in columns) + "\r\n"
+    else:
+        line = ",".join(["%s"] * len(columns)) + "\r\n"
+    for i in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[i:i + _BLOCK_ROWS]
+        if typed:
+            cells = tuple(itertools.chain.from_iterable(zip(*(block[c].tolist() for c in columns))))
+        else:
+            cells = tuple(_quote(fmt(row.get(c))) for row in block for c in columns)
+        yield (line * len(block)) % cells
+
+
+def write_csv(path: str | None, rows, columns: list[str] | None = None):
+    """Write rows (see _csv_blocks) as CSV to path, or to stdout when path is
+    None, streaming block by block.  Columns default to the table's fields
+    or to the dict keys in first-seen order."""
     if columns is None:
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
-    buf = io.StringIO()
-    buf.write(f"# schema={SCHEMA_VERSION}\r\n")
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([fmt(row.get(c)) for c in columns])
-    text = buf.getvalue()
+        if isinstance(rows, np.ndarray):
+            columns = list(rows.dtype.names)
+        else:
+            columns = list(dict.fromkeys(key for row in rows for key in row))
+    blocks = _csv_blocks(rows, columns)
     if path is None:
-        click.echo(text, nl=False)
+        for text in blocks:
+            click.echo(text, nl=False)
         return
-    _atomic_write(path, text)
+    with _atomic_open(path) as handle:
+        handle.writelines(blocks)
 
 
-def _atomic_write(path: str, text: str):
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text handle on a temp file that replaces path when the block exits
+    normally and is removed otherwise."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".riccigap-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, text: str):
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def write_json(path: str, payload: dict):
@@ -273,7 +316,9 @@ def coupling_cmd(a_csv, d_csv, b_csv, out_c, out):
 
 def simulate_rows(manifold: str, field: str, x0: str, y0: str, dt: float,
                   horizon: float, paths: int, seed: int, cut_margin: float,
-                  workers: int) -> tuple[list[dict], dict]:
+                  workers: int) -> tuple[np.ndarray, dict]:
+    """The trajectory table, one row per recorded time of each path, as a
+    numpy structured array, and the summary."""
     mfd = parse_manifold(manifold)
     spec = parse_field(mfd, field)
     x = parse_coords(mfd, x0)
@@ -281,16 +326,15 @@ def simulate_rows(manifold: str, field: str, x0: str, y0: str, dt: float,
     cfg = simulate.SimConfig(dt=dt, horizon=horizon, trajectories=paths, seed=seed,
                              cut_margin=cut_margin, workers=workers)
     trajs = simulate.run_coupled(spec, x, y, cfg)
-    rows = []
-    for j, tr in enumerate(trajs):
-        defect = tr.defect
-        for i, t in enumerate(tr.times):
-            rows.append({
-                "trajectory": j, "t": float(t),
-                "distance": math.exp(tr.log_distance[i]),
-                "kappa_integral": float(tr.kappa_integral[i]),
-                "defect": float(defect[i]),
-            })
+    logd = np.concatenate([tr.log_distance for tr in trajs])
+    rows = np.empty(logd.size, dtype=[("trajectory", np.int64), ("t", float), ("distance", float),
+                                      ("kappa_integral", float), ("defect", float)])
+    rows["trajectory"] = np.repeat(np.arange(len(trajs)), [tr.times.size for tr in trajs])
+    rows["t"] = np.concatenate([tr.times for tr in trajs])
+    # math.exp, not np.exp: the two can differ in the last bit
+    rows["distance"] = np.fromiter(map(math.exp, logd.tolist()), float, logd.size)
+    rows["kappa_integral"] = np.concatenate([tr.kappa_integral for tr in trajs])
+    rows["defect"] = np.concatenate([tr.defect for tr in trajs])
     finals = np.array([tr.defect[-1] for tr in trajs])
     summary = {
         "manifold": manifold, "field": field, "dt": dt, "horizon": horizon,
@@ -322,7 +366,7 @@ def simulate_cmd(manifold, field, x0, y0, dt, horizon, paths, seed, cut_margin,
     """Coupled-path simulation with the pathwise contraction defect."""
     rows, summ = simulate_rows(manifold, field, x0, y0, dt, horizon, paths, seed,
                                cut_margin, workers)
-    write_csv(out, rows, ["trajectory", "t", "distance", "kappa_integral", "defect"])
+    write_csv(out, rows)
     if summary:
         write_json(summary, summ)
     else:

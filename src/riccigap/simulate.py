@@ -22,6 +22,12 @@ Two schemes, both in the exponential chart:
   tangent pair with block covariance [[A(x), C+], [C+^T, A(y)]] from the
   parallel extremal coupling.  `step_single` is the same Gaussian step for
   one point.
+
+`run_coupled` splits the trajectories into one block per worker.  Each
+trajectory draws its noise from its own counter-based stream, _NOISE_BLOCK
+steps at a time, so the noise held in memory does not grow with the number
+of steps, and the kernel steps every pair row by row: the results do not
+depend on the worker count or on the split.
 """
 
 from __future__ import annotations
@@ -39,8 +45,7 @@ from .errors import CutLocusError, InputError
 from .fields import DiffusionSpec, LinearDrift
 from .manifolds import EUCLIDEAN, SPHERE, ModelManifold, Point, TangentVector, _scale_a, _scale_b
 
-_CHUNK = 256  # trajectories per processing block (fixed: results do not
-              # depend on the worker count)
+_NOISE_BLOCK = 256  # time steps of noise drawn at once per trajectory
 
 
 @dataclass(frozen=True)
@@ -248,7 +253,7 @@ def _kappa(spec: DiffusionSpec, p: _Pairs):
 def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> list[CoupledTrajectory]:
     """Simulate coupled pairs from (x0, y0); reproducible per seed and
     independent of the worker count (per-trajectory counter-based streams,
-    fixed chunking)."""
+    one block of trajectories per worker)."""
     m = spec.manifold
     if m.kind == SPHERE and cfg.cut_margin >= math.pi * m.radius / 2:
         raise InputError("cut_margin must be below a quarter circumference")
@@ -259,25 +264,20 @@ def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> li
     if abs(steps * cfg.dt - cfg.horizon) > 1e-9 * cfg.horizon:
         steps = math.ceil(cfg.horizon / cfg.dt)
     stride = max(1, steps // 512)
-    chunks = [(j, min(j + _CHUNK, cfg.trajectories)) for j in range(0, cfg.trajectories, _CHUNK)]
-    results: list = [None] * cfg.trajectories
+    blocks = max(1, min(cfg.workers, cfg.trajectories))
+    edges = [cfg.trajectories * b // blocks for b in range(blocks + 1)]
 
-    def work(bounds):
-        j0, j1 = bounds
+    def work(j0, j1):
         if spec.diffusion.constant_inverse_metric is not None:
-            return j0, _run_chunk_fast(spec, x0, y0, cfg, steps, stride, j0, j1 - j0)
-        return j0, [_run_one_generic(spec, x0, y0, cfg, steps, stride, j)
-                    for j in range(j0, j1)]
+            return _run_block_fast(spec, x0, y0, cfg, steps, stride, j0, j1 - j0)
+        return [_run_one_generic(spec, x0, y0, cfg, steps, stride, j) for j in range(j0, j1)]
 
-    if cfg.workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for j0, trajs in pool.map(work, chunks):
-                results[j0:j0 + len(trajs)] = trajs
+    if blocks > 1:
+        with ThreadPoolExecutor(max_workers=blocks) as pool:
+            runs = list(pool.map(work, edges[:-1], edges[1:]))
     else:
-        for bounds in chunks:
-            j0, trajs = work(bounds)
-            results[j0:j0 + len(trajs)] = trajs
-    return results
+        runs = [work(0, cfg.trajectories)]
+    return [tr for run in runs for tr in run]
 
 
 def _record_times(steps: int, stride: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -287,14 +287,17 @@ def _record_times(steps: int, stride: int, dt: float) -> tuple[np.ndarray, np.nd
     return np.asarray(idx, dtype=int), np.asarray(idx, dtype=float) * dt
 
 
-def _run_chunk_fast(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
+def _run_block_fast(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
                     steps: int, stride: int, j0: int, count: int) -> list[CoupledTrajectory]:
+    """Trajectories j0 .. j0 + count - 1, stepped together by the kernel.
+    Each draws its noise from its own stream, _NOISE_BLOCK steps at a time
+    (the same numbers as one draw of all steps)."""
     m = spec.manifold
     k = m.ambient_dim
     dt = cfg.dt
     cut = m.cut_threshold - cfg.cut_margin if m.kind == SPHERE else math.inf
-    noise = np.stack([_traj_rng(cfg.seed, j0 + i).standard_normal((steps, k))
-                      for i in range(count)])
+    rngs = [_traj_rng(cfg.seed, j0 + i) for i in range(count)]
+    noise = np.empty((min(_NOISE_BLOCK, steps), count, k))
     X = np.broadcast_to(x0.coords, (count, k)).copy()
     Y = np.broadcast_to(y0.coords, (count, k)).copy()
     p = _pairs(spec, X, Y, m.dist_many(X, Y))
@@ -309,7 +312,12 @@ def _run_chunk_fast(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     integ[:, 0] = 0.0
     pos = 1
     for s in range(steps):
-        Xn, Yn = _coupled_step(spec, p, noise[:, s, :], dt)
+        b = s % _NOISE_BLOCK
+        if b == 0:
+            nb = min(_NOISE_BLOCK, steps - s)
+            for i, rng in enumerate(rngs):
+                noise[:nb, i, :] = rng.standard_normal((nb, k))
+        Xn, Yn = _coupled_step(spec, p, noise[b], dt)
         dn = m.dist_many(Xn, Yn)
         # abort before accepting a state at or beyond the guard
         newly_cut = alive & (dn >= cut)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import warnings
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from riccigap import cli, simulate
 from riccigap.cli import main
 
 
@@ -291,3 +294,95 @@ def test_outputs_byte_identical_across_runs_and_workers(runner, tmp_path):
         assert res.exit_code == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def reference_csv(rows, columns=None):
+    """The CSV as written before the columnar writer: one fmt() list and
+    one csv.writer row per row."""
+    if columns is None:
+        columns = []
+        for row in rows:
+            for key in row:
+                if key not in columns:
+                    columns.append(key)
+    buf = io.StringIO()
+    buf.write(f"# schema={cli.SCHEMA_VERSION}\r\n")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([cli.fmt(row.get(c)) for c in columns])
+    return buf.getvalue()
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-300, 0.1, 1 / 3,
+                  -2.5e-17, 1e16, 1e17, 123456789.125, np.float64(2.0) / 3]
+
+
+def simulate_table(trajs):
+    """The simulate rows as dicts, built as before the columnar table."""
+    rows = []
+    for j, tr in enumerate(trajs):
+        defect = tr.defect
+        for i, t in enumerate(tr.times):
+            rows.append({"trajectory": j, "t": float(t),
+                         "distance": math.exp(tr.log_distance[i]),
+                         "kappa_integral": float(tr.kappa_integral[i]),
+                         "defect": float(defect[i])})
+    return rows
+
+
+def assert_writes_like_reference(rows, want, tmp_path, capsys, columns=None):
+    path = tmp_path / "w.csv"
+    cli.write_csv(str(path), rows, columns)
+    assert path.read_bytes() == want.encode()
+    capsys.readouterr()
+    cli.write_csv(None, rows, columns)
+    assert capsys.readouterr().out == want
+
+
+def test_write_csv_matches_csv_writer_on_dict_rows(tmp_path, capsys):
+    strings = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " pad ", "50%",
+               '",\n"']
+    rows = [{"x": v, "n": i, "flag": i % 2 == 0, "none": None, "s": strings[i % len(strings)]}
+            for i, v in enumerate(SPECIAL_FLOATS)]
+    rows += [{"n": np.int64(7), "x": np.float64(-0.0), "s": s, "extra": True} for s in strings]
+    assert_writes_like_reference(rows, reference_csv(rows), tmp_path, capsys)
+    cols = ["s", "missing", "x"]
+    assert_writes_like_reference(rows, reference_csv(rows, cols), tmp_path, capsys, cols)
+    assert_writes_like_reference([], reference_csv([]), tmp_path, capsys)
+
+
+def test_write_csv_matches_csv_writer_on_command_rows(tmp_path, capsys):
+    pair = cli.kappa_row("sphere:2:1", "brownian", "formula", None, None,
+                         "0,0,1;0.479425538604203,0,0.8775825618903728", "0.1", 0, 16)
+    assert "," in pair["pair"]
+    assert_writes_like_reference([pair], reference_csv([pair]), tmp_path, capsys)
+    # a sweep: rows of different commands, and an error row, share the columns
+    sweep = [{"command": "kappa", **pair, "status": "ok", "error": None},
+             {"command": "spectrum", **cli.spectrum_row("sphere:1:1", "0.7*cos", 64),
+              "status": "ok", "error": None},
+             {"command": "bounds", "status": "error", "error": "unknown manifold 'nope:1'"}]
+    assert_writes_like_reference(sweep, reference_csv(sweep), tmp_path, capsys)
+
+
+def test_write_csv_matches_csv_writer_on_tables(tmp_path, capsys):
+    m = cli.parse_manifold("sphere:2:1")
+    trajs = simulate.run_coupled(
+        cli.parse_field(m, "brownian"), cli.parse_coords(m, "0,0,1"),
+        cli.parse_coords(m, "0.479425538604203,0,0.8775825618903728"),
+        simulate.SimConfig(dt=1e-3, horizon=0.05, trajectories=3, seed=2))
+    table, _ = cli.simulate_rows("sphere:2:1", "brownian", "0,0,1",
+                                 "0.479425538604203,0,0.8775825618903728", 1e-3, 0.05, 3, 2,
+                                 0.1, 1)
+    assert len(table) == 3 * 51
+    assert_writes_like_reference(table, reference_csv(simulate_table(trajs)), tmp_path, capsys)
+    # more rows than one formatting block, with every special value in the float columns
+    g = np.random.default_rng(5)
+    n = 2 * cli._BLOCK_ROWS + 11
+    big = np.empty(n, dtype=table.dtype)
+    big["trajectory"] = g.integers(-2**62, 2**62, n)
+    for col in ("t", "distance", "kappa_integral", "defect"):
+        big[col] = g.standard_normal(n) * 10.0 ** g.integers(-320, 300, n)
+        big[col][g.integers(0, n, 50)] = g.choice(SPECIAL_FLOATS, 50)
+    dicts = [dict(zip(big.dtype.names, rec)) for rec in big.tolist()]
+    assert_writes_like_reference(big, reference_csv(dicts), tmp_path, capsys)

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from riccigap import simulate
+from riccigap.cli import main
 from riccigap.curvature import kappa_pair
 from riccigap.errors import InputError
 from riccigap.fields import (
@@ -234,6 +238,86 @@ def test_run_coupled_reproducible_across_workers():
     for ta, tb in zip(*out):
         assert np.array_equal(ta.log_distance, tb.log_distance)
         assert np.array_equal(ta.kappa_integral, tb.kappa_integral)
+
+
+# (manifold, field, x0, y0): the pair is 0.5 apart
+BLOCK_CASES = [
+    ("sphere:2:1", "brownian", "0,0,1", "0.479425538604203,0,0.8775825618903728"),
+    ("sphere:2:1", "potential:0.3*cos", "0,0,1", "0.479425538604203,0,0.8775825618903728"),
+    ("hyperbolic:2:1", "brownian", "0,0,1", "0.52109530549374738,0,1.1276259652063807"),
+]
+
+
+@pytest.mark.parametrize("manifold, field, x0, y0", BLOCK_CASES)
+def test_run_coupled_and_csv_independent_of_workers_and_blocks(manifold, field, x0, y0,
+                                                               monkeypatch):
+    # 300 steps: one full noise block of 256 steps and a remainder of 44.
+    # The trajectories are those run_coupled returns inside the CLI call.
+    dt, horizon = 1e-3, 0.3
+    assert round(horizon / dt) % simulate._NOISE_BLOCK != 0
+    runs = []
+
+    def recording(*args):
+        runs.append(run_coupled(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(simulate, "run_coupled", recording)
+    runner = CliRunner()
+    for paths in (1, 7, 641):
+        runs.clear()
+        csvs = []
+        for workers in (1, 2, 3):
+            res = runner.invoke(main, ["simulate", "--manifold", manifold, "--field", field,
+                                       "--x0", x0, "--y0", y0, "--dt", str(dt),
+                                       "--horizon", str(horizon), "--paths", str(paths),
+                                       "--seed", "4", "--workers", str(workers)],
+                                catch_exceptions=False)
+            assert res.exit_code == 0
+            csvs.append(res.stdout_bytes)
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0], (paths, manifold, field)
+        assert csvs[0].count(b"\r\n") == 2 + paths * 301
+        assert [len(run) for run in runs] == [paths] * 3
+        for other in runs[1:]:
+            for a, b in zip(runs[0], other):
+                assert np.array_equal(a.times, b.times)
+                assert np.array_equal(a.log_distance, b.log_distance)
+                assert np.array_equal(a.kappa_integral, b.kappa_integral)
+                assert np.array_equal(a.pair_states[-1][0].coords, b.pair_states[-1][0].coords)
+                assert np.array_equal(a.pair_states[-1][1].coords, b.pair_states[-1][1].coords)
+                assert (a.aborted, a.abort_reason) == (b.aborted, b.abort_reason)
+
+
+def test_noise_drawn_in_time_blocks_is_each_trajectorys_own_stream():
+    # flat Brownian pairs move by the common increment sqrt(dt) z, so the
+    # final X is the running sum of the trajectory's noise, drawn in blocks
+    # of _NOISE_BLOCK steps; it must be the sum of one draw of all steps
+    steps, dt, seed = 2 * simulate._NOISE_BLOCK + 16, 1e-3, 3
+    x0, y0 = E2.point([0.5, 0.0]), E2.point([-0.5, 0.0])
+    cfg = SimConfig(dt=dt, horizon=steps * dt, trajectories=5, seed=seed, workers=2)
+    for j, tr in enumerate(run_coupled(brownian(E2), x0, y0, cfg)):
+        x = x0.coords
+        for z in simulate._traj_rng(seed, j).standard_normal((steps, 2)):
+            x = 1.0 * x + math.sqrt(dt) * z
+        assert np.array_equal(tr.pair_states[-1][0].coords, x), j
+
+
+def test_run_coupled_noise_memory_does_not_grow_with_steps():
+    # drawn at once, the noise of 200 paths x 20,000 steps in R^3 is 96 MB.
+    # The noise is drawn by the same code on every space; flat space keeps
+    # the 20,000 traced steps short (S^2 takes four times as long traced)
+    E3 = parse_manifold("euclidean:3")
+    cfg = SimConfig(dt=1e-5, horizon=0.2, trajectories=200, seed=6)
+    tracemalloc.start()
+    try:
+        trajs = run_coupled(brownian(E3), E3.point([0.0, 0.0, 0.0]), E3.point([0.5, 0.0, 0.0]),
+                            cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+    assert len(trajs) == 200 and trajs[0].times[-1] == pytest.approx(0.2)
+    # both points take the same increments: the distance stays 0.5
+    assert max(np.abs(t.log_distance - math.log(0.5)).max() for t in trajs) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["sphere:2:1", "sphere:3:1", "hyperbolic:2:1"])
