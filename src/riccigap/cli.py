@@ -538,6 +538,8 @@ _SWEEP_DISPATCH = {
 def sweep_cmd(configs, workers, out):
     """Run a list of experiment configs; one output row per config, in input
     order, with per-row error columns."""
+    if workers < 1:
+        raise InputError("need at least one worker")
     with open(configs) as handle:
         items = json.load(handle)
     if not isinstance(items, list):

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .coupling import tr_sqrt_sandwich
 from .errors import (
@@ -298,6 +297,14 @@ def _simulate_clouds(spec: DiffusionSpec, x: Point, y: Point, count: int,
         p = _pairs(spec, X, Y, m.dist_many(X, Y))
         hit = hit or bool(p.d.max() > m.cut_threshold)
     return X, Y, hit
+
+
+def linear_sum_assignment(cost: np.ndarray):
+    """scipy.optimize.linear_sum_assignment, imported on first use: scipy.optimize
+    is most of the package's import time and only _assignment_w1 needs it."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def _assignment_w1(m: ModelManifold, X: np.ndarray, Y: np.ndarray) -> float:

@@ -64,6 +64,8 @@ class SimConfig:
             raise InputError("need at least one trajectory")
         if self.cut_margin <= 0:
             raise InputError("cut_margin must be positive")
+        if self.workers < 1:
+            raise InputError("need at least one worker")
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +266,7 @@ def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> li
     if abs(steps * cfg.dt - cfg.horizon) > 1e-9 * cfg.horizon:
         steps = math.ceil(cfg.horizon / cfg.dt)
     stride = max(1, steps // 512)
-    blocks = max(1, min(cfg.workers, cfg.trajectories))
+    blocks = min(cfg.workers, cfg.trajectories)
     edges = [cfg.trajectories * b // blocks for b in range(blocks + 1)]
 
     def work(j0, j1):

@@ -11,11 +11,12 @@ makes the operator exactly self-adjoint for the discrete reversible
 weights and second-order accurate.
 
 Every operator is stored as its periodic three-point stencil (three bands
-of length m), so spectral work runs in O(m) memory.  Only the eigenvalues
-that are needed are computed, by Sturm-sequence bisection (LAPACK stebz).
-On the zonal sectors the wrap across the poles is zero and the symmetrised
-operator is tridiagonal.  On the circle the unknowns are taken in the
-order 0, m-1, 1, m-2, ..., which turns the cycle into a pentadiagonal band.
+of length m).  Every gap is the lowest eigenvalue of one positive-definite
+symmetric tridiagonal matrix (_ground), found by Sturm-sequence bisection
+(LAPACK stebz) in O(m) time and memory.  The zero mode is removed by
+structure, not by a tolerance: a zonal gap is the ground state of the dual
+path on the edges, and the circle splits by the mirror symmetry i -> -i
+into an even path and an odd one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DegenerateSpectrumError,
@@ -192,80 +193,75 @@ def discretize(spec: DiffusionSpec, m: int) -> DiscretizedOperator:
     raise InputError("discretization is implemented for sphere:1:r and sphere:2:r")
 
 
-def _sym_eigvals(op: DiscretizedOperator, *ranges: tuple[int, int]) -> np.ndarray:
-    """Eigenvalues lo..hi (0-based, ascending) of -L symmetrised in the
-    weighted inner product, (S + S^T)/2 with S = W^{1/2} (-L) W^{-1/2}, for
-    each (lo, hi) in ranges, concatenated; by bisection."""
-    s = np.sqrt(op.weights)
-    s_next = np.roll(s, -1)
-    d = (s * -op.diag) / s
-    # the (i, i+1) entries, indices mod m; e[-1] is the wrap
-    e = 0.5 * ((s * -op.upper) / s_next + (s_next * -np.roll(op.lower, -1)) / s)
-    if e[-1] == 0.0:
-        return np.concatenate([eigh_tridiagonal(d, e[:-1], eigvals_only=True, select="i",
-                                                select_range=r) for r in ranges])
-    # the order 0, m-1, 1, m-2, ... puts both ends of every cycle edge
-    # within two places of each other: a pentadiagonal band (lower storage)
-    m = d.size
-    i = np.arange(m)
-    pos = np.where(2 * i < m, 2 * i, 2 * (m - 1 - i) + 1)
-    nxt = np.roll(pos, -1)
-    band = np.zeros((3, m))
-    band[0, pos] = d
-    band[np.abs(pos - nxt), np.minimum(pos, nxt)] = e
-    return np.concatenate([eig_banded(band, lower=True, eigvals_only=True, select="i",
-                                      select_range=r) for r in ranges])
+def _ground(cond: np.ndarray, w: np.ndarray, v=0.0) -> float:
+    """Lowest eigenvalue, by bisection, of the Dirichlet path with node
+    weights w, killing rate v and conductances cond (the two end entries tie
+    the ends to the boundary): the positive-definite tridiagonal
+    W^{-1/2} B^T C B W^{-1/2} + diag(v)."""
+    d = (cond[:-1] + cond[1:]) / w + v
+    e = -cond[1:-1] / np.sqrt(w[:-1] * w[1:])
+    return float(eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 0))[0])
+
+
+def _conductances(op: DiscretizedOperator) -> np.ndarray:
+    """c_i = w_i L[i, i+1], c[-1] the wrap.  A connected path or cycle has a
+    simple zero mode (Perron-Frobenius), so only a zero edge degenerates it."""
+    c = op.weights * op.upper
+    if not (np.isfinite(c).all() and c[:-1].min() > 0):
+        raise DegenerateSpectrumError("an edge conductance is zero or not finite")
+    return c
 
 
 def spectral_gap(op: DiscretizedOperator) -> float:
-    """Smallest nonzero eigenvalue of -L in the weighted inner product."""
+    """Smallest nonzero eigenvalue of -L in the weighted inner product.
+
+    On a path, -L = W^{-1} B^T C B has the nonzero spectrum of the Dirichlet
+    path on the edges, C^{1/2} B W^{-1} B^T C^{1/2} (weights 1/c,
+    conductances 1/w).  A cycle symmetric under i -> -i splits into its even
+    functions, a path on nodes 0..m/2 with doubled conductances and inner
+    weights, and its odd ones, a Dirichlet path (for odd m the self-mirror
+    edge adds 2c to the last diagonal entry)."""
+    c, w = _conductances(op), op.weights
+    if c[-1] == 0.0:
+        return _ground(1.0 / w, 1.0 / c[:-1])
+    if any(np.abs(a - a[::-1]).max() > 1e-8 * np.abs(a).max() for a in (c, w[1:])):
+        raise InputError("the cycle operator is not symmetric under i -> -i")
     m = op.size
-    w0, w1, top = _sym_eigvals(op, (0, 1), (m - 1, m - 1))
-    # the zero mode is known to the solver's error, about m eps |lambda_max|;
-    # lambda_max grows like m^2, so a fixed fraction of it swallows small gaps
-    tol = m * np.finfo(float).eps * abs(top)
-    if abs(w0) > tol:
-        raise DegenerateSpectrumError("no zero mode found (operator does not kill constants)")
-    if abs(w1) <= tol:
-        raise DegenerateSpectrumError("zero eigenvalue is not simple")
-    return float(w1)
+    k, half = m // 2, (m + 1) // 2
+    w_even = w[:k + 1].copy()
+    w_even[1:half] *= 2.0
+    odd = c[:k] if m % 2 == 0 else np.append(c[:k], 2.0 * c[k])
+    return min(_ground(1.0 / w_even, 0.5 / c[:k]), _ground(odd, w[1:half]))
 
 
 def lowest_eigenvalue(op: DiscretizedOperator) -> float:
-    """Ground eigenvalue of -L (for sectors without a constant mode)."""
-    return float(_sym_eigvals(op, (0, 0))[0])
+    """Ground eigenvalue of -L on a sector with zero wrap, such as the
+    azimuthal one; its row sums are the killing rate."""
+    c = _conductances(op)
+    if c[-1] != 0.0:
+        raise InputError("lowest_eigenvalue takes a sector with zero wrap")
+    return _ground(np.concatenate(([0.0], c)), op.weights, -(op.diag + (op.lower + op.upper)))
 
 
-def sphere_spectrum(potential: ZonalPolynomial, m: int, radius: float = 1.0,
-                    refine: bool = True) -> dict:
+def _richardson(gaps, m: int):
+    """(4 g(2m) - g(m))/3, which removes the O(h^2) discretization error."""
+    return (4.0 * gaps(2 * m) - gaps(m)) / 3.0
+
+
+def sphere_spectrum(potential: ZonalPolynomial, m: int, radius: float = 1.0) -> dict:
     """Spectral gap of the full generator on the 2-sphere with a zonal
     potential: the minimum of the zonal-sector gap and the first azimuthal
-    sector's ground eigenvalue.
-
-    With refine=True both candidates are Richardson-extrapolated over
-    (m, 2m), removing the O(h^2) discretization error.
-    """
-
-    def candidates(mm):
-        gz = spectral_gap(discretize_zonal(potential, mm, radius))
-        ga = lowest_eigenvalue(azimuthal_operator(potential, mm, radius))
-        return gz, ga
-
-    gz, ga = candidates(m)
-    if refine:
-        gz2, ga2 = candidates(2 * m)
-        gz = (4.0 * gz2 - gz) / 3.0
-        ga = (4.0 * ga2 - ga) / 3.0
-    return {"zonal": gz, "azimuthal": ga, "lambda1": min(gz, ga)}
+    sector's ground eigenvalue, each Richardson-extrapolated over (m, 2m)."""
+    gz, ga = _richardson(lambda mm: np.array([
+        spectral_gap(discretize_zonal(potential, mm, radius)),
+        lowest_eigenvalue(azimuthal_operator(potential, mm, radius))]), m)
+    return {"zonal": float(gz), "azimuthal": float(ga), "lambda1": float(min(gz, ga))}
 
 
-def s1_spectrum(potential: ZonalPolynomial, m: int, radius: float = 1.0,
-                refine: bool = True) -> dict:
-    g = spectral_gap(discretize_s1(potential, m, radius))
-    if refine:
-        g2 = spectral_gap(discretize_s1(potential, 2 * m, radius))
-        g = (4.0 * g2 - g) / 3.0
-    return {"lambda1": g}
+def s1_spectrum(potential: ZonalPolynomial, m: int, radius: float = 1.0) -> dict:
+    """Spectral gap on the circle, Richardson-extrapolated over (m, 2m)."""
+    return {"lambda1": _richardson(
+        lambda mm: spectral_gap(discretize_s1(potential, mm, radius)), m)}
 
 
 # ---------------------------------------------------------------------------
@@ -615,45 +611,35 @@ def bounds_report(manifold: ModelManifold, potential: ZonalPolynomial, m: int,
 
     if manifold.kind != SPHERE or manifold.dim not in (1, 2):
         raise InputError("bounds reports cover sphere:1:r and sphere:2:r")
-    r = manifold.radius
+    n, r = manifold.dim, manifold.radius
     diam = math.pi * r
-    flat_phi = potential.is_zero
-    if manifold.dim == 1:
+    if n == 1:
         lam = s1_spectrum(potential, m, r)["lambda1"]
+        gaps = {"lambda1": lam, "zonal": lam, "azimuthal": None}
         op = discretize_s1(potential, m, r)
         kgrid = s1_effective_kappa(potential, op.theta, r)
-        K = float(kgrid.min())
-        chen = None
-        if flat_phi:
-            chen = [(lbl, 0.5 * v) for lbl, v in chen_wang_bounds(1, 0.0, diam)]
-        return BoundsReport(
-            manifold=f"sphere:1:{r:g}", potential=str(potential), m=m, n_prime=n_prime,
-            lambda1=lam, lambda1_zonal=lam, lambda1_azimuthal=None, K=K, diameter=diam,
-            lichnerowicz=None, chen_wang=chen, harmonic_mean=None, interpolated=None,
-            bakry_emery_cd=None,
-        )
-    spec = reversible_potential(manifold, potential)
-    gaps = sphere_spectrum(potential, m, r)
-    op = discretize_zonal(potential, m, r)
-    kgrid = effective_kappa_grid(spec, op.theta)
+    else:
+        spec = reversible_potential(manifold, potential)
+        gaps = sphere_spectrum(potential, m, r)
+        op = discretize_zonal(potential, m, r)
+        kgrid = effective_kappa_grid(spec, op.theta)
     K = float(kgrid.min())
-    harmonic = interp = None
-    if K > 0:
+    lich = chen = harmonic = interp = cd = None
+    if potential.is_zero:
+        k_ric = (n - 1) / r**2
+        if n > 1:
+            lich = 0.5 * lichnerowicz_bound(n, k_ric)
+        chen = [(lbl, 0.5 * v) for lbl, v in chen_wang_bounds(n, k_ric, diam)]
+    if n > 1 and K > 0:
         harmonic = harmonic_mean_bound(kgrid, op.weights)
-        interp = interpolated_bound(kgrid, op.weights, manifold.dim)
-    lich = chen = None
-    if flat_phi:
-        k_ric = (manifold.dim - 1) / r**2
-        lich = 0.5 * lichnerowicz_bound(manifold.dim, k_ric)
-        chen = [(lbl, 0.5 * v) for lbl, v in chen_wang_bounds(manifold.dim, k_ric, diam)]
-    cd = None
-    if n_prime is not None:
+        interp = interpolated_bound(kgrid, op.weights, n)
+    if n > 1 and n_prime is not None:
         rho = bakry_emery_rho(spec, n_prime)(op.theta)
         if rho.min() > 0:
             c, v = cd_bound(rho, op.weights, n_prime)
             cd = (n_prime, c, v)
     return BoundsReport(
-        manifold=f"sphere:2:{r:g}", potential=str(potential), m=m, n_prime=n_prime,
+        manifold=f"sphere:{n}:{r:g}", potential=str(potential), m=m, n_prime=n_prime,
         lambda1=gaps["lambda1"], lambda1_zonal=gaps["zonal"],
         lambda1_azimuthal=gaps["azimuthal"], K=K, diameter=diam,
         lichnerowicz=lich, chen_wang=chen, harmonic_mean=harmonic,

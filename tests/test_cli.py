@@ -80,6 +80,7 @@ def invoke_bad_input(runner, args):
     assert res.exit_code == 2
     assert res.output.startswith("error: ")
     assert [str(w.message) for w in caught] == []
+    return res
 
 
 def test_overflowing_potential_exits_2(runner, tmp_path):
@@ -110,6 +111,19 @@ def test_kappa_normal_direction_exits_2(runner, tmp_path):
     invoke_bad_input(runner, ["kappa", "--manifold", "sphere:2:1", "--point", "0,0,1",
                               "--direction", "0,0,1", "--out", str(out)])
     assert not out.exists()
+
+
+def test_workers_below_one_exit_2(runner, tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text("[]")
+    out = tmp_path / "o.csv"
+    for workers in ("0", "-3"):
+        for args in (["simulate", "--manifold", "euclidean:2", "--x0", "0.5,0",
+                      "--y0", "-0.5,0", "--dt", "1e-2", "--horizon", "0.1", "--paths", "2"],
+                     ["sweep", "--configs", str(cfg)]):
+            res = invoke_bad_input(runner, args + ["--workers", workers, "--out", str(out)])
+            assert res.output.splitlines() == ["error: need at least one worker"]
+            assert not out.exists()
 
 
 def test_bounds_command_values(runner, tmp_path):

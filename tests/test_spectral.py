@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccigap.curvature import kappa_dir
 from riccigap.errors import (
@@ -115,17 +117,65 @@ def sector_operators(m):
     return ops
 
 
+def assert_gap_matches_dense(op):
+    """spectral_gap (lowest_eigenvalue on the azimuthal sector) against dense
+    eigvalsh of the symmetrised operator, to the dense solver's own error."""
+    m = op.size
+    s = np.sqrt(op.weights)
+    sym = (s[:, None] * -op.matrix) / s[None, :]
+    dense = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+    if op.kind == "s2-azimuthal":
+        got, want = sp.lowest_eigenvalue(op), dense[0]
+    else:
+        got, want = sp.spectral_gap(op), dense[1]
+    tol = m * np.finfo(float).eps * abs(dense[-1])
+    assert abs(got - want) <= tol, (op.kind, str(op.potential), got - want)
+
+
 @pytest.mark.parametrize("m", [64, 65, 512])
 def test_bisection_agrees_with_dense_eigvalsh(m):
-    eps = np.finfo(float).eps
     for op in sector_operators(m):
-        s = np.sqrt(op.weights)
-        sym = (s[:, None] * -op.matrix) / s[None, :]
-        dense = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-        got = sp._sym_eigvals(op, (0, 1), (m - 1, m - 1))
-        want = dense[[0, 1, -1]]
-        tol = m * eps * abs(want[-1])
-        assert np.abs(got - want).max() <= tol, (op.kind, str(op.potential), got - want)
+        assert_gap_matches_dense(op)
+
+
+def zonal_potentials():
+    """Degree <= 3 polynomials in cos(theta) with bounded coefficients."""
+    coeff = st.floats(-0.6, 0.6, allow_nan=False, allow_infinity=False)
+    return st.lists(coeff, min_size=1, max_size=4).map(lambda c: ZonalPolynomial(tuple(c)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(pot=zonal_potentials(), n_prime=st.sampled_from([3.0, 10.0]))
+def test_random_potentials_gap_and_bounds(pot, n_prime):
+    for m in (64, 65):
+        for build in (sp.discretize_s1, sp.discretize_zonal, sp.azimuthal_operator):
+            assert_gap_matches_dense(build(pot, m))
+    rep = sp.bounds_report(S2, pot, 256, n_prime=n_prime)
+    bounds = dict(rep.applicable_bounds())
+    assert ("harmonic-mean" in bounds) == (rep.K > 0)
+    for name, val in bounds.items():
+        assert val <= rep.lambda1 + 1e-6, (str(pot), name, val, rep.lambda1)
+
+
+def test_cycle_without_mirror_symmetry_rejected():
+    # a stronger edge 3 -> 4 that keeps the weighted symmetry but not i -> -i
+    op = sp.discretize_s1(parse_potential("0.5*cos"), 64)
+    lower, diag, upper = op.lower.copy(), op.diag.copy(), op.upper.copy()
+    upper[3] *= 2.0
+    lower[4] *= 2.0
+    diag[3] = -(lower[3] + upper[3])
+    diag[4] = -(lower[4] + upper[4])
+    skew = sp.DiscretizedOperator("s1", 1.0, op.theta, lower, diag, upper, op.weights,
+                                  op.potential)
+    with pytest.raises(InputError):
+        sp.spectral_gap(skew)
+    with pytest.raises(InputError):
+        sp.lowest_eigenvalue(op)
+
+
+def test_sphere_spectrum_on_a_fine_grid():
+    lam = sp.sphere_spectrum(parse_potential("0.3*cos"), 2**18)["lambda1"]
+    assert lam == pytest.approx(1.006745, rel=1e-5)
 
 
 def test_band_view_and_apply_match_dense():
@@ -151,7 +201,8 @@ def test_spectra_run_in_linear_memory():
 
 def test_small_gap_survives_fine_grid():
     # gap 1.5885e-3 at every grid while lambda_max grows like m^2: the
-    # zero-mode test must scale with the solver's error, not with lambda_max
+    # small gap must not be lost in the solver's error, which scales with
+    # lambda_max
     pot = parse_potential("8*cos^2")
     coarse = sp.spectral_gap(sp.discretize_s1(pot, 256))
     fine = sp.spectral_gap(sp.discretize_s1(pot, 2048))
