@@ -29,6 +29,8 @@ from .manifolds import EUCLIDEAN, ModelManifold, Point, TangentVector
 
 _H_TOL = 1e-8  # admissibility residual allowed before the constrained
                # curvature is considered undefined
+_ROW_CAP = 1 << 14  # rows the direct estimator steps together
+_NOISE_FLOATS = 1 << 16  # numbers in its noise buffer (512 KB; more buys nothing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,32 +242,47 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
     share their noise (transported along the connecting geodesics on curved
     spaces): the marginal laws are unaffected, while the assignment
     estimator loses the order-statistic bias that independent clouds suffer
-    in dimension >= 2.
+    in dimension >= 2.  The clouds of every (t, batch) step as one stacked
+    block of rows through the kernel, each row with its t's step size, in
+    groups of whole clouds and at most _ROW_CAP rows; each cloud draws from
+    its own stream, into a noise buffer of at most _NOISE_FLOATS numbers or
+    one step's.
     Returns (estimate, (lo, hi)); the interval combines a 95% normal CI
     from the batch spread with the size of the Richardson correction (a
     conservative gauge of the remaining O(t^2) truncation).
     """
+    from .simulate import _coupled_step, _noise_steps, _pairs, _traj_rng  # import cycle
+
     m = spec.manifold
     t_ladder = sorted(set(float(t) for t in t_ladder), reverse=True)
     if len(t_ladder) < 1:
         raise InputError("need at least one t value")
-    if samples < batches or batches < 2:
-        raise InputError("need samples >= batches >= 2")
+    if samples < batches or batches < 2 or substeps < 1:
+        raise InputError("need samples >= batches >= 2 and substeps >= 1")
     d0 = m.distance(x, y)
     if d0 <= 0:
         raise InputError("points must be distinct")
-    per = samples // batches
-    kap = np.zeros((len(t_ladder), batches))
+    if spec.diffusion.constant_inverse_metric is None:
+        raise InputError("the direct estimator supports metric-proportional diffusions")
+    per, k = samples // batches, m.ambient_dim
+    clouds = [(it, b) for it in range(len(t_ladder)) for b in range(batches)]
+    kap = np.zeros(len(clouds))
     crossed = False
-    for it, t in enumerate(t_ladder):
-        dt = t / substeps
-        for b in range(batches):
-            rng = np.random.Generator(np.random.Philox(
-                key=np.array([seed & (2**64 - 1), (it << 32) | b], dtype=np.uint64)))
-            X, Y, hit = _simulate_clouds(spec, x, y, per, dt, substeps, rng)
-            crossed = crossed or hit
-            w1 = _assignment_w1(m, X, Y)
-            kap[it, b] = (d0 - w1) / (t * d0)
+    size = max(1, _ROW_CAP // per)
+    for g0 in range(0, len(clouds), size):
+        group = clouds[g0:g0 + size]
+        rngs = [_traj_rng(seed, (it << 32) | b) for it, b in group]
+        dt = np.repeat([t_ladder[it] / substeps for it, _ in group], per)[:, None]
+        X, Y = (np.broadcast_to(v.coords, (len(dt), k)).copy() for v in (x, y))
+        p = _pairs(spec, X, Y, m.dist_many(X, Y))
+        for z in _noise_steps(rngs, per, k, substeps, max(1, _NOISE_FLOATS // (len(dt) * k))):
+            X, Y = _coupled_step(spec, p, z, dt)
+            p = _pairs(spec, X, Y, m.dist_many(X, Y))
+            crossed = crossed or bool(p.d.max() > m.cut_threshold)
+        for j, (it, _) in enumerate(group):
+            w1 = _assignment_w1(m, X[j * per:(j + 1) * per], Y[j * per:(j + 1) * per])
+            kap[g0 + j] = (d0 - w1) / (t_ladder[it] * d0)
+    kap = kap.reshape(len(t_ladder), batches)
     if crossed:
         warnings.warn("sample paths approached the cut locus; estimate may be biased",
                       CutLocusRiskWarning)
@@ -276,27 +293,6 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
     trunc = abs(est - float(kap[-1].mean())) if len(t_ladder) > 1 else 0.0
     half = 1.96 * se + trunc
     return est, (est - half, est + half)
-
-
-def _simulate_clouds(spec: DiffusionSpec, x: Point, y: Point, count: int,
-                     dt: float, steps: int, rng: np.random.Generator):
-    """Evolve two sample clouds from x and y for `steps` substeps of
-    run_coupled's coupled step, which shares the noise between the clouds;
-    also report whether any pair passed the cut threshold."""
-    from .simulate import _coupled_step, _pairs  # simulate imports this module
-
-    m = spec.manifold
-    if spec.diffusion.constant_inverse_metric is None:
-        raise InputError("the direct estimator supports metric-proportional diffusions")
-    X = np.broadcast_to(x.coords, (count, m.ambient_dim)).copy()
-    Y = np.broadcast_to(y.coords, (count, m.ambient_dim)).copy()
-    p = _pairs(spec, X, Y, m.dist_many(X, Y))
-    hit = False
-    for _ in range(steps):
-        X, Y = _coupled_step(spec, p, rng.standard_normal((count, m.ambient_dim)), dt)
-        p = _pairs(spec, X, Y, m.dist_many(X, Y))
-        hit = hit or bool(p.d.max() > m.cut_threshold)
-    return X, Y, hit
 
 
 def linear_sum_assignment(cost: np.ndarray):

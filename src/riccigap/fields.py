@@ -281,17 +281,18 @@ class ZonalPolynomial:
     def __post_init__(self):
         if len(self.coeffs) == 0:
             object.__setattr__(self, "coeffs", (0.0,))
+        c = np.asarray(self.coeffs, float)
+        der = np.polynomial.polynomial.polyder
+        object.__setattr__(self, "_coeffs", (c, der(c), der(c, 2)))  # p, p', p''
 
     def p(self, c):
-        return np.polynomial.polynomial.polyval(c, np.asarray(self.coeffs, float))
+        return np.polynomial.polynomial.polyval(c, self._coeffs[0])
 
     def dp(self, c):
-        return np.polynomial.polynomial.polyval(
-            c, np.polynomial.polynomial.polyder(np.asarray(self.coeffs, float)))
+        return np.polynomial.polynomial.polyval(c, self._coeffs[1])
 
     def d2p(self, c):
-        return np.polynomial.polynomial.polyval(
-            c, np.polynomial.polynomial.polyder(np.asarray(self.coeffs, float), 2))
+        return np.polynomial.polynomial.polyval(c, self._coeffs[2])
 
     # values on the angular coordinate
     def value(self, theta):

@@ -187,11 +187,12 @@ class ModelManifold:
         c = np.maximum(-self.ip(X, Y) / r**2, 1.0)
         return r * np.arccosh(c)
 
-    def log_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    def log_many(self, X: np.ndarray, Y: np.ndarray, d=None) -> np.ndarray:
+        """Log map of Y at X (d, when given, is the already-known distance)."""
         r = self.radius
         if self.kind == EUCLIDEAN:
             return Y - X
-        d = self.dist_many(X, Y)[..., None]
+        d = (self.dist_many(X, Y) if d is None else d)[..., None]
         th = d / r
         if self.kind == SPHERE:
             s = np.sin(th)

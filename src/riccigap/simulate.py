@@ -23,11 +23,12 @@ Two schemes, both in the exponential chart:
   parallel extremal coupling.  `step_single` is the same Gaussian step for
   one point.
 
-`run_coupled` splits the trajectories into one block per worker.  Each
-trajectory draws its noise from its own counter-based stream, _NOISE_BLOCK
-steps at a time, so the noise held in memory does not grow with the number
-of steps, and the kernel steps every pair row by row: the results do not
-depend on the worker count or on the split.
+`run_coupled` runs one block of trajectories per worker; the estimator
+steps all its clouds as one block (rows capped by curvature._ROW_CAP),
+each row with its own step size.  Both draw the noise by `_noise_steps`,
+from one counter-based stream per trajectory or cloud, a block of steps
+at a time, so the noise in memory does not grow with the steps.  The
+kernel steps every pair row by row: no result depends on the split.
 """
 
 from __future__ import annotations
@@ -169,24 +170,35 @@ def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray) -> 
     if m.kind == EUCLIDEAN and (spec.drift.is_zero or isinstance(spec.drift, LinearDrift)):
         return _Pairs(X, Y, d)
     deg = (d < 1e-15)[:, None]
-    u = np.where(deg, 0.0, m.log_many(X, Y) / np.where(deg, 1.0, d[:, None]))
+    u = np.where(deg, 0.0, m.log_many(X, Y, d) / np.where(deg, 1.0, d[:, None]))
     uy = u if m.kind == EUCLIDEAN else m._forward_unit(X, Y, u, d)
     if spec.drift.is_zero:
         return _Pairs(X, Y, d, u, uy)
     return _Pairs(X, Y, d, u, uy, spec.drift.vector_many(m, X), spec.drift.vector_many(m, Y))
 
 
+def _per_row(f, dt):
+    """f(dt), or f per row of a dt column, once per distinct value (scalar bits)."""
+    if np.ndim(dt) == 0:
+        return f(dt)
+    vals, inv = np.unique(dt, return_inverse=True)
+    return np.array([f(v) for v in vals.tolist()])[inv].reshape(np.shape(dt))
+
+
 def _coupled_step(spec: DiffusionSpec, p: _Pairs, z: np.ndarray,
-                  dt: float) -> tuple[np.ndarray, np.ndarray]:
+                  dt) -> tuple[np.ndarray, np.ndarray]:
     """One parallel-transport coupled step of every pair in p from ambient
     standard normals z, one row per pair: the _split_increments (the common
     Gaussian increment in flat space) plus the Euler drift increment, or in
-    flat space the exact flow of a zero or linear drift."""
+    flat space the exact flow of a zero or linear drift.  dt is a scalar or
+    a column with one step size per row."""
     m = spec.manifold
-    sig = math.sqrt(spec.diffusion.constant_inverse_metric * dt)
+    c = spec.diffusion.constant_inverse_metric
+    sig = _per_row(lambda h: math.sqrt(c * h), dt)
     if p.u is None:
         # exact: the common Gaussian increment cancels in Y - X
-        decay = math.exp(-spec.drift.rate * dt) if isinstance(spec.drift, LinearDrift) else 1.0
+        decay = (_per_row(lambda h: math.exp(-spec.drift.rate * h), dt)
+                 if isinstance(spec.drift, LinearDrift) else 1.0)
         return decay * p.X + sig * z, decay * p.Y + sig * z
     if m.kind == EUCLIDEAN:
         vx = vy = sig * z
@@ -289,6 +301,19 @@ def _record_times(steps: int, stride: int, dt: float) -> tuple[np.ndarray, np.nd
     return np.asarray(idx, dtype=int), np.asarray(idx, dtype=float) * dt
 
 
+def _noise_steps(rngs, rows: int, k: int, steps: int, block: int):
+    """Ambient standard normals for `steps` steps, one (len(rngs) * rows, k)
+    array per step: stream i fills rows i*rows .. (i+1)*rows - 1 and draws
+    `block` steps at a time (the same numbers as one draw per step).  Each
+    array is a view into one buffer that the next block overwrites."""
+    buf = np.empty((min(block, steps), len(rngs) * rows, k))
+    for s in range(0, steps, block):
+        nb = min(block, steps - s)
+        for i, rng in enumerate(rngs):
+            buf[:nb, i * rows:(i + 1) * rows] = rng.standard_normal((nb, rows, k))
+        yield from buf[:nb]
+
+
 def _run_block_fast(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
                     steps: int, stride: int, j0: int, count: int) -> list[CoupledTrajectory]:
     """Trajectories j0 .. j0 + count - 1, stepped together by the kernel.
@@ -299,7 +324,6 @@ def _run_block_fast(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     dt = cfg.dt
     cut = m.cut_threshold - cfg.cut_margin if m.kind == SPHERE else math.inf
     rngs = [_traj_rng(cfg.seed, j0 + i) for i in range(count)]
-    noise = np.empty((min(_NOISE_BLOCK, steps), count, k))
     X = np.broadcast_to(x0.coords, (count, k)).copy()
     Y = np.broadcast_to(y0.coords, (count, k)).copy()
     p = _pairs(spec, X, Y, m.dist_many(X, Y))
@@ -313,13 +337,8 @@ def _run_block_fast(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     logs[:, 0] = np.log(p.d)
     integ[:, 0] = 0.0
     pos = 1
-    for s in range(steps):
-        b = s % _NOISE_BLOCK
-        if b == 0:
-            nb = min(_NOISE_BLOCK, steps - s)
-            for i, rng in enumerate(rngs):
-                noise[:nb, i, :] = rng.standard_normal((nb, k))
-        Xn, Yn = _coupled_step(spec, p, noise[b], dt)
+    for s, z in enumerate(_noise_steps(rngs, 1, k, steps, _NOISE_BLOCK)):
+        Xn, Yn = _coupled_step(spec, p, z, dt)
         dn = m.dist_many(Xn, Yn)
         # abort before accepting a state at or beyond the guard
         newly_cut = alive & (dn >= cut)

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DegenerateSpectrumError,
@@ -197,7 +196,9 @@ def _ground(cond: np.ndarray, w: np.ndarray, v=0.0) -> float:
     """Lowest eigenvalue, by bisection, of the Dirichlet path with node
     weights w, killing rate v and conductances cond (the two end entries tie
     the ends to the boundary): the positive-definite tridiagonal
-    W^{-1/2} B^T C B W^{-1/2} + diag(v)."""
+    W^{-1/2} B^T C B W^{-1/2} + diag(v).  scipy.linalg is imported on first use."""
+    from scipy.linalg import eigh_tridiagonal
+
     d = (cond[:-1] + cond[1:]) / w + v
     e = -cond[1:-1] / np.sqrt(w[:-1] * w[1:])
     return float(eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 0))[0])

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from riccigap import curvature
 from riccigap.curvature import (
     estimate_kappa_direct,
     kappa_dir,
@@ -13,7 +14,7 @@ from riccigap.curvature import (
     kappa_tilde_pair,
     sqrt_perturbation_traces,
 )
-from riccigap.errors import HViolationError, NonPSDWarning, SingularDiffusionError
+from riccigap.errors import HViolationError, InputError, NonPSDWarning, SingularDiffusionError
 from riccigap.fields import (
     ConstantFrameField,
     DiffusionSpec,
@@ -35,6 +36,7 @@ E3 = parse_manifold("euclidean:3")
 S2 = parse_manifold("sphere:2:1")
 S3 = parse_manifold("sphere:3:1")
 H2 = parse_manifold("hyperbolic:2:1")
+E1 = parse_manifold("euclidean:1")
 
 
 def rng(seed=0):
@@ -428,3 +430,60 @@ def test_estimate_sphere_covers_formula_small():
                                           samples=2048, seed=2, batches=8, substeps=100)
     want = kappa_pair(spec, x, y).kappa
     assert lo - 0.02 <= want <= hi + 0.02  # slack for the small sample size
+
+
+@pytest.mark.parametrize("kwargs", [dict(samples=8, batches=16), dict(batches=1),
+                                    dict(substeps=0), dict(substeps=-3)])
+def test_estimate_rejects_bad_counts(kwargs):
+    x, y = E2.point([0.4, 0.0]), E2.point([-0.6, 0.0])
+    with pytest.raises(InputError):
+        estimate_kappa_direct(brownian(E2), x, y, **{"samples": 64, **kwargs})
+
+
+def _h2_pair():
+    x = H2.point([0.0, 0.0, 1.0])
+    return x, H2.exp_map(x, H2.tangent(x, [0.5, 0.0, 0.0], project=True))
+
+
+# (name, spec, (x, y), keyword arguments, (est, lo, hi) as hex floats).  The
+# values were pinned when each (t, batch) cloud stepped through the kernel on
+# its own; stepping the clouds as one stacked block keeps every bit.
+ESTIMATE_PINS = [
+    ("S2-potential", lambda: reversible_potential(S2, parse_potential("0.3*cos")),
+     lambda: (S2.point([0.0, 0.0, 1.0]), S2.point([0.479425538604203, 0.0, 0.8775825618903728])),
+     dict(samples=256, substeps=20, seed=3),
+     ("0x1.775b505701326p-2", "0x1.753f5d1352ec0p-2", "0x1.7977439aaf78cp-2")),
+    ("H2-brownian", lambda: brownian(H2), _h2_pair,
+     dict(samples=256, substeps=20, seed=5, batches=8),
+     ("-0x1.f540cb00ad739p-2", "-0x1.f661d582c5fc2p-2", "-0x1.f41fc07e94eb0p-2")),
+    ("E2-brownian", lambda: brownian(E2), lambda: (E2.point([0.4, 0.0]), E2.point([-0.6, 0.0])),
+     dict(samples=256, substeps=20, seed=1, batches=8),
+     ("-0x1.9000000000000p-51", "-0x1.8c00000000000p-49", "0x1.8800000000000p-50")),
+    ("E1-ou", lambda: ornstein_uhlenbeck(E1), lambda: (E1.point([0.5]), E1.point([-0.5])),
+     dict(samples=256, substeps=20, seed=1),
+     ("0x1.fffba9de58211p-1", "0x1.fd72d1af6ab46p-1", "0x1.01424106a2c6ep+0")),
+]
+
+
+def _pinned(case):
+    _, spec, pair, kwargs, want = case
+    est, (lo, hi) = estimate_kappa_direct(spec(), *pair(), **kwargs)
+    return [v.hex() for v in (est, lo, hi)], list(want)
+
+
+@pytest.mark.parametrize("case", ESTIMATE_PINS, ids=[c[0] for c in ESTIMATE_PINS])
+def test_estimate_pinned_bitwise(case):
+    got, want = _pinned(case)
+    assert got == want
+
+
+@pytest.mark.parametrize("rows, floats", [(5, 1), (40, 7), (100, 10**9)])
+def test_estimate_row_cap_and_noise_buffer_keep_every_bit(rows, floats, monkeypatch):
+    # 16 or 32 rows per cloud, so groups of one cloud, of two or one, and of
+    # six or three (groups that span both ladder times); the noise is drawn
+    # one step at a time, a few steps at a time, and all at once
+    monkeypatch.setattr(curvature, "_ROW_CAP", rows)
+    monkeypatch.setattr(curvature, "_NOISE_FLOATS", floats)
+    for case in ESTIMATE_PINS:
+        got, want = _pinned(case)
+        assert got == want, case[0]

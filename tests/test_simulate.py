@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from riccigap import simulate
-from riccigap.cli import main
+from riccigap.cli import main, parse_field
 from riccigap.curvature import kappa_pair
 from riccigap.errors import InputError
 from riccigap.fields import (
@@ -361,6 +361,32 @@ def test_run_coupled_fast_step_orthogonal_part_has_fixed_norm():
         assert math.sqrt(m.ip(wx, wx)) == pytest.approx(math.sqrt(2 * dt), rel=1e-9)
         assert np.abs(wy - wx).max() < 1e-12
         assert m.ip(vx, u) == pytest.approx(m.ip(vy, uy), rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("manifold, field", [("sphere:2:1", "potential:0.3*cos"),
+                                             ("hyperbolic:2:1", "brownian"),
+                                             ("euclidean:2", "brownian"), ("euclidean:1", "ou")])
+def test_coupled_step_dt_column_equals_scalar_calls(manifold, field):
+    # rows with three step sizes, interleaved: each row of the per-row call
+    # has the bits of the scalar call on that step size's rows
+    m = parse_manifold(manifold)
+    spec = parse_field(m, field)
+    g = rng(17)
+    X, Y = [], []
+    for _ in range(9):
+        x = m.random_point(g)
+        X.append(x.coords)
+        Y.append(m.exp_map(x, TangentVector(x, 0.6 * m.random_tangent(g, x).components)).coords)
+    X, Y = np.array(X), np.array(Y)
+    z = g.standard_normal(X.shape)
+    dts = np.array([1e-3, 2e-4, 1e-3, 5e-5, 2e-4, 1e-3, 5e-5, 2e-4, 1e-3])
+    d = m.dist_many(X, Y)
+    Xn, Yn = simulate._coupled_step(spec, simulate._pairs(spec, X, Y, d), z, dts[:, None])
+    for h in (1e-3, 2e-4, 5e-5):
+        rows = dts == h
+        p = simulate._pairs(spec, X[rows], Y[rows], d[rows])
+        xs, ys = simulate._coupled_step(spec, p, z[rows], h)
+        assert np.array_equal(Xn[rows], xs) and np.array_equal(Yn[rows], ys), h
 
 
 def test_kappa_fast_matches_kappa_pair():
