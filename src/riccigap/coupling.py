@@ -22,6 +22,8 @@ from .errors import (
 from .manifolds import DistanceJet
 
 _RANK_TOL = 1e-9  # numerical rank cutoff, relative to largest singular value
+_EPS2 = np.finfo(float).eps ** 2
+_JACOBI_SWEEPS = 30  # a guard: every stack tried, random or built to be hard, needed <= 4
 
 
 def _as_matrix(m, name="matrix") -> np.ndarray:
@@ -87,15 +89,25 @@ def psd_sqrt(m, neg_tol: float = 1e-6) -> np.ndarray:
     return r
 
 
+def _rank_sqrt(m: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root with the eigenvalues below _RANK_TOL of the
+    largest set to zero (the numerical rank of _psd_factor)."""
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    w = np.where(w > _RANK_TOL * max(w[-1], 0.0), w, 0.0)
+    return (v * np.sqrt(w)) @ v.T
+
+
 def tr_sqrt_sandwich(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> float:
     """tr sqrt(a d b d^T) for PSD a, b: the sum of the singular values of
     sqrt(a) @ d @ sqrt(b).
 
     The singular-value route keeps full absolute precision (the eigenvalues
-    of the product lose half the digits near rank deficiency) and is valid
-    for singular a and b.
+    of the product lose half the digits near rank deficiency).  It is valid
+    for singular a and b because their roots are taken at the numerical rank
+    that c0_covariance and the sampler use: the root of a rounding-size
+    eigenvalue of a singular a would move the value by ~sqrt(eps).
     """
-    return float(np.linalg.svd(sym_psd_sqrt(a) @ d @ sym_psd_sqrt(b), compute_uv=False).sum())
+    return float(np.linalg.svd(_rank_sqrt(a) @ d @ _rank_sqrt(b), compute_uv=False).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +206,6 @@ def sample_feasible(A, B, count: int, seed: int,
     """
     A = check_sym_psd(A, "A")
     B = check_sym_psd(B, "B")
-    if count < 0:
-        raise InputError("count must be nonnegative")
-    if count == 0:
-        return []
     stack = sample_feasible_array(A, B, count, seed, include_extremal)
     out = []
     for C in stack:
@@ -206,24 +214,86 @@ def sample_feasible(A, B, count: int, seed: int,
     return out
 
 
+def _top_gram(R: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of R_k R_k^T for each matrix of a stack R of shape
+    (count, r, s) with 1 <= r <= s.
+
+    For r <= 3 the r(r+1)/2 Gram entries are held as (count,) arrays, scaled
+    by a power of two that puts the largest diagonal entry in [1/2, 1), and
+    diagonalised all at once by cyclic Jacobi sweeps.  The sweeps stop when
+    every off-diagonal entry satisfies g_pq^2 <= eps^2 |g_pp g_qq|, which
+    gives the eigenvalues of a positive semidefinite matrix to high relative
+    accuracy (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).  The
+    scaling keeps the squares from overflowing, and an entry whose square
+    underflows is below 1e-154 of the top eigenvalue.  The absolute value is
+    there because the rounded Gram matrix of a rank-deficient R can have a
+    diagonal entry of -eps size.  Larger Gram matrices go to LAPACK's
+    eigvalsh, one matrix per call.
+    """
+    r = R.shape[1]
+    if r > 3:
+        return np.linalg.eigvalsh(np.einsum("kab,kcb->kac", R, R))[:, -1]
+    g = [[None] * r for _ in range(r)]  # g[p][q] is g[q][p]: one array per entry
+    for p in range(r):
+        for q in range(p, r):
+            g[p][q] = g[q][p] = np.einsum("kb,kb->k", R[:, p], R[:, q])
+    _, exponent = np.frexp(np.max([g[p][p] for p in range(r)], axis=0))
+    for p in range(r):
+        for q in range(p, r):
+            g[p][q] = g[q][p] = np.ldexp(g[p][q], -exponent)
+    pairs = [(p, q) for p in range(r) for q in range(p + 1, r)]
+    for _ in range(_JACOBI_SWEEPS):
+        if not any(np.any(g[p][q] * g[p][q] > _EPS2 * np.abs(g[p][p] * g[q][q]))
+                   for p, q in pairs):
+            break
+        for p, q in pairs:
+            app, aqq, apq = g[p][p], g[q][q], g[p][q]
+            d = aqq - app
+            # tan of the rotation that annihilates apq, |t| <= 1 (Golub & Van Loan's
+            # 2-by-2 symmetric Schur decomposition, without its overflow-prone ratio)
+            den = d + np.copysign(np.sqrt(d * d + 4.0 * apq * apq), d)
+            t = np.divide(2.0 * apq, den, out=np.zeros_like(den), where=den != 0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            sn = t * c
+            g[p][p] = app - t * apq
+            g[q][q] = aqq + t * apq
+            g[p][q] = g[q][p] = np.zeros_like(apq)
+            for o in range(r):
+                if o != p and o != q:
+                    op, oq = g[o][p], g[o][q]
+                    g[o][p] = g[p][o] = c * op - sn * oq
+                    g[o][q] = g[q][o] = sn * op + c * oq
+    return np.ldexp(np.max([g[p][p] for p in range(r)], axis=0), exponent)
+
+
 def sample_feasible_array(A, B, count: int, seed: int,
                           include_extremal: bool = True) -> np.ndarray:
     """Vectorized variant of sample_feasible: (count, n1, n2) array of
-    feasible cross-covariances, feasible by construction."""
+    feasible cross-covariances, feasible by construction.
+
+    Each sample is C = A' C' B'^T, with A' and B' rank factors of A and B
+    (A' A'^T = A) and C' = U raw / ||raw||_2: raw has i.i.d. standard normal
+    entries, ||raw||_2 is its operator norm and U is uniform on [0, 1].  When
+    include_extremal is set, the first min(count, 4) samples are replaced by
+    extremal ones, C' with every singular value 1.  ||raw||_2 is the square
+    root of the top eigenvalue of the smaller Gram matrix of raw (size r, the
+    smaller rank): Jacobi sweeps on all samples at once for r <= 3, LAPACK's
+    eigvalsh per sample for r >= 4 (see _top_gram).  With a zero marginal the
+    only feasible cross-covariance is 0, and every sample is 0.
+    """
+    if count < 0:
+        raise InputError("count must be nonnegative")
     A = check_sym_psd(A, "A")
     B = check_sym_psd(B, "B")
     n1, n2 = A.shape[0], B.shape[0]
     Af, _, ra = _psd_factor(A)
     Bf, _, rb = _psd_factor(B)
+    if ra == 0 or rb == 0:
+        return np.zeros((count, n1, n2))
     rng = np.random.Generator(np.random.Philox(key=np.array([seed & (2**64 - 1), 0x5EED],
                                                             dtype=np.uint64)))
     raw = rng.standard_normal((count, ra, rb))
-    # operator norms: top eigenvalue of the small Gram matrix (batched)
-    if ra <= rb:
-        gram = np.einsum("kab,kcb->kac", raw, raw)
-    else:
-        gram = np.einsum("kab,kac->kbc", raw, raw)
-    top = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+    top = np.sqrt(_top_gram(raw if ra <= rb else raw.transpose(0, 2, 1)))
     radii = rng.uniform(0.0, 1.0, size=count)
     scale = np.where(top > 0, radii / np.where(top > 0, top, 1.0), 0.0)
     Cp = raw * scale[:, None, None]

@@ -176,6 +176,29 @@ def test_coupling_command(runner, tmp_path):
     assert row["rank"] == "1"
 
 
+def test_coupling_command_exit_codes(runner, tmp_path):
+    def csv(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    eye = csv("eye.csv", "1,0\n0,1\n")
+    out = tmp_path / "r.csv"
+    for a, d in ((csv("skew.csv", "1,0.5\n0,1\n"), eye),        # A not symmetric
+                 (eye, csv("wide.csv", "1,0,0\n0,1,0\n")),      # D of the wrong shape
+                 (csv("text.csv", "1,x\n0,1\n"), eye)):         # not numeric
+        res = invoke_bad_input(runner, ["coupling", "--a-csv", a, "--d-csv", d,
+                                        "--b-csv", eye, "--out", str(out)])
+        assert len(res.output.splitlines()) == 1
+        assert not out.exists()
+    res = invoke(runner, ["coupling", "--a-csv", csv("neg.csv", "1,0\n0,-1\n"), "--d-csv", eye,
+                          "--b-csv", eye, "--out", str(out)])
+    assert res.exit_code == 3
+    assert len(res.output.splitlines()) == 1
+    assert res.output.startswith("numerical error: ")
+    assert not out.exists()
+
+
 def test_simulate_command_and_summary(runner, tmp_path):
     out = tmp_path / "t.csv"
     summ = tmp_path / "s.json"

@@ -1,8 +1,13 @@
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccigap.coupling import (
+    _top_gram,
     c0_covariance,
     coupling_cost,
     extremal_covariances,
@@ -12,7 +17,7 @@ from riccigap.coupling import (
     sample_feasible,
     sample_feasible_array,
 )
-from riccigap.errors import NegativeSpectrumError, SingularDiffusionError
+from riccigap.errors import InputError, NegativeSpectrumError, SingularDiffusionError
 from riccigap.manifolds import TangentVector, parse_manifold
 
 
@@ -129,14 +134,96 @@ def test_feasibility_check():
 
 def test_sample_feasible_all_feasible_and_deterministic():
     g = rng(6)
-    A = random_spd(g, 3)
-    B = random_spd(g, 4)
-    assert sample_feasible(A, B, 0, seed=1) == []
-    samples = sample_feasible(A, B, 10_000, seed=1)
-    assert all(s.feasible for s in samples)
-    again = sample_feasible_array(A, B, 10_000, seed=1)
-    first = np.stack([s.C for s in samples])
-    assert np.array_equal(first, again)
+    v = g.standard_normal(3)
+    # ra < rb; ra > rb (the Gram matrix of raw^T); a rank-1 A
+    for A, B in ((random_spd(g, 3), random_spd(g, 4)),
+                 (random_spd(g, 4), random_spd(g, 2)),
+                 (np.outer(v, v), random_spd(g, 3))):
+        assert sample_feasible(A, B, 0, seed=1) == []
+        samples = sample_feasible(A, B, 10_000, seed=1)
+        assert all(s.feasible for s in samples)
+        again = sample_feasible_array(A, B, 10_000, seed=1)
+        first = np.stack([s.C for s in samples])
+        assert np.array_equal(first, again)
+        D = g.standard_normal((A.shape[0], B.shape[0]))
+        assert np.einsum("kij,ij->k", again, D).min() >= min_coupling_value(A, D, B) - 1e-9
+
+
+def test_sample_feasible_zero_marginal_gives_zero():
+    # with a zero marginal the only feasible cross-covariance is 0
+    for A, B in ((np.zeros((2, 2)), np.eye(2)), (np.eye(3), np.zeros((2, 2)))):
+        stack = sample_feasible_array(A, B, 10, 0)
+        assert stack.shape == (10, A.shape[0], B.shape[0])
+        assert not stack.any()
+        samples = sample_feasible(A, B, 10, 0)
+        assert len(samples) == 10
+        assert all(s.feasible and not s.C.any() for s in samples)
+
+
+def test_sample_feasible_rejects_negative_count():
+    for sample in (sample_feasible, sample_feasible_array):
+        with pytest.raises(InputError):
+            sample(np.eye(2), np.eye(2), -1, 0)
+
+
+def gram_stacks():
+    """Stacks R of shape (16, r, s), r <= 3, scaled by 10^k: random, with a
+    constructed double or triple top singular value, with a zero row, or 0."""
+    def build(args):
+        r, s, k, kind, seed = args
+        g = rng(seed)
+        R = g.standard_normal((16, r, s))
+        if kind in ("double", "triple"):
+            sig = np.ones(r)
+            if kind == "double" and r == 3:
+                sig[2] = g.uniform(0.0, 0.9)
+            for i in range(16):
+                u, _ = np.linalg.qr(g.standard_normal((r, r)))
+                w, _ = np.linalg.qr(g.standard_normal((s, s)))
+                R[i] = u @ (sig[:, None] * w[:r])
+        elif kind == "zero row":
+            R[:, g.integers(r)] = 0.0
+        elif kind == "zero":
+            R[:] = 0.0
+        return R * 10.0 ** k
+
+    dims = st.integers(1, 3).flatmap(lambda r: st.tuples(st.just(r), st.integers(r, 5)))
+    kinds = st.sampled_from(["random", "double", "triple", "zero row", "zero"])
+    return st.tuples(dims, st.integers(-150, 150), kinds, st.integers(0, 2**32 - 1)).map(
+        lambda t: build((*t[0], *t[1:])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(R=gram_stacks())
+def test_top_gram_matches_eigvalsh(R):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _top_gram(R)
+    want = np.linalg.eigvalsh(np.einsum("kab,kcb->kac", R, R))[:, -1]
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * want)
+
+
+def psd_of_rank(g, n, rank):
+    a = g.standard_normal((n, rank))
+    return a @ a.T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n1=st.integers(2, 5), n2=st.integers(2, 5), ranks=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       seed=st.integers(0, 2**32 - 1))
+def test_c0_feasible_optimal_and_square_root(n1, n2, ranks, seed):
+    # full or deficient ranks, zero included
+    g = rng(seed)
+    A = psd_of_rank(g, n1, min(ranks[0], n1))
+    B = psd_of_rank(g, n2, min(ranks[1], n2))
+    D = g.standard_normal((n1, n2))
+    res = c0_covariance(A, D, B)
+    v = min_coupling_value(A, D, B)
+    assert res.feasible
+    assert abs(res.value - v) <= 1e-10 * max(abs(v), 1.0)
+    S = A @ D @ B @ D.T
+    cd = res.C @ D.T
+    assert np.abs(cd @ cd - S).max() <= 1e-9 * max(np.abs(S).max(), 1e-300)
 
 
 def test_sample_feasible_includes_extremal():
