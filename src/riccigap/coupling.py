@@ -22,8 +22,9 @@ from .errors import (
 from .manifolds import DistanceJet
 
 _RANK_TOL = 1e-9  # numerical rank cutoff, relative to largest singular value
-_EPS2 = np.finfo(float).eps ** 2
-_JACOBI_SWEEPS = 30  # a guard: every stack tried, random or built to be hard, needed <= 4
+_EPS = np.finfo(float).eps
+_EPS2 = _EPS ** 2
+_JACOBI_SWEEPS = 30  # a guard: every stack tried, random or built to be hard, needed <= 7
 
 
 def _as_matrix(m, name="matrix") -> np.ndarray:
@@ -89,11 +90,11 @@ def psd_sqrt(m, neg_tol: float = 1e-6) -> np.ndarray:
     return r
 
 
-def _rank_sqrt(m: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root with the eigenvalues below _RANK_TOL of the
-    largest set to zero (the numerical rank of _psd_factor)."""
+def _rounding_sqrt(m: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root with the eigenvalues at rounding level (at
+    most 100 n eps of the largest) set to zero."""
     w, v = np.linalg.eigh(0.5 * (m + m.T))
-    w = np.where(w > _RANK_TOL * max(w[-1], 0.0), w, 0.0)
+    w = np.where(w > 100 * len(w) * _EPS * max(w[-1], 0.0), w, 0.0)
     return (v * np.sqrt(w)) @ v.T
 
 
@@ -103,11 +104,12 @@ def tr_sqrt_sandwich(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> float:
 
     The singular-value route keeps full absolute precision (the eigenvalues
     of the product lose half the digits near rank deficiency).  It is valid
-    for singular a and b because their roots are taken at the numerical rank
-    that c0_covariance and the sampler use: the root of a rounding-size
-    eigenvalue of a singular a would move the value by ~sqrt(eps).
+    for singular a and b because eigenvalues at rounding level are dropped
+    before the roots are taken: the root of a rounding-size eigenvalue of a
+    singular a would move the value by ~sqrt(eps).  Every larger eigenvalue
+    is kept, so an ill-conditioned a or b is not truncated.
     """
-    return float(np.linalg.svd(_rank_sqrt(a) @ d @ _rank_sqrt(b), compute_uv=False).sum())
+    return float(np.linalg.svd(_rounding_sqrt(a) @ d @ _rounding_sqrt(b), compute_uv=False).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +220,8 @@ def _top_gram(R: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of R_k R_k^T for each matrix of a stack R of shape
     (count, r, s) with 1 <= r <= s.
 
-    For r <= 3 the r(r+1)/2 Gram entries are held as (count,) arrays, scaled
-    by a power of two that puts the largest diagonal entry in [1/2, 1), and
+    The r(r+1)/2 Gram entries are held as (count,) arrays, scaled by a power
+    of two that puts the largest diagonal entry in [1/2, 1), and
     diagonalised all at once by cyclic Jacobi sweeps.  The sweeps stop when
     every off-diagonal entry satisfies g_pq^2 <= eps^2 |g_pp g_qq|, which
     gives the eigenvalues of a positive semidefinite matrix to high relative
@@ -227,12 +229,9 @@ def _top_gram(R: np.ndarray) -> np.ndarray:
     scaling keeps the squares from overflowing, and an entry whose square
     underflows is below 1e-154 of the top eigenvalue.  The absolute value is
     there because the rounded Gram matrix of a rank-deficient R can have a
-    diagonal entry of -eps size.  Larger Gram matrices go to LAPACK's
-    eigvalsh, one matrix per call.
+    diagonal entry of -eps size.
     """
     r = R.shape[1]
-    if r > 3:
-        return np.linalg.eigvalsh(np.einsum("kab,kcb->kac", R, R))[:, -1]
     g = [[None] * r for _ in range(r)]  # g[p][q] is g[q][p]: one array per entry
     for p in range(r):
         for q in range(p, r):
@@ -250,9 +249,13 @@ def _top_gram(R: np.ndarray) -> np.ndarray:
             app, aqq, apq = g[p][p], g[q][q], g[p][q]
             d = aqq - app
             # tan of the rotation that annihilates apq, |t| <= 1 (Golub & Van Loan's
-            # 2-by-2 symmetric Schur decomposition, without its overflow-prone ratio)
+            # 2-by-2 symmetric Schur decomposition, without its overflow-prone ratio).
+            # An entry that already passes the stop test is not rotated: within a
+            # cluster of equal eigenvalues its rotation would be ~45 degrees and
+            # would spread rounding errors back over the other entries.
+            big = apq * apq > _EPS2 * np.abs(app * aqq)
             den = d + np.copysign(np.sqrt(d * d + 4.0 * apq * apq), d)
-            t = np.divide(2.0 * apq, den, out=np.zeros_like(den), where=den != 0)
+            t = np.divide(2.0 * apq, den, out=np.zeros_like(den), where=big)
             c = 1.0 / np.sqrt(1.0 + t * t)
             sn = t * c
             g[p][p] = app - t * apq
@@ -277,9 +280,9 @@ def sample_feasible_array(A, B, count: int, seed: int,
     include_extremal is set, the first min(count, 4) samples are replaced by
     extremal ones, C' with every singular value 1.  ||raw||_2 is the square
     root of the top eigenvalue of the smaller Gram matrix of raw (size r, the
-    smaller rank): Jacobi sweeps on all samples at once for r <= 3, LAPACK's
-    eigvalsh per sample for r >= 4 (see _top_gram).  With a zero marginal the
-    only feasible cross-covariance is 0, and every sample is 0.
+    smaller rank), from Jacobi sweeps run on all samples at once (see
+    _top_gram).  With a zero marginal the only feasible cross-covariance is
+    0, and every sample is 0.
     """
     if count < 0:
         raise InputError("count must be nonnegative")

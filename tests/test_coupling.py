@@ -60,6 +60,23 @@ def test_min_coupling_value_examples():
     assert min_coupling_value(np.eye(2), np.diag([3.0, 0.0]), np.eye(2)) == pytest.approx(-3.0, abs=1e-14)
 
 
+def test_min_coupling_value_ill_conditioned_and_rank_one():
+    # a full-rank, ill-conditioned marginal keeps its small eigenvalue
+    assert min_coupling_value(np.diag([1.0, 1e-10]), np.diag([0.0, 1.0]), np.eye(2)) == \
+        pytest.approx(-1e-5, rel=1e-12)
+    assert min_coupling_value(np.eye(2), np.diag([0.0, 1.0]), np.diag([1.0, 1e-12])) == \
+        pytest.approx(-1e-6, rel=1e-12)
+    # A = v v^T: tr sqrt(A D B D^T) = sqrt(v^T D B D^T v); the rounding-size
+    # eigenvalues of the computed A must not enter through their square roots
+    g = rng(11)
+    for _ in range(50):
+        v = g.standard_normal(3)
+        D = g.standard_normal((3, 3))
+        B = random_spd(g, 3)
+        exact = -np.sqrt(v @ D @ B @ D.T @ v)
+        assert min_coupling_value(np.outer(v, v), D, B) == pytest.approx(exact, rel=1e-13)
+
+
 def test_value_symmetry_and_scaling():
     g = rng(3)
     for _ in range(20):
@@ -135,10 +152,11 @@ def test_feasibility_check():
 def test_sample_feasible_all_feasible_and_deterministic():
     g = rng(6)
     v = g.standard_normal(3)
-    # ra < rb; ra > rb (the Gram matrix of raw^T); a rank-1 A
+    # ra < rb; ra > rb (the Gram matrix of raw^T); a rank-1 A; both ranks >= 4
     for A, B in ((random_spd(g, 3), random_spd(g, 4)),
                  (random_spd(g, 4), random_spd(g, 2)),
-                 (np.outer(v, v), random_spd(g, 3))):
+                 (np.outer(v, v), random_spd(g, 3)),
+                 (random_spd(g, 5), random_spd(g, 4))):
         assert sample_feasible(A, B, 0, seed=1) == []
         samples = sample_feasible(A, B, 10_000, seed=1)
         assert all(s.feasible for s in samples)
@@ -167,7 +185,7 @@ def test_sample_feasible_rejects_negative_count():
 
 
 def gram_stacks():
-    """Stacks R of shape (16, r, s), r <= 3, scaled by 10^k: random, with a
+    """Stacks R of shape (16, r, s), r <= 5, scaled by 10^k: random, with a
     constructed double or triple top singular value, with a zero row, or 0."""
     def build(args):
         r, s, k, kind, seed = args
@@ -175,8 +193,8 @@ def gram_stacks():
         R = g.standard_normal((16, r, s))
         if kind in ("double", "triple"):
             sig = np.ones(r)
-            if kind == "double" and r == 3:
-                sig[2] = g.uniform(0.0, 0.9)
+            top = 2 if kind == "double" else 3
+            sig[top:] = g.uniform(0.0, 0.9, size=max(r - top, 0))
             for i in range(16):
                 u, _ = np.linalg.qr(g.standard_normal((r, r)))
                 w, _ = np.linalg.qr(g.standard_normal((s, s)))
@@ -187,7 +205,7 @@ def gram_stacks():
             R[:] = 0.0
         return R * 10.0 ** k
 
-    dims = st.integers(1, 3).flatmap(lambda r: st.tuples(st.just(r), st.integers(r, 5)))
+    dims = st.integers(1, 5).flatmap(lambda r: st.tuples(st.just(r), st.integers(r, 5)))
     kinds = st.sampled_from(["random", "double", "triple", "zero row", "zero"])
     return st.tuples(dims, st.integers(-150, 150), kinds, st.integers(0, 2**32 - 1)).map(
         lambda t: build((*t[0], *t[1:])))
