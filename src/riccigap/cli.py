@@ -7,16 +7,19 @@ files are written atomically (temp file + rename).
 
 CSV rows are either a list of dicts (one row per command, or a sweep) or a
 typed table (`simulate`: a numpy structured array, one column per field).
-`write_csv` formats them a block of rows at a time, with one %-conversion
-per column, and streams each block to the temp file or to stdout; the bytes
-are those of csv.writer over fmt() cells.
+`write_csv` formats them a block of rows at a time and streams each block to
+the temp file or to stdout; the bytes are those of csv.writer over fmt()
+cells.  A block of dicts is one %-operation.  A typed table's int and float
+columns are formatted a whole column at a time in numpy: its floats by exact
+integer arithmetic on the significand where 1e-11 <= |x| < 1e16, and by
+'%.17g' per cell elsewhere (zeros, non-finite, tiny and huge values), with
+the bytes of '%.17g' in both cases.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -56,8 +59,6 @@ def fmt(value) -> str:
     return str(value)
 
 
-# %-conversions of typed table columns; '%.17g' % x is f"{x:.17g}"
-_COLUMN_SPECS = {"f": "%.17g", "i": "%d"}
 _BLOCK_ROWS = 4096
 
 
@@ -68,23 +69,164 @@ def _quote(text: str) -> str:
     return text
 
 
+# Typed tables are formatted a column at a time into NUL-padded ASCII
+# "planes": a (width, n) uint8 array whose column j holds cell j.  The NULs
+# are deleted once the block's text is assembled.
+_U64 = np.uint64
+_LO32 = _U64(0xFFFFFFFF)
+_POW5 = np.array([5**p for p in range(28)], dtype=np.uint64)
+_E10_LO, _E10_HI = -11, 15  # decimal exponents of the exact fast path
+_DIGIT = np.arange(17, dtype=np.int8)[:, None]
+_LEAD = np.arange(3, dtype=np.int8)[:, None]
+_FLOAT_WIDTH = 43  # sign, '0.000', 17 digits with a '.' slot between each two, 'e-dd'
+_FALLBACK_WIDTH = 24  # len('%.17g' % -2.2250738585072014e-308)
+_CRLF = np.array([[13], [10]], dtype=np.uint8)
+
+
+def _ascii(ch: str) -> np.uint8:
+    return np.uint8(ord(ch))
+
+
+def _digit_planes(u: np.ndarray, count: int) -> np.ndarray:
+    """The `count` decimal digits of each uint64 in u < 10**count, most
+    significant first, as a (count, n) uint8 array; eight digits at a time in
+    uint32, by scalar divisions."""
+    out = np.empty((count, u.size), np.uint8)
+    k = count
+    while k > 0:
+        if k > 8:
+            rest = u // _U64(10**8)
+            piece = (u - rest * _U64(10**8)).astype(np.uint32)
+            u = rest
+        else:
+            piece = u.astype(np.uint32)
+        for _ in range(min(k, 8)):
+            k -= 1
+            rest32 = piece // np.uint32(10)
+            out[k] = piece - rest32 * np.uint32(10)
+            piece = rest32
+    return out
+
+
+def _float_planes(x: np.ndarray) -> np.ndarray:
+    """'%.17g' % v for each double v of the 1-d array x, as (_FLOAT_WIDTH, n)
+    cell planes.
+
+    The fast path is exact for 1e-11 <= |v| < 1e16.  With v = M 2^E (M < 2^53)
+    and p = 16 - floor(log10|v|) in [1, 27], 5^p < 2^63 and
+    D = round(|v| 10^p) = round(M 5^p 2^(E+p)) comes from the product M 5^p
+    on two uint64 limbs, shifted right by r = -(E+p) in [-2, 62] and rounded
+    half to even on the exact remainder.  D is accepted when the truncated
+    quotient is >= 10^16 and D < 10^17; then its digits are the 17 that
+    '%.17g' prints and p fixes their exponent.  Digits past the last nonzero
+    one are blanked, and the '.', the '0.000' lead of fixed notation down to
+    1e-4 and the 'e-dd' of exponent notation below it are set by masks.
+    Every other value (0, -0, nan, inf, |v| < 1e-11, |v| >= 1e16, a wrong
+    guess of the decade or a round-up to 10^17) is formatted by '%.17g' per
+    cell.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-11) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    e10 = np.clip(np.floor(np.log10(a)), _E10_LO, _E10_HI).astype(np.int64)
+    p = 16 - e10
+    mant, e2 = np.frexp(a)
+    m = (mant * 2.0**53).astype(np.uint64)
+    r = 53 - e2 - p
+    m <<= np.maximum(-r, 0).astype(np.uint64)  # a left shift is exact
+    r = np.maximum(r, 0).astype(np.uint64)
+    f = _POW5[p]
+    mh, ml, fh, fl = m >> _U64(32), m & _LO32, f >> _U64(32), f & _LO32
+    low = ml * fl
+    mid = mh * fl + ml * fh + (low >> _U64(32))
+    hi = mh * fh + (mid >> _U64(32))
+    lo = (mid << _U64(32)) | (low & _LO32)
+    q = (lo >> r) | ((hi << _U64(1)) << (_U64(63) - r))  # two shifts: r may be 0
+    one = _U64(1) << r
+    twice_rem = (lo & (one - _U64(1))) << _U64(1)
+    d = q + ((twice_rem > one) | ((twice_rem == one) & (q & _U64(1) == 1)))
+    ok = fast & ((hi >> r) == 0) & (q >= _U64(10**16)) & (d < _U64(10**17))
+    digits = _digit_planes(np.where(ok, d, _U64(10**16)), 17)
+    tail = digits != 0  # then: a digit at this index or later is nonzero
+    for k in range(15, -1, -1):
+        tail[k] |= tail[k + 1]
+    e10 = e10.astype(np.int8)
+    expo = e10 < -4
+    lead = (e10 < 0) & ~expo
+    dot = np.where(expo, np.int8(0), e10)  # the digit a '.' follows
+    planes = np.empty((_FLOAT_WIDTH, x.size), np.uint8)
+    planes[0] = (x < 0) * _ascii("-")
+    planes[1] = lead * _ascii("0")
+    planes[2] = lead * _ascii(".")
+    planes[3:6] = (lead & (_LEAD < -1 - e10)) * _ascii("0")
+    planes[6:40:2] = (digits + _ascii("0")) * (tail | (_DIGIT <= e10))
+    planes[7:39:2] = (tail[1:] & (_DIGIT[:16] == dot)) * _ascii(".")
+    planes[39] = expo * _ascii("e")
+    planes[40] = expo * _ascii("-")
+    planes[41] = expo * ((-e10) // 10 + 48).astype(np.uint8)
+    planes[42] = expo * ((-e10) % 10 + 48).astype(np.uint8)
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        cells = [("%.17g" % v).encode() for v in x[slow].tolist()]
+        planes[:, slow] = 0
+        planes[:_FALLBACK_WIDTH, slow] = np.array(cells, dtype=f"S{_FALLBACK_WIDTH}").view(
+            np.uint8).reshape(slow.size, _FALLBACK_WIDTH).T
+    return planes
+
+
+def _int_planes(v: np.ndarray) -> np.ndarray:
+    """'%d' % i for each i of the int64 array v, as (20, n) cell planes."""
+    digits = _digit_planes(np.abs(v).astype(np.uint64), 19)
+    head = digits != 0  # then: a digit at this index or earlier is nonzero
+    head[18] = True
+    for k in range(1, 19):
+        head[k] |= head[k - 1]
+    planes = np.empty((20, v.size), np.uint8)
+    planes[0] = (v < 0) * _ascii("-")
+    planes[1:] = (digits + _ascii("0")) * head
+    return planes
+
+
+def _table_text(block: np.ndarray, columns: list[str]) -> str:
+    """The CSV lines of a block of a numpy structured array."""
+    floats = [c for c in columns if block.dtype[c].kind == "f"]
+    planes = {}
+    if floats:
+        stacked = _float_planes(np.array([block[c] for c in floats], dtype=float).ravel())
+        planes = dict(zip(floats, stacked.reshape(_FLOAT_WIDTH, len(floats), len(block))
+                          .transpose(1, 0, 2)))
+    comma = np.full((1, len(block)), ord(","), np.uint8)
+    parts = []
+    for c in columns:
+        if c not in planes:
+            planes[c] = _int_planes(block[c].astype(np.int64, casting="safe"))
+        parts += [planes[c], comma]
+    parts[-1] = np.broadcast_to(_CRLF, (2, len(block)))
+    stacked = np.concatenate(parts)
+    used = np.flatnonzero(stacked.any(axis=1))  # an all-NUL plane adds no text
+    # rows n + 64 bytes apart: at a power-of-two n the transposing copy in
+    # tobytes() reads addresses that collide in the cache
+    lines = np.empty((used.size, len(block) + 64), np.uint8)[:, :len(block)]
+    np.take(stacked, used, axis=0, out=lines, mode="clip")  # "clip" writes out directly
+    return lines.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv_blocks(rows, columns: list[str]):
-    """The CSV text in blocks of _BLOCK_ROWS rows, each formatted by one
-    %-operation.  Rows are a numpy structured array, whose columns are
-    formatted by type, or a list of dicts, whose cells are fmt() strings."""
+    """The CSV text in blocks of _BLOCK_ROWS rows.  Rows are a list of dicts,
+    whose cells are fmt() strings put in by one %-operation per block, or a
+    numpy structured array, whose float and int columns are formatted a
+    whole column at a time (_float_planes, _int_planes) with the bytes of
+    '%.17g' and '%d'."""
     yield f"# schema={SCHEMA_VERSION}\r\n" + ",".join(map(_quote, columns)) + "\r\n"
     typed = isinstance(rows, np.ndarray)
-    if typed:
-        line = ",".join(_COLUMN_SPECS[rows.dtype[c].kind] for c in columns) + "\r\n"
-    else:
-        line = ",".join(["%s"] * len(columns)) + "\r\n"
+    line = ",".join(["%s"] * len(columns)) + "\r\n"
     for i in range(0, len(rows), _BLOCK_ROWS):
         block = rows[i:i + _BLOCK_ROWS]
         if typed:
-            cells = tuple(itertools.chain.from_iterable(zip(*(block[c].tolist() for c in columns))))
+            yield _table_text(block, columns)
         else:
-            cells = tuple(_quote(fmt(row.get(c))) for row in block for c in columns)
-        yield (line * len(block)) % cells
+            yield (line * len(block)) % tuple(_quote(fmt(row.get(c))) for row in block
+                                              for c in columns)
 
 
 def write_csv(path: str | None, rows, columns: list[str] | None = None):

@@ -138,9 +138,22 @@ def feasibility_check(A, B, C) -> tuple[bool, float]:
     C = _as_matrix(C, "C")
     if C.shape != (A.shape[0], B.shape[0]):
         raise InputError("C has inconsistent shape")
-    blk = np.block([[A, C], [C.T, B]])
-    lam = float(np.linalg.eigvalsh(0.5 * (blk + blk.T)).min())
-    scale = max(float(np.abs(blk).max()), 1.0)
+    ok, lam = _feasibility(A, B, C[None])
+    return bool(ok[0]), float(lam[0])
+
+
+def _feasibility(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """feasibility_check on each matrix of a (count, n1, n2) stack C, with
+    A and B already validated: one stacked eigvalsh, and the tolerance
+    -1e-9 max(max|block|, 1) per sample."""
+    n1 = A.shape[0]
+    blk = np.empty((len(C), n1 + B.shape[0], n1 + B.shape[0]))
+    blk[:, :n1, :n1] = A
+    blk[:, :n1, n1:] = C
+    blk[:, n1:, :n1] = C.transpose(0, 2, 1)
+    blk[:, n1:, n1:] = B
+    lam = np.linalg.eigvalsh(0.5 * (blk + blk.transpose(0, 2, 1))).min(axis=1)
+    scale = np.maximum(np.abs(blk).max(axis=(1, 2)), 1.0)
     return lam >= -1e-9 * scale, lam
 
 
@@ -209,11 +222,9 @@ def sample_feasible(A, B, count: int, seed: int,
     A = check_sym_psd(A, "A")
     B = check_sym_psd(B, "B")
     stack = sample_feasible_array(A, B, count, seed, include_extremal)
-    out = []
-    for C in stack:
-        ok, lam = feasibility_check(A, B, C)
-        out.append(CouplingCovariance(C=C, value=math.nan, feasible=ok, min_eigenvalue=lam))
-    return out
+    oks, lams = _feasibility(A, B, stack)
+    return [CouplingCovariance(C=C, value=math.nan, feasible=bool(ok), min_eigenvalue=float(lam))
+            for C, ok, lam in zip(stack, oks.tolist(), lams.tolist())]
 
 
 def _top_gram(R: np.ndarray) -> np.ndarray:

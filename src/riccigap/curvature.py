@@ -31,6 +31,8 @@ _H_TOL = 1e-8  # admissibility residual allowed before the constrained
                # curvature is considered undefined
 _ROW_CAP = 1 << 14  # rows the direct estimator steps together
 _NOISE_FLOATS = 1 << 16  # numbers in its noise buffer (512 KB; more buys nothing)
+_CLOUD_CAP = 4096  # points per cloud; the assignment's cost matrix is then at
+                   # most 128 MB, and dist_many's broadcast ambient_dim times that
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +248,8 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
     block of rows through the kernel, each row with its t's step size, in
     groups of whole clouds and at most _ROW_CAP rows; each cloud draws from
     its own stream, into a noise buffer of at most _NOISE_FLOATS numbers or
-    one step's.
+    one step's.  A cloud holds samples // batches points, at most _CLOUD_CAP,
+    since the assignment's cost matrix grows with its square.
     Returns (estimate, (lo, hi)); the interval combines a 95% normal CI
     from the batch spread with the size of the Richardson correction (a
     conservative gauge of the remaining O(t^2) truncation).
@@ -259,6 +262,9 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
         raise InputError("need at least one t value")
     if samples < batches or batches < 2 or substeps < 1:
         raise InputError("need samples >= batches >= 2 and substeps >= 1")
+    if samples // batches > _CLOUD_CAP:
+        raise InputError(f"the direct estimator takes at most {_CLOUD_CAP} points per cloud; "
+                         f"{samples} samples in {batches} batches give {samples // batches}")
     d0 = m.distance(x, y)
     if d0 <= 0:
         raise InputError("points must be distinct")

@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccigap import cli, simulate
 from riccigap.cli import main
@@ -196,6 +199,23 @@ def test_coupling_command_exit_codes(runner, tmp_path):
     assert res.exit_code == 3
     assert len(res.output.splitlines()) == 1
     assert res.output.startswith("numerical error: ")
+    assert not out.exists()
+
+
+def test_kappa_mc_cloud_over_cap_exits_2(runner, tmp_path, monkeypatch):
+    # 10^6 samples in the default 16 batches are 62,500 points per cloud, whose
+    # assignment would need a 31 GB cost matrix: refused before any stepping
+    def stepped(*args):
+        raise AssertionError("the estimator started stepping")
+
+    monkeypatch.setattr(simulate, "_pairs", stepped)
+    out = tmp_path / "k.csv"
+    res = invoke_bad_input(runner, ["kappa", "--manifold", "sphere:2:1", "--method", "mc",
+                                    "--pair", "0,0,1;0.479425538604203,0,0.8775825618903728",
+                                    "--samples", "1000000", "--out", str(out)])
+    assert res.output.splitlines() == [
+        "error: the direct estimator takes at most 4096 points per cloud; "
+        "1000000 samples in 16 batches give 62500"]
     assert not out.exists()
 
 
@@ -423,3 +443,54 @@ def test_write_csv_matches_csv_writer_on_tables(tmp_path, capsys):
         big[col][g.integers(0, n, 50)] = g.choice(SPECIAL_FLOATS, 50)
     dicts = [dict(zip(big.dtype.names, rec)) for rec in big.tolist()]
     assert_writes_like_reference(big, reference_csv(dicts), tmp_path, capsys)
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+def _near(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# doubles at the edges of the typed writer's exact fast path (1e-11 <= |x| < 1e16)
+# and of its decade guess, and exact ties of the 17-digit rounding
+_WRITER_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double),
+    st.floats(1e-12, 1e17),
+    st.builds(lambda k, u: _near(10.0**k, u), st.integers(-13, 17), st.integers(-2, 2)),
+    st.builds(lambda j, m: j * 2.0**-m, st.integers(1, 2**53), st.integers(0, 80)),
+    st.builds(_near, st.sampled_from([1e-11, 1e16, 1e-4, 1e-5]), st.integers(-3, 3)),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(xs=st.lists(_WRITER_FLOATS, min_size=1, max_size=40),
+       ns=st.lists(st.integers(-2**63, 2**63 - 1), min_size=40, max_size=40))
+def test_typed_writer_cells_are_percent_17g(xs, ns):
+    table = np.empty(len(xs), dtype=[("n", np.int64), ("x", float)])
+    table["n"] = ns[:len(xs)]
+    table["x"] = xs
+    text = "".join(cli._csv_blocks(table, ["n", "x"]))
+    want = "".join("%d,%.17g\r\n" % pair for pair in zip(ns, xs))
+    assert text == f"# schema={cli.SCHEMA_VERSION}\r\nn,x\r\n" + want
+
+
+def test_write_csv_failure_in_second_block_leaves_no_file(tmp_path, monkeypatch):
+    blocks = []
+    table_text = cli._table_text
+
+    def fail_second(block, columns):
+        blocks.append(len(block))
+        if len(blocks) == 2:
+            raise RuntimeError("formatting failed")
+        return table_text(block, columns)
+
+    monkeypatch.setattr(cli, "_table_text", fail_second)
+    table = np.zeros(2 * cli._BLOCK_ROWS, dtype=[("n", np.int64), ("x", float)])
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        cli.write_csv(str(tmp_path / "t.csv"), table)
+    assert blocks == [cli._BLOCK_ROWS] * 2
+    assert list(tmp_path.iterdir()) == []

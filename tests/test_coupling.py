@@ -160,6 +160,10 @@ def test_sample_feasible_all_feasible_and_deterministic():
         assert sample_feasible(A, B, 0, seed=1) == []
         samples = sample_feasible(A, B, 10_000, seed=1)
         assert all(s.feasible for s in samples)
+        # the stacked check gives feasibility_check's verdict, bit for bit
+        sym_a, sym_b = 0.5 * (A + A.T), 0.5 * (B + B.T)
+        assert [(s.feasible, s.min_eigenvalue) for s in samples[::97]] == [
+            feasibility_check(sym_a, sym_b, s.C) for s in samples[::97]]
         again = sample_feasible_array(A, B, 10_000, seed=1)
         first = np.stack([s.C for s in samples])
         assert np.array_equal(first, again)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from riccigap import curvature
+from riccigap import curvature, simulate
 from riccigap.curvature import (
     estimate_kappa_direct,
     kappa_dir,
@@ -438,6 +438,22 @@ def test_estimate_rejects_bad_counts(kwargs):
     x, y = E2.point([0.4, 0.0]), E2.point([-0.6, 0.0])
     with pytest.raises(InputError):
         estimate_kappa_direct(brownian(E2), x, y, **{"samples": 64, **kwargs})
+
+
+def test_estimate_cloud_cap_checked_before_stepping(monkeypatch):
+    class Stepped(Exception):
+        pass
+
+    def stepped(*args):
+        raise Stepped
+
+    monkeypatch.setattr(simulate, "_pairs", stepped)
+    x, y = E2.point([0.4, 0.0]), E2.point([-0.6, 0.0])
+    cap = curvature._CLOUD_CAP
+    with pytest.raises(Stepped):  # a cloud of exactly the cap is admitted
+        estimate_kappa_direct(brownian(E2), x, y, samples=16 * cap, batches=16)
+    with pytest.raises(InputError, match=f"at most {cap} points per cloud"):
+        estimate_kappa_direct(brownian(E2), x, y, samples=16 * cap + 16, batches=16)
 
 
 def _h2_pair():
