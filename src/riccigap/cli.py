@@ -117,13 +117,13 @@ def _float_planes(x: np.ndarray) -> np.ndarray:
     D = round(|v| 10^p) = round(M 5^p 2^(E+p)) comes from the product M 5^p
     on two uint64 limbs, shifted right by r = -(E+p) in [-2, 62] and rounded
     half to even on the exact remainder.  D is accepted when the truncated
-    quotient is >= 10^16 and D < 10^17; then its digits are the 17 that
-    '%.17g' prints and p fixes their exponent.  Digits past the last nonzero
-    one are blanked, and the '.', the '0.000' lead of fixed notation down to
-    1e-4 and the 'e-dd' of exponent notation below it are set by masks.
-    Every other value (0, -0, nan, inf, |v| < 1e-11, |v| >= 1e16, a wrong
-    guess of the decade or a round-up to 10^17) is formatted by '%.17g' per
-    cell.
+    quotient is >= 10^16 and D < 10^17, which fails when log10's rounding put
+    the decade off by one; then its digits are the 17 that '%.17g' prints
+    and p fixes their exponent.  Digits past the last nonzero one are
+    blanked, and the '.', the '0.000' lead of fixed notation down to 1e-4 and
+    the 'e-dd' of exponent notation below it are set by masks.  Every other
+    value (0, -0, nan, inf, |v| < 1e-11, |v| >= 1e16, a rejected D) is
+    formatted by '%.17g' per cell.
     """
     a = np.abs(x)
     fast = (a >= 1e-11) & (a < 1e16)
@@ -214,9 +214,10 @@ def _table_text(block: np.ndarray, columns: list[str]) -> str:
 def _csv_blocks(rows, columns: list[str]):
     """The CSV text in blocks of _BLOCK_ROWS rows.  Rows are a list of dicts,
     whose cells are fmt() strings put in by one %-operation per block, or a
-    numpy structured array, whose float and int columns are formatted a
-    whole column at a time (_float_planes, _int_planes) with the bytes of
-    '%.17g' and '%d'."""
+    numpy structured array, whose columns are formatted a whole column at a
+    time with the bytes of '%d' and '%.17g': ints by their digits, floats
+    exactly from the significand where 1e-11 <= |x| < 1e16 and by '%.17g'
+    per cell elsewhere (_float_planes)."""
     yield f"# schema={SCHEMA_VERSION}\r\n" + ",".join(map(_quote, columns)) + "\r\n"
     typed = isinstance(rows, np.ndarray)
     line = ",".join(["%s"] * len(columns)) + "\r\n"

@@ -494,3 +494,15 @@ def test_write_csv_failure_in_second_block_leaves_no_file(tmp_path, monkeypatch)
         cli.write_csv(str(tmp_path / "t.csv"), table)
     assert blocks == [cli._BLOCK_ROWS] * 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("toward", [-math.inf, math.inf])
+def test_typed_writer_rejects_a_decade_guess_off_by_one(monkeypatch, toward):
+    # a log10 one ulp off guesses the decade of every power of ten wrong
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+    xs = [s * _near(10.0**k, u) for k in range(-12, 18) for u in (-1, 0, 1) for s in (1, -1)]
+    table = np.empty(len(xs), dtype=[("x", float)])
+    table["x"] = xs
+    text = "".join(cli._csv_blocks(table, ["x"]))
+    assert text.split("\r\n")[2:-1] == ["%.17g" % x for x in xs]
