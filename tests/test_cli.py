@@ -202,6 +202,32 @@ def test_coupling_command_exit_codes(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["check-h", "--manifold", "sphere:2:1", "--field", "brownian", "--geodesics", "0"],
+    ["check-h", "--manifold", "sphere:2:1", "--field", "banana"],
+    ["check-h", "--manifold", "sphere:2:1e-200", "--field", "brownian"],   # r^2 underflows
+    ["variance", "--manifold", "sphere:2:1", "--samples", "1"],             # no sample variance
+    ["variance", "--manifold", "hyperbolic:2:1", "--samples", "100"],
+    ["variance", "--manifold", "sphere:2:1e200", "--samples", "100"],       # r^2 overflows
+], ids=["no-geodesic", "bad-field", "tiny-scale", "one-sample", "no-positive-ricci", "huge-scale"])
+def test_check_h_and_variance_exit_2(runner, tmp_path, args):
+    out = tmp_path / "o.csv"
+    res = invoke_bad_input(runner, args + ["--out", str(out)])
+    assert len(res.output.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_check_h_below_cut_guard_exits_3(runner, tmp_path):
+    # half the circumference is below the cut-locus guard of the log map
+    out = tmp_path / "h.csv"
+    res = invoke(runner, ["check-h", "--manifold", "sphere:2:1e-12", "--field", "brownian",
+                          "--geodesics", "2", "--out", str(out)])
+    assert res.exit_code == 3
+    assert res.output.splitlines() == [
+        "numerical error: parallel transport undefined at the cut locus"]
+    assert not out.exists()
+
+
 def test_kappa_mc_cloud_over_cap_exits_2(runner, tmp_path, monkeypatch):
     # 10^6 samples in the default 16 batches are 62,500 points per cloud, whose
     # assignment would need a 31 GB cost matrix: refused before any stepping

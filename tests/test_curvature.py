@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from riccigap import curvature, simulate
 from riccigap.curvature import (
@@ -503,3 +504,59 @@ def test_estimate_row_cap_and_noise_buffer_keep_every_bit(rows, floats, monkeypa
     for case in ESTIMATE_PINS:
         got, want = _pinned(case)
         assert got == want, case[0]
+
+
+H3 = parse_manifold("hyperbolic:3:1")
+
+
+def _dense_w1(m, X, Y):
+    """The reference: the distances from an (N, N, k) broadcast summed by
+    np.sum, and a plain solve."""
+    P = X[:, None, :] * Y[None, :, :]
+    c = np.sum(P, axis=-1) / m.radius**2
+    if m.kind == "hyperbolic":
+        cost = m.radius * np.arccosh(np.maximum(2.0 * P[..., -1] / m.radius**2 - c, 1.0))
+    else:
+        cost = m.radius * np.arccos(np.clip(c, -1.0, 1.0))
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())
+
+
+def _far(m, dist, seed):
+    """A point `dist` from the base point (the pole of the sphere)."""
+    base = np.zeros(m.ambient_dim)
+    base[-1] = m.radius
+    x = m.point(base)
+    return m.exp_map(x, TangentVector(x, dist * m.random_tangent(rng(seed), x).components))
+
+
+def _cloud(m, center, n, seed):
+    g = rng(seed)
+    V = m.project_tangent(center.coords, g.standard_normal((n, m.ambient_dim)))
+    V *= (g.uniform(0.0, 1.0, n) / np.sqrt(np.maximum(m.ip(V, V), 1e-300)))[:, None]
+    return m.exp_many(np.broadcast_to(center.coords, V.shape), V)
+
+
+@pytest.mark.parametrize("m, dist", [(S2, 1.0), (S3, 1.0), (H2, 0.5), (H2, 6.0), (H3, 1.0)],
+                         ids=["S2", "S3", "H2", "H2-far", "H3"])
+def test_assignment_w1_matches_dense_solve(m, dist, monkeypatch):
+    # clouds of 8, 64 and 256 points: coupled ones from the estimator's own
+    # stepping (near-degenerate for the solver), and independent random ones;
+    # on H2 also 6 units from the base point, where <x, y>_L cancels
+    clouds = []
+    solve = curvature._assignment_w1
+
+    def capture(mm, X, Y):
+        clouds.append((X.copy(), Y.copy()))
+        return solve(mm, X, Y)
+
+    monkeypatch.setattr(curvature, "_assignment_w1", capture)
+    x = _far(m, dist, 1)
+    y = m.exp_map(x, TangentVector(x, 0.5 * m.random_tangent(rng(2), x).components))
+    for n in (8, 64, 256):
+        estimate_kappa_direct(brownian(m), x, y, samples=2 * n, batches=2, substeps=10, seed=n)
+        clouds.append((_cloud(m, x, n, 3 * n), _cloud(m, y, n, 3 * n + 1)))
+    assert len(clouds) == 3 * 5
+    for X, Y in clouds:
+        want = _dense_w1(m, X, Y)
+        assert abs(solve(m, X, Y) - want) <= 4 * np.spacing(want)

@@ -1,11 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from riccigap.errors import CutLocusError
-from riccigap.manifolds import TangentVector, parse_manifold
+from riccigap import manifolds
+from riccigap.errors import CutLocusError, InputError
+from riccigap.manifolds import ModelManifold, Point, TangentVector, parse_manifold
 
 
 def rng(seed=0):
@@ -300,3 +304,53 @@ def test_adapted_frames_orthonormal_and_transported():
         moved = m.transport_many(np.broadcast_to(x.coords, (m.dim, m.ambient_dim)),
                                  np.broadcast_to(y.coords, (m.dim, m.ambient_dim)), E.T).T
         assert np.abs(moved - F).max() < 1e-12
+
+
+@pytest.mark.parametrize("m, coords", [(S2, [np.nan, 0.0, 1.0]), (H2, [np.nan, 0.0, 1.0]),
+                                       (H2, [np.inf, 0.0, np.inf])])
+def test_point_rejects_non_finite_coordinates(m, coords):
+    # an exp map far beyond the range of doubles gives such coordinates; NaN
+    # compares false with every tolerance, so each check must fail on it
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(InputError):
+        Point(m, np.array(coords))
+
+# entries with signed zeros and subnormals among them; each array is scaled
+# by 1e-150, 1 or 1e150 (products that underflow to a signed zero, or reach
+# 1e302, while a row's terms stay comparable, so that their order matters)
+_IP_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310]),
+                        st.floats(-10.0, 10.0))
+_IP_SCALES = st.sampled_from([1e-150, 1.0, 1e150])
+_IP_SPACES = ([("euclidean", k) for k in range(1, 10)]
+              + [(kind, k) for kind in ("sphere", "hyperbolic") for k in range(2, 10)])
+_IP_LEADS = {"N": lambda n: (n,), "N1": lambda n: (n, 1), "1N": lambda n: (1, n)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(space=st.sampled_from(_IP_SPACES), n=st.integers(1, 3),
+       leads=st.tuples(st.sampled_from(sorted(_IP_LEADS)), st.sampled_from(sorted(_IP_LEADS))),
+       scales=st.tuples(_IP_SCALES, _IP_SCALES),
+       u=st.lists(_IP_ENTRIES, min_size=27, max_size=27),
+       v=st.lists(_IP_ENTRIES, min_size=27, max_size=27))
+@example(space=("euclidean", 3), n=2, leads=("N", "N"), scales=(1.0, 1.0), u=[-0.0] * 27,
+         v=[1.0] * 27)
+@example(space=("hyperbolic", 4), n=3, leads=("N1", "1N"), scales=(1.0, 1.0), u=[1.0] * 27,
+         v=[-0.0] * 27)
+def test_ip_row_sums_match_numpy_sum_bitwise(space, n, leads, scales, u, v):
+    # ambient dimensions 1-9 (2-9 on the curved spaces), rows broadcast, by
+    # one ufunc.reduce (few rows) and by a sum of columns (many rows); the
+    # flat distance is the same kind of row sum
+    kind, k = space
+    m = ModelManifold(kind, k if kind == "euclidean" else k - 1)
+    U = scales[0] * np.array(u[:n * k]).reshape(_IP_LEADS[leads[0]](n) + (k,))
+    V = scales[1] * np.array(v[:n * k]).reshape(_IP_LEADS[leads[1]](n) + (k,))
+    want = np.sum(U * V, axis=-1)
+    if kind == "hyperbolic":
+        want = want - 2.0 * U[..., -1] * V[..., -1]
+    norm = np.linalg.norm(V - U, axis=-1)
+    for min_size in (manifolds._COLUMN_SUM_MIN_SIZE, 0):
+        with mock.patch.object(manifolds, "_COLUMN_SUM_MIN_SIZE", min_size):
+            got = m.ip(U, V)
+            dist = m.dist_many(U, V) if kind == "euclidean" else norm
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(dist.view(np.int64), norm.view(np.int64))
