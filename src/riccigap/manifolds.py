@@ -47,7 +47,7 @@ def _row_sum(f, u: np.ndarray, v: np.ndarray):
     k = u.shape[-1]
     if (k > _SEQUENTIAL_SUM_MAX or v.shape[-1] != k
             or max(u.size, v.size) < _COLUMN_SUM_MIN_SIZE):
-        return np.sum(f(u, v), axis=-1)
+        return np.add.reduce(f(u, v), axis=-1)  # np.sum without its wrapper
     s = f(u[..., 0], v[..., 0]) + 0.0
     for j in range(1, k):
         s += f(u[..., j], v[..., j])
