@@ -359,6 +359,28 @@ def main():
     """Coarse Ricci curvature machinery on model manifolds."""
 
 
+_ROW_COMMANDS = {}  # subcommand name -> the builder of its one CSV row
+
+
+def _row_command(name: str, build, help: str, *options, show=None):
+    """Register subcommand `name` with --config, then `options` (click.option
+    decorators), then --out.  It writes build(**values) as one CSV row, then
+    calls show(row) if given and the row went to a file.  sweep runs the same
+    builder on the same options."""
+
+    def run(out, **values):
+        row = build(**values)
+        write_csv(out, [row])
+        if show is not None and out:
+            show(row)
+
+    fn = click.option("--out", default=None, type=click.Path())(with_error_codes(run))
+    for option in reversed(options):
+        fn = option(fn)
+    main.command(name, help=help)(_config_option(fn))
+    _ROW_COMMANDS[name] = build
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -407,24 +429,17 @@ def kappa_row(manifold: str, field: str, method: str, point: str | None,
     return row
 
 
-@main.command("kappa")
-@_config_option
-@click.option("--manifold", required=True)
-@click.option("--field", default="brownian", show_default=True)
-@click.option("--method", type=click.Choice(["formula", "limit", "mc"]), default="formula")
-@click.option("--point", default=None, help="comma-separated ambient coordinates")
-@click.option("--direction", default=None, help="ambient components or 'any'")
-@click.option("--pair", default=None, help="two points 'x1,..;y1,..'")
-@click.option("--delta-ladder", default="0.1,0.05,0.025", show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--samples", default=4096, show_default=True)
-@click.option("--out", default=None, type=click.Path())
-@with_error_codes
-def kappa_cmd(manifold, field, method, point, direction, pair, delta_ladder, seed, samples, out):
-    """Evaluate the coarse Ricci curvature (formula, limit, or Monte Carlo)."""
-    row = kappa_row(manifold, field, method, point, direction, pair, delta_ladder,
-                    seed, samples)
-    write_csv(out, [row])
+_row_command(
+    "kappa", kappa_row, "Evaluate the coarse Ricci curvature (formula, limit, or Monte Carlo).",
+    click.option("--manifold", required=True),
+    click.option("--field", default="brownian", show_default=True),
+    click.option("--method", type=click.Choice(["formula", "limit", "mc"]), default="formula"),
+    click.option("--point", default=None, help="comma-separated ambient coordinates"),
+    click.option("--direction", default=None, help="ambient components or 'any'"),
+    click.option("--pair", default=None, help="two points 'x1,..;y1,..'"),
+    click.option("--delta-ladder", default="0.1,0.05,0.025", show_default=True),
+    click.option("--seed", default=0, show_default=True),
+    click.option("--samples", default=4096, show_default=True))
 
 
 # ---------------------------------------------------------------------------
@@ -534,24 +549,11 @@ def spectrum_row(manifold: str, potential: str, grid: int) -> dict:
     return row
 
 
-@main.command("spectrum")
-@_config_option
-@click.option("--manifold", required=True)
-@click.option("--potential", default="0", show_default=True)
-@click.option("--grid", default=512, show_default=True)
-@click.option("--out", default=None, type=click.Path())
-@with_error_codes
-def spectrum_cmd(manifold, potential, grid, out):
-    """Spectral gap of the discretized reversible generator."""
-    write_csv(out, [spectrum_row(manifold, potential, grid)])
-
-
-BOUNDS_COLUMNS = [
-    "manifold", "potential", "m", "nprime", "lambda1", "lambda1_zonal",
-    "lambda1_azimuthal", "K", "diameter", "lichnerowicz", "chen_wang_additive",
-    "chen_wang_cosine", "harmonic_mean", "interpolated_c", "interpolated",
-    "cd_c", "cd_value",
-]
+_row_command(
+    "spectrum", spectrum_row, "Spectral gap of the discretized reversible generator.",
+    click.option("--manifold", required=True),
+    click.option("--potential", default="0", show_default=True),
+    click.option("--grid", default=512, show_default=True))
 
 
 def bounds_row(manifold: str, potential: str, grid: int, nprime: float | None) -> dict:
@@ -573,23 +575,22 @@ def bounds_row(manifold: str, potential: str, grid: int, nprime: float | None) -
     }
 
 
-@main.command("bounds")
-@_config_option
-@click.option("--manifold", required=True)
-@click.option("--potential", default="0", show_default=True)
-@click.option("--grid", default=512, show_default=True)
-@click.option("--nprime", type=float, default=None)
-@click.option("--out", default=None, type=click.Path())
-@with_error_codes
-def bounds_cmd(manifold, potential, grid, nprime, out):
-    """Spectral gap and every applicable lower bound (half-Laplacian units)."""
-    row = bounds_row(manifold, potential, grid, nprime)
-    write_csv(out, [row], BOUNDS_COLUMNS)
-    if out:
-        width = max(len(c) for c in BOUNDS_COLUMNS)
-        for col in BOUNDS_COLUMNS:
-            if row.get(col) is not None:
-                click.echo(f"{col:<{width}}  {fmt(row[col])}")
+def _print_bounds(row: dict):
+    """bounds with --out also prints every set cell of its row on stdout."""
+    width = max(map(len, row))
+    for col, value in row.items():
+        if value is not None:
+            click.echo(f"{col:<{width}}  {fmt(value)}")
+
+
+_row_command(
+    "bounds", bounds_row,
+    "Spectral gap and every applicable lower bound (half-Laplacian units).",
+    click.option("--manifold", required=True),
+    click.option("--potential", default="0", show_default=True),
+    click.option("--grid", default=512, show_default=True),
+    click.option("--nprime", type=float, default=None),
+    show=_print_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +610,7 @@ def check_h_row(manifold: str, field: str, geodesics: int, seed: int) -> dict:
         u = mfd.random_tangent(rng, x)
         worst = max(worst, h_residual(spec, x, u))
         vals = []
-        for t in np.linspace(0.0, 0.6 * min(mfd.cut_threshold, 1.0), 7):
+        for t in np.linspace(0.0, 0.6 * min(mfd.cut_threshold, mfd.radius), 7):
             y = mfd.exp_map(x, TangentVector(x, t * u.components))
             ut = mfd.parallel_transport(u, y)
             E = mfd.frame(y, first=ut.components)
@@ -620,17 +621,12 @@ def check_h_row(manifold: str, field: str, geodesics: int, seed: int) -> dict:
             "admissible": worst <= 1e-8}
 
 
-@main.command("check-h")
-@_config_option
-@click.option("--manifold", required=True)
-@click.option("--field", required=True)
-@click.option("--geodesics", default=32, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--out", default=None, type=click.Path())
-@with_error_codes
-def check_h_cmd(manifold, field, geodesics, seed, out):
-    """Geodesic-invariance residual of a diffusion tensor field."""
-    write_csv(out, [check_h_row(manifold, field, geodesics, seed)])
+_row_command(
+    "check-h", check_h_row, "Geodesic-invariance residual of a diffusion tensor field.",
+    click.option("--manifold", required=True),
+    click.option("--field", required=True),
+    click.option("--geodesics", default=32, show_default=True),
+    click.option("--seed", default=0, show_default=True))
 
 
 def variance_row(manifold: str, samples: int, seed: int) -> dict:
@@ -641,37 +637,15 @@ def variance_row(manifold: str, samples: int, seed: int) -> dict:
             "within_bound": var <= bound + 3 * se}
 
 
-@main.command("variance")
-@_config_option
-@click.option("--manifold", required=True)
-@click.option("--samples", default=1000000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--out", default=None, type=click.Path())
-@with_error_codes
-def variance_cmd(manifold, samples, seed, out):
-    """Variance of the distance function against the inverse-curvature bound."""
-    write_csv(out, [variance_row(manifold, samples, seed)])
+_row_command(
+    "variance", variance_row,
+    "Variance of the distance function against the inverse-curvature bound.",
+    click.option("--manifold", required=True),
+    click.option("--samples", default=1000000, show_default=True),
+    click.option("--seed", default=0, show_default=True))
 
 
 # ---------------------------------------------------------------------------
-
-
-_SWEEP_DISPATCH = {
-    "kappa": lambda c: kappa_row(
-        c["manifold"], c.get("field", "brownian"), c.get("method", "formula"),
-        c.get("point"), c.get("direction"), c.get("pair"),
-        c.get("delta_ladder", "0.1,0.05,0.025"), int(c.get("seed", 0)),
-        int(c.get("samples", 4096))),
-    "spectrum": lambda c: spectrum_row(c["manifold"], c.get("potential", "0"),
-                                       int(c.get("grid", 512))),
-    "bounds": lambda c: bounds_row(c["manifold"], c.get("potential", "0"),
-                                   int(c.get("grid", 512)),
-                                   None if c.get("nprime") is None else float(c["nprime"])),
-    "check-h": lambda c: check_h_row(c["manifold"], c["field"],
-                                     int(c.get("geodesics", 32)), int(c.get("seed", 0))),
-    "variance": lambda c: variance_row(c["manifold"], int(c.get("samples", 10**6)),
-                                       int(c.get("seed", 0))),
-}
 
 
 @main.command("sweep")
@@ -694,9 +668,13 @@ def sweep_cmd(configs, workers, out):
         row = {"command": item.get("command", "")}
         try:
             cmd = item.get("command")
-            if cmd not in _SWEEP_DISPATCH:
+            if cmd not in _ROW_COMMANDS:
                 raise InputError(f"unknown sweep command {cmd!r}")
-            row.update(_SWEEP_DISPATCH[cmd](item))
+            # the subcommand's options parse the item; --config and --out do not apply
+            values = {k: v for k, v in item.items() if k not in ("config", "out")}
+            params = main.commands[cmd].make_context(cmd, [], default_map=values).params
+            del params["out"]
+            row.update(_ROW_COMMANDS[cmd](**params))
             row["status"] = "ok"
             row["error"] = None
         except Exception as exc:  # per-row errors never abort the sweep

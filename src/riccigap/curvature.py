@@ -71,16 +71,23 @@ def _lyapunov_solve(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     return v @ Nt @ v.T
 
 
-def kappa_pair(spec: DiffusionSpec, x: Point, y: Point) -> CurvatureReport:
-    """Coarse Ricci curvature between two distinct points."""
+def _pair_terms(spec: DiffusionSpec, jet) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """A(x) and A(y) in the jet's frames, the drift term and the jet-quadratic
+    trace term of the pair curvatures at the jet's points."""
     m = spec.manifold
-    jet = m.distance_jet(x, y)
-    A_x = spec.diffusion.matrix(x, jet.frame_x)
-    A_y = spec.diffusion.matrix(y, jet.frame_y)
-    fx = m.to_frame(jet.frame_x, spec.drift.vector(x))
-    fy = m.to_frame(jet.frame_y, spec.drift.vector(y))
+    A_x = spec.diffusion.matrix(jet.x, jet.frame_x)
+    A_y = spec.diffusion.matrix(jet.y, jet.frame_y)
+    fx = m.to_frame(jet.frame_x, spec.drift.vector(jet.x))
+    fy = m.to_frame(jet.frame_y, spec.drift.vector(jet.y))
     drift_term = -float(jet.l1 @ fx) - float(jet.l2 @ fy)
     quad = -0.5 * (float(np.sum(jet.q1 * A_x)) + float(np.sum(jet.q2 * A_y)))
+    return A_x, A_y, drift_term, quad
+
+
+def kappa_pair(spec: DiffusionSpec, x: Point, y: Point) -> CurvatureReport:
+    """Coarse Ricci curvature between two distinct points."""
+    jet = spec.manifold.distance_jet(x, y)
+    A_x, A_y, drift_term, quad = _pair_terms(spec, jet)
     gain = tr_sqrt_sandwich(A_x, jet.q12, A_y)
     kappa = drift_term + quad + gain
     return CurvatureReport(
@@ -90,9 +97,17 @@ def kappa_pair(spec: DiffusionSpec, x: Point, y: Point) -> CurvatureReport:
     )
 
 
-def kappa_dir(spec: DiffusionSpec, x: Point, u: TangentVector) -> CurvatureReport:
-    """Directional coarse Ricci curvature (the limit of kappa_pair along the
-    geodesic in direction u)."""
+def _check_h(spec: DiffusionSpec, x: Point, u: TangentVector):
+    res = h_residual(spec, x, u)
+    if res > _H_TOL:
+        raise HViolationError(f"admissibility residual {res:.3e} exceeds {_H_TOL:.0e}")
+
+
+def _dir_terms(spec: DiffusionSpec, x: Point,
+               u: TangentVector) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Check that u is a unit vector; then A and its derivative along u in the
+    frame led by u, the drift term and the Riemann term of the directional
+    curvatures."""
     m = spec.manifold
     nu = m.norm(u)
     if not math.isclose(nu, 1.0, rel_tol=1e-9):
@@ -101,11 +116,16 @@ def kappa_dir(spec: DiffusionSpec, x: Point, u: TangentVector) -> CurvatureRepor
     A = spec.diffusion.matrix(x, E)
     _rank_check(A, "the diffusion tensor")
     dA = spec.diffusion.derivative(x, E)
-    K = m.sectional_curvature
     drift_term = -spec.drift.du_uu(x, u)
-    riemann_term = 0.5 * K * (float(np.trace(A)) - float(A[0, 0]))
-    n = m.dim
-    if n > 1:
+    riemann_term = 0.5 * m.sectional_curvature * (float(np.trace(A)) - float(A[0, 0]))
+    return A, dA, drift_term, riemann_term
+
+
+def kappa_dir(spec: DiffusionSpec, x: Point, u: TangentVector) -> CurvatureReport:
+    """Directional coarse Ricci curvature (the limit of kappa_pair along the
+    geodesic in direction u)."""
+    A, dA, drift_term, riemann_term = _dir_terms(spec, x, u)
+    if spec.manifold.dim > 1:
         Abar = A[1:, 1:]
         Mbar = dA[1:, 1:]
         N = _lyapunov_solve(Abar, Mbar)
@@ -146,24 +166,11 @@ def _neville_at_zero(xs: np.ndarray, ys: np.ndarray) -> float:
 def kappa_tilde_dir(spec: DiffusionSpec, x: Point, u: TangentVector) -> CurvatureReport:
     """Directional curvature of the variance-cancelling coupling, defined
     when the diffusion tensor is geodesically invariant in direction u."""
-    m = spec.manifold
-    nu = m.norm(u)
-    if not math.isclose(nu, 1.0, rel_tol=1e-9):
-        raise InputError("direction must be a unit tangent vector")
-    res = h_residual(spec, x, u)
-    if res > _H_TOL:
-        raise HViolationError(f"admissibility residual {res:.3e} exceeds {_H_TOL:.0e}")
-    E = m.frame(x, first=u.components / nu)
-    A = spec.diffusion.matrix(x, E)
-    _rank_check(A, "the diffusion tensor")
-    dA = spec.diffusion.derivative(x, E)
-    K = m.sectional_curvature
-    drift_term = -spec.drift.du_uu(x, u)
-    riemann_term = 0.5 * K * (float(np.trace(A)) - float(A[0, 0]))
+    _check_h(spec, x, u)
+    A, dA, drift_term, riemann_term = _dir_terms(spec, x, u)
     a00 = float(A[0, 0])
     term3 = -float(dA[:, 0] @ dA[:, 0]) / (2.0 * a00)
-    n = m.dim
-    if n > 1:
+    if spec.manifold.dim > 1:
         Aprime = A - np.outer(A[:, 0], A[:, 0]) / a00
         B = dA - (np.outer(dA[:, 0], A[:, 0]) + np.outer(A[:, 0], dA[:, 0])) / a00
         Abar = Aprime[1:, 1:]
@@ -184,18 +191,9 @@ def kappa_tilde_pair(spec: DiffusionSpec, x: Point, y: Point) -> float:
     """Pair curvature of the variance-cancelling coupling: the transport gain
     splits into a rank-one part (fixed by cancelling the distance variance)
     plus the optimal gain over the reduced tensors."""
-    m = spec.manifold
-    jet = m.distance_jet(x, y)
-    u = jet.u_xy
-    res = h_residual(spec, x, u)
-    if res > _H_TOL:
-        raise HViolationError(f"admissibility residual {res:.3e} exceeds {_H_TOL:.0e}")
-    A_x = spec.diffusion.matrix(x, jet.frame_x)
-    A_y = spec.diffusion.matrix(y, jet.frame_y)
-    fx = m.to_frame(jet.frame_x, spec.drift.vector(x))
-    fy = m.to_frame(jet.frame_y, spec.drift.vector(y))
-    drift_term = -float(jet.l1 @ fx) - float(jet.l2 @ fy)
-    quad = -0.5 * (float(np.sum(jet.q1 * A_x)) + float(np.sum(jet.q2 * A_y)))
+    jet = spec.manifold.distance_jet(x, y)
+    _check_h(spec, x, jet.u_xy)
+    A_x, A_y, drift_term, quad = _pair_terms(spec, jet)
     c0 = np.outer(A_x[:, 0], A_y[:, 0]) / float(A_x[0, 0])
     cross = -float(np.sum(c0 * jet.q12))
     Axp = A_x - np.outer(A_x[:, 0], A_x[:, 0]) / float(A_x[0, 0])

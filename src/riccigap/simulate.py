@@ -1,7 +1,8 @@
 """Single and coupled diffusion paths, the pathwise contraction identity,
 and the Lipschitz variance check.
 
-Two schemes, both in the exponential chart:
+One trajectory driver (`_run_block`) with two step rules, both in the
+exponential chart:
 
 - The coupled-step kernel (`_coupled_step`; every A = c g^{-1} on the
   sphere, hyperbolic or Euclidean space, with any drift): the
@@ -16,19 +17,19 @@ Two schemes, both in the exponential chart:
   increment dt F.  A Gaussian orthogonal part w would move log d by a
   multiple of the fluctuating |w|^2 and leave a defect of size
   O(sqrt(T dt)); with |w| fixed the pathwise defect is O(dt).
-- The per-pair path (`step_coupled`; fields without
-  constant_inverse_metric, such as tensor-constructed or scalar-scaled
-  ones): Gaussian Euler-Maruyama.  Each step draws one joint Gaussian
-  tangent pair with block covariance [[A(x), C+], [C+^T, A(y)]] from the
-  parallel extremal coupling.  `step_single` is the same Gaussian step for
-  one point.
+- The per-pair step (`_step_pair`; fields without constant_inverse_metric,
+  such as tensor-constructed or scalar-scaled ones): Gaussian
+  Euler-Maruyama.  Each step turns 2n standard normals into one joint
+  Gaussian tangent pair with block covariance [[A(x), C+], [C+^T, A(y)]]
+  from the parallel extremal coupling.  `step_coupled` is one such step
+  with its own draws, and `step_single` the Gaussian step for one point.
 
 `run_coupled` runs one block of trajectories per worker; the estimator
 steps all its clouds as one block (rows capped by curvature._ROW_CAP),
 each row with its own step size.  Both draw the noise by `_noise_steps`,
 from one counter-based stream per trajectory or cloud, a block of steps
-at a time, so the noise in memory does not grow with the steps.  The
-kernel steps every pair row by row: no result depends on the split.
+at a time, so the noise in memory does not grow with the steps.  Every
+pair is stepped row by row: no result depends on the split.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .coupling import extremal_covariances, sym_psd_sqrt
 from .curvature import kappa_pair
-from .errors import CutLocusError, InputError
+from .errors import InputError
 from .fields import DiffusionSpec, LinearDrift
 from .manifolds import EUCLIDEAN, SPHERE, ModelManifold, Point, TangentVector, _scale_a, _scale_b
 
@@ -127,19 +128,22 @@ def step_coupled(spec: DiffusionSpec, x: Point, y: Point, dt: float,
     covariance.  Coincident points receive identical increments."""
     m = spec.manifold
     if np.array_equal(x.coords, y.coords):
-        z = rng.standard_normal(m.dim)
-        xn = step_single(spec, x, dt, z)
+        xn = step_single(spec, x, dt, rng.standard_normal(m.dim))
         return xn, xn
-    d = m.distance(x, y)
-    if d >= m.cut_threshold:
-        raise CutLocusError("coupled step undefined at the cut locus")
-    jet = m.distance_jet(x, y)
+    return _step_pair(spec, x, y, dt, rng.standard_normal(2 * m.dim))
+
+
+def _step_pair(spec: DiffusionSpec, x: Point, y: Point, dt: float,
+               z: np.ndarray) -> tuple[Point, Point]:
+    """step_coupled for distinct x, y from the 2n standard normals z."""
+    m = spec.manifold
+    jet = m.distance_jet(x, y)  # raises CutLocusError unless 0 < d < cut threshold
     A_x = spec.diffusion.matrix(x, jet.frame_x)
     A_y = spec.diffusion.matrix(y, jet.frame_y)
     cplus, _ = extremal_covariances(A_x, A_y, jet)
     blk = np.block([[A_x, cplus.C], [cplus.C.T, A_y]])
     root = sym_psd_sqrt(blk)
-    z = root @ rng.standard_normal(2 * m.dim)
+    z = root @ z
     return (_advance_ambient(spec, x, math.sqrt(dt) * m.from_frame(jet.frame_x, z[:m.dim]), dt),
             _advance_ambient(spec, y, math.sqrt(dt) * m.from_frame(jet.frame_y, z[m.dim:]), dt))
 
@@ -282,9 +286,7 @@ def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> li
     edges = [cfg.trajectories * b // blocks for b in range(blocks + 1)]
 
     def work(j0, j1):
-        if spec.diffusion.constant_inverse_metric is not None:
-            return _run_block_fast(spec, x0, y0, cfg, steps, stride, j0, j1 - j0)
-        return [_run_one_generic(spec, x0, y0, cfg, steps, stride, j) for j in range(j0, j1)]
+        return _run_block(spec, x0, y0, cfg, steps, stride, j0, j1 - j0)
 
     if blocks > 1:
         with ThreadPoolExecutor(max_workers=blocks) as pool:
@@ -292,13 +294,6 @@ def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> li
     else:
         runs = [work(0, cfg.trajectories)]
     return [tr for run in runs for tr in run]
-
-
-def _record_times(steps: int, stride: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    idx = list(range(0, steps + 1, stride))
-    if idx[-1] != steps:
-        idx.append(steps)
-    return np.asarray(idx, dtype=int), np.asarray(idx, dtype=float) * dt
 
 
 def _noise_steps(rngs, rows: int, k: int, steps: int, block: int):
@@ -314,87 +309,79 @@ def _noise_steps(rngs, rows: int, k: int, steps: int, block: int):
         yield from buf[:nb]
 
 
-def _run_block_fast(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
-                    steps: int, stride: int, j0: int, count: int) -> list[CoupledTrajectory]:
-    """Trajectories j0 .. j0 + count - 1, stepped together by the kernel.
-    Each draws its noise from its own stream, _NOISE_BLOCK steps at a time
-    (the same numbers as one draw of all steps)."""
+def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
+               steps: int, stride: int, j0: int, count: int) -> list[CoupledTrajectory]:
+    """Trajectories j0 .. j0 + count - 1, stepped together by one step rule:
+    the kernel for A = c g^{-1} (k ambient normals a step), else _step_pair
+    and kappa_pair row by row (2n normals a step).  Each draws its noise from
+    its own stream, _NOISE_BLOCK steps at a time.  A pair stops before it
+    would accept d >= cut ('cut-locus') or d <= 0 ('collapse'); the per-row
+    rule neither steps nor re-evaluates a stopped pair."""
     m = spec.manifold
-    k = m.ambient_dim
     dt = cfg.dt
-    cut = m.cut_threshold - cfg.cut_margin if m.kind == SPHERE else math.inf
+    cut = m.cut_threshold - cfg.cut_margin
     rngs = [_traj_rng(cfg.seed, j0 + i) for i in range(count)]
-    X = np.broadcast_to(x0.coords, (count, k)).copy()
-    Y = np.broadcast_to(y0.coords, (count, k)).copy()
-    p = _pairs(spec, X, Y, m.dist_many(X, Y))
-    kap = _kappa(spec, p)
-    integral = np.zeros(count)
+    X = np.broadcast_to(x0.coords, (count, m.ambient_dim)).copy()
+    Y = np.broadcast_to(y0.coords, (count, m.ambient_dim)).copy()
+    if spec.diffusion.constant_inverse_metric is not None:
+        width = m.ambient_dim
+
+        def advance(p, z, alive):
+            return _coupled_step(spec, p, z, dt)
+
+        def settle(X, Y, d, rows):
+            p = _pairs(spec, X, Y, d)
+            return p, _kappa(spec, p)
+    else:
+        width = 2 * m.dim
+
+        def advance(p, z, alive):
+            Xn, Yn = p.X.copy(), p.Y.copy()
+            for i in np.flatnonzero(alive).tolist():
+                xn, yn = _step_pair(spec, m.point(p.X[i]), m.point(p.Y[i]), dt, z[i])
+                Xn[i], Yn[i] = xn.coords, yn.coords
+            return Xn, Yn
+
+        def settle(X, Y, d, rows):
+            kap = np.zeros(count)
+            for i in np.flatnonzero(rows).tolist():
+                kap[i] = kappa_pair(spec, m.point(X[i]), m.point(Y[i])).kappa
+            return _Pairs(X, Y, d), kap
+
     alive = np.ones(count, dtype=bool)
-    rec_idx, times = _record_times(steps, stride, dt)
-    rec_set = set(rec_idx.tolist())
+    p, kap = settle(X, Y, m.dist_many(X, Y), alive)
+    integral = np.zeros(count)
+    reasons = [""] * count
+    rec_idx = list(range(0, steps + 1, stride))
+    if rec_idx[-1] != steps:
+        rec_idx.append(steps)
+    times = np.asarray(rec_idx, dtype=float) * dt
+    rec_set = set(rec_idx)
     logs = np.empty((count, len(rec_idx)))
     integ = np.empty((count, len(rec_idx)))
     logs[:, 0] = np.log(p.d)
     integ[:, 0] = 0.0
     pos = 1
-    for s, z in enumerate(_noise_steps(rngs, 1, k, steps, _NOISE_BLOCK)):
-        Xn, Yn = _coupled_step(spec, p, z, dt)
+    for s, z in enumerate(_noise_steps(rngs, 1, width, steps, _NOISE_BLOCK)):
+        Xn, Yn = advance(p, z, alive)
         dn = m.dist_many(Xn, Yn)
-        # abort before accepting a state at or beyond the guard
-        newly_cut = alive & (dn >= cut)
-        accept = alive & ~newly_cut
-        p = _pairs(spec, np.where(accept[:, None], Xn, p.X), np.where(accept[:, None], Yn, p.Y),
-                   np.where(accept, dn, p.d))
-        kn = _kappa(spec, p)
-        integral = np.where(accept, integral + 0.5 * dt * (kap + kn), integral)
-        kap = np.where(accept, kn, kap)
-        alive = alive & ~newly_cut
+        stop = (dn >= cut) | (dn <= 0.0)
+        if stop.any():  # rare: alive is rebuilt only on such steps
+            for i in np.flatnonzero(alive & stop).tolist():
+                reasons[i] = "cut-locus" if dn[i] >= cut else "collapse"
+            alive = alive & ~stop
+        p, kn = settle(np.where(alive[:, None], Xn, p.X), np.where(alive[:, None], Yn, p.Y),
+                       np.where(alive, dn, p.d), alive)
+        integral = np.where(alive, integral + 0.5 * dt * (kap + kn), integral)
+        kap = np.where(alive, kn, kap)
         if (s + 1) in rec_set:
             logs[:, pos] = np.log(np.maximum(p.d, 1e-300))
             integ[:, pos] = integral
             pos += 1
     return [CoupledTrajectory(
         times=times.copy(), pair_states=[(m.point(p.X[i].copy()), m.point(p.Y[i].copy()))],
-        log_distance=logs[i].copy(), kappa_integral=integ[i].copy(), aborted=not alive[i],
-        abort_reason="" if alive[i] else "cut-locus") for i in range(count)]
-
-
-def _run_one_generic(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
-                     steps: int, stride: int, index: int) -> CoupledTrajectory:
-    m = spec.manifold
-    rng = _traj_rng(cfg.seed, index)
-    cut = m.cut_threshold - cfg.cut_margin
-    rec_idx, times = _record_times(steps, stride, cfg.dt)
-    rec_set = set(rec_idx.tolist())
-    x, y = x0, y0
-    d = m.distance(x, y)
-    kap = kappa_pair(spec, x, y).kappa
-    integral = 0.0
-    logs = [math.log(d)]
-    integ = [0.0]
-    aborted = False
-    reason = ""
-    for s in range(steps):
-        if not aborted:
-            try:
-                xn, yn = step_coupled(spec, x, y, cfg.dt, rng)
-            except CutLocusError:
-                aborted, reason = True, "cut-locus"
-            if not aborted:
-                dn = m.distance(xn, yn)
-                if dn >= cut or dn <= 0:
-                    aborted, reason = True, "cut-locus" if dn >= cut else "collapse"
-                else:
-                    x, y, d = xn, yn, dn
-                    kn = kappa_pair(spec, x, y).kappa
-                    integral += 0.5 * cfg.dt * (kap + kn)
-                    kap = kn
-        if (s + 1) in rec_set:
-            logs.append(math.log(max(d, 1e-300)))
-            integ.append(integral)
-    return CoupledTrajectory(times=times, pair_states=[(x, y)],
-                             log_distance=np.asarray(logs), kappa_integral=np.asarray(integ),
-                             aborted=aborted, abort_reason=reason)
+        log_distance=logs[i].copy(), kappa_integral=integ[i].copy(), aborted=bool(reasons[i]),
+        abort_reason=reasons[i]) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from riccigap import cli, simulate
 from riccigap.cli import main
+from riccigap.errors import NonPSDWarning
 
 
 @pytest.fixture()
@@ -217,6 +218,56 @@ def test_check_h_and_variance_exit_2(runner, tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "bounds"])
+def test_spectrum_and_bounds_zero_conductance_exit_3(runner, tmp_path, command):
+    # exp(-700 cos) underflows on the coarse grid.  Conductances formed in log
+    # space (ROADMAP, spectral gaps) would give this input a gap; this test
+    # then needs another numerical failure.
+    out = tmp_path / "o.csv"
+    res = invoke(runner, [command, "--manifold", "sphere:2:1", "--potential", "700*cos",
+                          "--grid", "16", "--out", str(out)])
+    assert res.exit_code == 3
+    assert res.output.splitlines() == [
+        "numerical error: an edge conductance is zero or not finite"]
+    assert not out.exists()
+
+
+def test_simulate_non_psd_tensor_field_exits_3(runner, tmp_path):
+    # the tensor k-n(I, -I) gives a negative definite diffusion tensor
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps({"kn_pairs": [[np.eye(3).tolist(), (-np.eye(3)).tolist()]]}))
+    out = tmp_path / "t.csv"
+    with pytest.warns(NonPSDWarning):
+        res = invoke(runner, ["simulate", "--manifold", "sphere:2:1", "--field",
+                              f"example-t:{tensor}", "--x0", "0,0,1",
+                              "--y0", "0.479425538604203,0,0.8775825618903728", "--dt", "1e-2",
+                              "--horizon", "0.1", "--paths", "2", "--out", str(out)])
+    assert res.exit_code == 3
+    assert res.output.splitlines() == [
+        "numerical error: A_x has eigenvalue -2.000e+00 below -1e-10"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("manifold", ["hyperbolic:2:1e5", "hyperbolic:2:1e-3", "sphere:2:1e3",
+                                      "sphere:2:1e5"])
+@pytest.mark.parametrize("field", ["brownian", "tensor"])
+def test_check_h_walks_in_units_of_the_scale(runner, tmp_path, manifold, field):
+    # the geodesics run to 0.6 * min(cut threshold, r), so they stay on the
+    # space at every scale
+    if field == "tensor":
+        tensor = tmp_path / "t.json"
+        tensor.write_text(json.dumps({"kn_pairs": [[np.eye(3).tolist(), np.eye(3).tolist()]]}))
+        field = f"example-t:{tensor}"
+    out = tmp_path / "h.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = invoke(runner, ["check-h", "--manifold", manifold, "--field", field,
+                              "--geodesics", "4", "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    assert res.exit_code == 0
+    assert read_csv(str(out))[0]["admissible"] == "true"
+
+
 def test_check_h_below_cut_guard_exits_3(runner, tmp_path):
     # half the circumference is below the cut-locus guard of the log map
     out = tmp_path / "h.csv"
@@ -338,6 +389,65 @@ def test_sweep_empty_and_rows(runner, tmp_path):
     assert rows[0] == rows[1]
     assert rows[2]["kappa"] == "1"
     assert rows[3]["status"] == "error" and rows[3]["error"]
+
+
+# (command, the required keys (kappa: and a point), every option set)
+SWEEP_ROW_CASES = [
+    ("kappa", {"manifold": "sphere:2:1", "point": "0,0,1"},
+     {"manifold": "sphere:2:1", "field": "potential:0.3*cos", "method": "mc", "point": "0,0,1",
+      "direction": "1,0,0", "pair": "0,0,1;0.479425538604203,0,0.8775825618903728",
+      "delta_ladder": "0.2,0.1", "seed": 3, "samples": 256}),
+    ("spectrum", {"manifold": "sphere:1:1"},
+     {"manifold": "sphere:2:1", "potential": "0.3*cos", "grid": 64}),
+    ("bounds", {"manifold": "sphere:1:1"},
+     {"manifold": "sphere:2:1", "potential": "0.1*cos", "grid": 64, "nprime": 3}),
+    ("check-h", {"manifold": "sphere:2:1", "field": "brownian"},
+     {"manifold": "hyperbolic:2:1", "field": "brownian:2", "geodesics": 3, "seed": 5}),
+    ("variance", {"manifold": "sphere:2:1"},
+     {"manifold": "sphere:3:1", "samples": 2000, "seed": 4}),
+]
+
+
+@pytest.mark.parametrize("command, required, full", SWEEP_ROW_CASES,
+                         ids=[case[0] for case in SWEEP_ROW_CASES])
+def test_sweep_row_is_the_subcommand_row(runner, tmp_path, command, required, full):
+    # a sweep item takes the subcommand's option names and defaults; its
+    # config and out keys are not the item's options and change nothing
+    items = [required, full, {**full, "config": str(tmp_path / "none.json"),
+                              "out": str(tmp_path / "stray.csv")}]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps([{"command": command, **item} for item in items]))
+    out = tmp_path / "sweep.csv"
+    assert invoke(runner, ["sweep", "--configs", str(cfg), "--out", str(out)]).exit_code == 0
+    rows = read_csv(str(out))
+    assert not (tmp_path / "stray.csv").exists()
+    assert rows[2] == rows[1]
+    for item, swept in zip(items[:2], rows):
+        args = [command]
+        for key, value in item.items():
+            args += [f"--{key.replace('_', '-')}", str(value)]
+        one = tmp_path / "one.csv"
+        assert invoke(runner, args + ["--out", str(one)]).exit_code == 0
+        want = read_csv(str(one))[0]
+        assert swept["status"] == "ok"
+        assert {key: swept[key] for key in want} == want
+
+
+def test_sweep_error_rows_carry_clicks_message(runner, tmp_path):
+    items = [{"command": "bounds", "potential": "0.1*cos"},
+             {"command": "kappa", "manifold": "sphere:2:1", "point": "0,0,1", "method": "bogus"}]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(items))
+    out = tmp_path / "sweep.csv"
+    assert invoke(runner, ["sweep", "--configs", str(cfg), "--out", str(out)]).exit_code == 0
+    rows = read_csv(str(out))
+    assert [row["status"] for row in rows] == ["error", "error"]
+    assert rows[0]["error"] == "Missing parameter: manifold"
+    assert rows[1]["error"] == "'bogus' is not one of 'formula'; 'limit'; 'mc'."
+    res = runner.invoke(main, ["kappa", "--manifold", "sphere:2:1", "--point", "0,0,1",
+                               "--method", "bogus"])
+    assert res.exit_code == 2
+    assert "'bogus' is not one of 'formula', 'limit', 'mc'." in res.output
 
 
 def test_sweep_potential_dominance(runner, tmp_path):

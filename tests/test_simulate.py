@@ -227,6 +227,61 @@ def test_run_coupled_abort_near_cut_locus():
             assert tr.abort_reason == "cut-locus"
 
 
+def test_one_abort_rule_for_kernel_and_per_pair_steps(monkeypatch):
+    # at step 4 the step puts pair 0 on one point (d = 0 exactly) and pair 1
+    # at the antipode, past the cut guard; the kernel and the per-pair rule
+    # must both stop them before accepting that state, and step only pair 2
+    # afterwards
+    stop, steps = 4, 10
+    kernel, pair_step = simulate._coupled_step, simulate._step_pair
+    pole = np.array([0.0, 0.0, 1.0])
+    calls = []
+
+    def forced_kernel(spec, p, z, dt):
+        X, Y = kernel(spec, p, z, dt)
+        calls.append(len(X))
+        if len(calls) == stop:
+            X, Y = X.copy(), Y.copy()
+            X[0] = Y[0] = pole
+            Y[1] = -X[1]
+        return X, Y
+
+    def forced_pair(spec, x, y, dt, z):
+        xn, yn = pair_step(spec, x, y, dt, z)
+        calls.append(1)
+        if len(calls) == 3 * stop - 2:
+            return S2.point(pole), S2.point(pole)
+        if len(calls) == 3 * stop - 1:
+            return xn, S2.point(-xn.coords)
+        return xn, yn
+
+    monkeypatch.setattr(simulate, "_coupled_step", forced_kernel)
+    monkeypatch.setattr(simulate, "_step_pair", forced_pair)
+    x0 = S2.point([0.0, 0.0, 1.0])
+    y0 = S2.exp_map(x0, TangentVector(x0, 0.5 * S2.tangent(x0, [1.0, 0, 0]).components))
+    cfg = SimConfig(dt=1e-2, horizon=steps * 1e-2, trajectories=3, seed=2)
+    for spec in (brownian(S2), DiffusionSpec(S2, ScalarScaledMetricField(lambda x: 1.0),
+                                             ZeroDrift())):
+        calls.clear()
+        trajs = run_coupled(spec, x0, y0, cfg)
+        assert [(t.aborted, t.abort_reason) for t in trajs] == [
+            (True, "collapse"), (True, "cut-locus"), (False, "")]
+        for tr in trajs[:2]:
+            # recorded at every step: nothing after step stop - 1 is accepted
+            assert tr.log_distance.size == steps + 1
+            assert (tr.log_distance[stop:] == tr.log_distance[stop - 1]).all()
+            assert (tr.kappa_integral[stop:] == tr.kappa_integral[stop - 1]).all()
+            x, y = tr.pair_states[-1]
+            assert S2.distance(x, y) == pytest.approx(math.exp(tr.log_distance[-1]), rel=1e-12)
+            assert 0 < S2.distance(x, y) < math.pi - 1e-6 - cfg.cut_margin
+        assert trajs[2].log_distance[-1] != trajs[2].log_distance[stop - 1]
+        if spec.diffusion.constant_inverse_metric is None:
+            # the stopped pairs are not stepped again
+            assert len(calls) == 3 * stop + (steps - stop)
+        else:
+            assert calls == [3] * steps
+
+
 def test_run_coupled_reproducible_across_workers():
     spec = brownian(S2)
     x0 = S2.point([0.0, 0.0, 1.0])
