@@ -36,7 +36,6 @@ from .errors import InputError, RicciGapError
 from .fields import (
     DiffusionSpec,
     brownian,
-    h_residual,
     kulkarni_nomizu,
     ornstein_uhlenbeck,
     parse_potential,
@@ -603,12 +602,12 @@ def check_h_row(manifold: str, field: str, geodesics: int, seed: int) -> dict:
     spec = parse_field(mfd, field)
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed & (2**64 - 1), 0xC4EC], dtype=np.uint64)))
-    worst = 0.0
-    drift = 0.0
+    worst, drift, admissible = 0.0, 0.0, True
     for _ in range(geodesics):
         x = mfd.random_point(rng)
         u = mfd.random_tangent(rng, x)
-        worst = max(worst, h_residual(spec, x, u))
+        res, ok = curvature.h_check(spec, x, u)
+        worst, admissible = max(worst, res), admissible and ok
         vals = []
         for t in np.linspace(0.0, 0.6 * min(mfd.cut_threshold, mfd.radius), 7):
             y = mfd.exp_map(x, TangentVector(x, t * u.components))
@@ -618,7 +617,7 @@ def check_h_row(manifold: str, field: str, geodesics: int, seed: int) -> dict:
         drift = max(drift, float(np.ptp(vals)))
     return {"manifold": manifold, "field": field, "geodesics": geodesics, "seed": seed,
             "max_residual": worst, "max_invariant_drift": drift,
-            "admissible": worst <= 1e-8}
+            "admissible": admissible}
 
 
 _row_command(
@@ -665,8 +664,10 @@ def sweep_cmd(configs, workers, out):
         raise InputError("sweep config must be a JSON list")
 
     def run_one(item):
-        row = {"command": item.get("command", "")}
+        row = {"command": item.get("command", "") if isinstance(item, dict) else ""}
         try:
+            if not isinstance(item, dict):
+                raise InputError(f"sweep item {item!r} is not an object")
             cmd = item.get("command")
             if cmd not in _ROW_COMMANDS:
                 raise InputError(f"unknown sweep command {cmd!r}")

@@ -27,8 +27,8 @@ from .errors import (
 from .fields import DiffusionSpec, h_residual
 from .manifolds import EUCLIDEAN, ModelManifold, Point, TangentVector
 
-_H_TOL = 1e-8  # admissibility residual allowed before the constrained
-               # curvature is considered undefined
+_H_TOL = 1e-8  # admissibility residual allowed, relative to |A(x)|, before
+               # the constrained curvature is considered undefined
 _ROW_CAP = 1 << 14  # rows the direct estimator steps together
 _NOISE_FLOATS = 1 << 16  # numbers in its noise buffer (512 KB; more buys nothing)
 _CLOUD_CAP = 4096  # points per cloud; the assignment's cost matrix is then at
@@ -97,10 +97,17 @@ def kappa_pair(spec: DiffusionSpec, x: Point, y: Point) -> CurvatureReport:
     )
 
 
-def _check_h(spec: DiffusionSpec, x: Point, u: TangentVector):
+def h_check(spec: DiffusionSpec, x: Point, u: TangentVector) -> tuple[float, bool]:
+    """The geodesic-invariance residual at (x, u), and whether it is <= _H_TOL |A(x)|_F."""
     res = h_residual(spec, x, u)
-    if res > _H_TOL:
-        raise HViolationError(f"admissibility residual {res:.3e} exceeds {_H_TOL:.0e}")
+    size = np.linalg.norm(spec.diffusion.matrix(x, spec.manifold.frame(x)))
+    return res, bool(res <= _H_TOL * size)
+
+
+def _check_h(spec: DiffusionSpec, x: Point, u: TangentVector):
+    res, ok = h_check(spec, x, u)
+    if not ok:
+        raise HViolationError(f"admissibility residual {res:.3e} exceeds {_H_TOL:.0e} times |A(x)|")
 
 
 def _dir_terms(spec: DiffusionSpec, x: Point,
@@ -243,19 +250,18 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
     share their noise (transported along the connecting geodesics on curved
     spaces): the marginal laws are unaffected, while the assignment
     estimator loses the order-statistic bias that independent clouds suffer
-    in dimension >= 2.  The clouds of every (t, batch) step as one stacked
-    block of rows through the kernel, each row with its t's step size, in
-    groups of whole clouds and at most _ROW_CAP rows; each cloud draws from
-    its own stream, into a noise buffer of at most _NOISE_FLOATS numbers or
-    one step's.  A cloud holds samples // batches points, at most _CLOUD_CAP,
-    since the assignment's cost matrix grows with its square (up to an
-    ambient dimension of 7 it is built without an ambient_dim-times larger
-    broadcast; see _assignment_w1).
+    in dimension >= 2.  The clouds of every (t, batch) step as one stacked,
+    column-major block of rows through the kernel, each row with its t's step
+    size, in groups of whole clouds and at most _ROW_CAP rows; each cloud
+    draws from its own stream, into a column-major noise buffer of at most
+    _NOISE_FLOATS numbers or one step's.  A cloud holds samples // batches
+    points, at most _CLOUD_CAP, since the assignment's cost matrix grows with
+    its square (up to ambient dimension 7 without a k-times larger broadcast).
     Returns (estimate, (lo, hi)); the interval combines a 95% normal CI
     from the batch spread with the size of the Richardson correction (a
     conservative gauge of the remaining O(t^2) truncation).
     """
-    from .simulate import _coupled_step, _noise_steps, _pairs, _traj_rng  # import cycle
+    from .simulate import _coupled_step, _noise_steps, _pairs, _step, _traj_rng  # import cycle
 
     m = spec.manifold
     t_ladder = sorted(set(float(t) for t in t_ladder), reverse=True)
@@ -279,13 +285,13 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
     for g0 in range(0, len(clouds), size):
         group = clouds[g0:g0 + size]
         rngs = [_traj_rng(seed, (it << 32) | b) for it, b in group]
-        dt = np.repeat([t_ladder[it] / substeps for it, _ in group], per)[:, None]
-        X, Y = (np.broadcast_to(v.coords, (len(dt), k)).copy() for v in (x, y))
-        p = _pairs(spec, X, Y, m.dist_many(X, Y))
-        for z in _noise_steps(rngs, per, k, substeps, max(1, _NOISE_FLOATS // (len(dt) * k))):
-            X, Y = _coupled_step(spec, p, z, dt)
-            p = _pairs(spec, X, Y, m.dist_many(X, Y))
-            crossed = crossed or bool(p.d.max() > m.cut_threshold)
+        h = _step(spec, np.repeat([t_ladder[it] / substeps for it, _ in group], per)[:, None])
+        X, Y = (np.asfortranarray(np.broadcast_to(v.coords, (len(h.dt), k))) for v in (x, y))
+        d = m.dist_many(X, Y)
+        for z in _noise_steps(rngs, per, k, substeps, max(1, _NOISE_FLOATS // (len(d) * k))):
+            X, Y = _coupled_step(spec, _pairs(spec, X, Y, d), z, h)
+            d = m.dist_many(X, Y)
+            crossed = crossed or bool(d.max() > m.cut_threshold)
         for j, (it, _) in enumerate(group):
             w1 = _assignment_w1(m, X[j * per:(j + 1) * per], Y[j * per:(j + 1) * per])
             kap[g0 + j] = (d0 - w1) / (t_ladder[it] * d0)

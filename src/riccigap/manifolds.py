@@ -33,21 +33,24 @@ _KINDS = (EUCLIDEAN, SPHERE, HYPERBOLIC)
 _INVARIANT_TOL = 1e-12
 _CUT_EPS_LOG = 1e-9
 _CUT_EPS_JET = 1e-6
-# numpy sums a row of up to 7 numbers left to right from +0, and pairwise
-# from 8 on; _row_sum repeats the first order column by column.
+# numpy sums a C-ordered row of up to 7 numbers left to right from +0, and
+# pairwise from 8 on; _row_sum repeats the first order column by column.
 _SEQUENTIAL_SUM_MAX = 7
 _COLUMN_SUM_MIN_SIZE = 512  # below this many numbers one ufunc.reduce is quicker
 
 
 def _row_sum(f, u: np.ndarray, v: np.ndarray):
-    """np.sum(f(u, v), axis=-1), bit for bit, for an elementwise f, as a sum
-    of columns: no ufunc.reduce, which costs ~6x as much on (8192, 3) rows,
-    and on rows broadcast to (N, N) no (N, N, k) array.  The +0 seed makes a
-    sum of -0 terms +0, as numpy's is."""
+    """np.sum(f(u, v), axis=-1) on C-ordered rows, bit for bit, for an
+    elementwise f.  On C-ordered rows a sum of columns, as ufunc.reduce costs
+    ~6x as much at (8192, 3) and on rows broadcast to (N, N) needs an
+    (N, N, k) array; on column-major rows of one shape ufunc.reduce is that
+    sum.  The +0 seed makes a sum of -0 terms +0, as numpy's is."""
     k = u.shape[-1]
-    if (k > _SEQUENTIAL_SUM_MAX or v.shape[-1] != k
-            or max(u.size, v.size) < _COLUMN_SUM_MIN_SIZE):
-        return np.add.reduce(f(u, v), axis=-1)  # np.sum without its wrapper
+    if k > _SEQUENTIAL_SUM_MAX or v.shape[-1] != k:
+        return np.add.reduce(np.ascontiguousarray(f(u, v)), axis=-1)  # np.sum without its wrapper
+    if (max(u.size, v.size) < _COLUMN_SUM_MIN_SIZE
+            or (u.shape == v.shape and u.flags.f_contiguous and v.flags.f_contiguous)):
+        return np.add.reduce(f(u, v), axis=-1)
     s = f(u[..., 0], v[..., 0]) + 0.0
     for j in range(1, k):
         s += f(u[..., j], v[..., j])
@@ -190,17 +193,11 @@ class ModelManifold:
             return X + V
         n = np.sqrt(np.maximum(self.ip(V, V), 0.0))[..., None]
         t = n / r
+        s, c = _trig(self.kind, t)
+        Y = c * X + (r * _guarded_div(s, n, t < 1e-14, 1.0 / r)) * V  # sinc: sin(t) / n
         if self.kind == SPHERE:
-            small = t < 1e-14
-            sinc = np.where(small, 1.0 / r, np.sin(t) / np.where(small, 1.0, n))
-            Y = np.cos(t) * X + (r * sinc) * V
-            nrm = np.sqrt(_row_sum(np.multiply, Y, Y))[..., None]
-            return Y * (r / nrm)
-        small = t < 1e-14
-        sinhc = np.where(small, 1.0 / r, np.sinh(t) / np.where(small, 1.0, n))
-        Y = np.cosh(t) * X + (r * sinhc) * V
-        s = np.sqrt(np.maximum(-self.ip(Y, Y), 1e-300))[..., None]
-        return Y * (r / s)
+            return Y * (r / np.sqrt(_row_sum(np.multiply, Y, Y))[..., None])
+        return Y * (r / np.sqrt(np.maximum(-self.ip(Y, Y), 1e-300))[..., None])
 
     def dist_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         r = self.radius
@@ -219,15 +216,8 @@ class ModelManifold:
             return Y - X
         d = (self.dist_many(X, Y) if d is None else d)[..., None]
         th = d / r
-        if self.kind == SPHERE:
-            s = np.sin(th)
-            fac = np.where(s < 1e-14, 1.0, th / np.where(s < 1e-14, 1.0, s))
-            V = (Y - np.cos(th) * X) * fac
-        else:
-            s = np.sinh(th)
-            fac = np.where(s < 1e-14, 1.0, th / np.where(s < 1e-14, 1.0, s))
-            V = (Y - np.cosh(th) * X) * fac
-        return self.project_tangent(X, V)
+        s, c = _trig(self.kind, th)
+        return self.project_tangent(X, (Y - c * X) * _guarded_div(th, s, s < 1e-14, 1.0))
 
     def transport_many(self, X, Y, W) -> np.ndarray:
         """Parallel transport of tangent vectors W at X to Y along the geodesic."""
@@ -235,24 +225,12 @@ class ModelManifold:
             return np.array(W, copy=True)
         V = self.log_many(X, Y)
         d = np.sqrt(np.maximum(self.ip(V, V), 0.0))[..., None]
-        deg = (d < 1e-15)[..., 0]
-        u = np.where(d < 1e-15, 0.0, V / np.where(d < 1e-15, 1.0, d))
-        uprime = self._forward_unit(X, Y, u)
+        deg = d < 1e-15
+        u = _guarded_div(V, d, deg, 0.0)
+        s, c = _trig(self.kind, (self.dist_many(X, Y) / self.radius)[..., None])
+        uprime = (-s if self.kind == SPHERE else s) * X / self.radius + c * u  # velocity at Y
         out = W + self.ip(W, u)[..., None] * (uprime - u)
-        if np.any(deg):
-            out = np.where(deg[..., None], W, out)
-        return out
-
-    def _forward_unit(self, X, Y, u, d=None) -> np.ndarray:
-        """Unit velocity of the geodesic x->y at its endpoint y (d, when
-        given, is the already-known distance between them)."""
-        r = self.radius
-        if d is None:
-            d = self.dist_many(X, Y)
-        th = (d / r)[..., None]
-        if self.kind == SPHERE:
-            return -np.sin(th) * X / r + np.cos(th) * u
-        return np.sinh(th) * X / r + np.cosh(th) * u
+        return np.where(deg, W, out) if deg.any() else out
 
     # -- public single-pair operations --------------------------------------
 
@@ -364,8 +342,8 @@ class ModelManifold:
             raise CutLocusError(f"distance jet needs 0 < d < {self.cut_threshold:.17g}, got {d:.17g}")
         E, F = self.adapted_frames(x, y)
         th = d / self.radius
-        qa = _scale_a(self.kind, th) / d**2
-        qb = _scale_b(self.kind, th) / d**2
+        qa, qb = _jet_scales(self.kind, th)
+        qa, qb = qa / d**2, qb / d**2
         n = self.dim
         P = np.eye(n)
         P[0, 0] = 0.0
@@ -436,36 +414,38 @@ class ModelManifold:
             raise InputError("points belong to a different manifold")
 
 
-def _scale_a(kind: str, th: float):
-    """q1 scale: theta*cot(theta) (sphere), theta*coth(theta) (hyperbolic), 1."""
-    th = np.asarray(th, dtype=float)
-    if kind == EUCLIDEAN:
-        return np.ones_like(th)
-    small = np.abs(th) < 1e-4
-    ts = np.where(small, 1.0, th)
-    if kind == SPHERE:
-        val = ts * np.cos(ts) / np.sin(ts)
-        ser = 1.0 - th**2 / 3.0 - th**4 / 45.0
-    else:
-        val = ts * np.cosh(ts) / np.sinh(ts)
-        ser = 1.0 + th**2 / 3.0 - th**4 / 45.0
-    return np.where(small, ser, val)
+def _trig(kind: str, th):
+    """(sin, cos) of theta on the sphere, (sinh, cosh) on hyperbolic space."""
+    return (np.sin(th), np.cos(th)) if kind == SPHERE else (np.sinh(th), np.cosh(th))
 
 
-def _scale_b(kind: str, th: float):
-    """-q12 scale: theta/sin(theta) (sphere), theta/sinh(theta) (hyperbolic), 1."""
+def _guarded_div(a, b, mask, fill):
+    """a / b, and `fill` where mask holds, without dividing by b there."""
+    if not mask.any():
+        return a / b
+    return np.where(mask, fill, a / np.where(mask, 1.0, b))
+
+
+def _jet_scales(kind: str, th, trig=None):
+    """The q1 and -q12 jet scales at theta = d/r: theta cot theta and
+    theta / sin theta (sphere), theta coth theta and theta / sinh theta
+    (hyperbolic; series in K theta^2 below 1e-4), 1 and 1 (Euclidean).
+    trig, when given, is _trig(kind, theta), read where theta >= 1e-4."""
     th = np.asarray(th, dtype=float)
     if kind == EUCLIDEAN:
-        return np.ones_like(th)
+        return np.ones_like(th), np.ones_like(th)
     small = np.abs(th) < 1e-4
-    ts = np.where(small, 1.0, th)
-    if kind == SPHERE:
-        val = ts / np.sin(ts)
-        ser = 1.0 + th**2 / 6.0 + 7.0 * th**4 / 360.0
-    else:
-        val = ts / np.sinh(ts)
-        ser = 1.0 - th**2 / 6.0 + 7.0 * th**4 / 360.0
-    return np.where(small, ser, val)
+    series = small.any()
+    ts = np.where(small, 1.0, th) if series else th
+    sn, cs = _trig(kind, ts) if trig is None else trig
+    if series and trig is not None:
+        sn = np.where(small, 1.0, sn)
+    qa, qb = ts * cs / sn, ts / sn
+    if not series:
+        return qa, qb
+    K = 1.0 if kind == SPHERE else -1.0
+    return (np.where(small, 1.0 - K * th**2 / 3.0 - th**4 / 45.0, qa),
+            np.where(small, 1.0 + K * th**2 / 6.0 + 7.0 * th**4 / 360.0, qb))
 
 
 @dataclass(frozen=True, eq=False)

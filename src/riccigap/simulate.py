@@ -17,6 +17,7 @@ exponential chart:
   increment dt F.  A Gaussian orthogonal part w would move log d by a
   multiple of the fluctuating |w|^2 and leave a defect of size
   O(sqrt(T dt)); with |w| fixed the pathwise defect is O(dt).
+  A step makes one column-major geometry pass (`_pairs`; sin, cos once).
 - The per-pair step (`_step_pair`; fields without constant_inverse_metric,
   such as tensor-constructed or scalar-scaled ones): Gaussian
   Euler-Maruyama.  Each step turns 2n standard normals into one joint
@@ -45,7 +46,8 @@ from .coupling import extremal_covariances, sym_psd_sqrt
 from .curvature import kappa_pair
 from .errors import InputError
 from .fields import DiffusionSpec, LinearDrift
-from .manifolds import EUCLIDEAN, SPHERE, ModelManifold, Point, TangentVector, _scale_a, _scale_b
+from .manifolds import (EUCLIDEAN, SPHERE, ModelManifold, Point, TangentVector, _guarded_div,
+                        _jet_scales, _trig)
 
 _NOISE_BLOCK = 256  # time steps of noise drawn at once per trajectory
 
@@ -153,9 +155,9 @@ def _step_pair(spec: DiffusionSpec, x: Point, y: Point, dt: float,
 
 
 class _Pairs(NamedTuple):
-    """Stacked pairs at distances d, with the unit velocity u of the geodesic
-    X -> Y at X and u' at Y, and the drift at both ends (None where the
-    coupled step and kappa do not need them)."""
+    """Stacked pairs at distances d, column-major: u and uy (u') are the unit
+    velocities of the geodesic X -> Y at X and Y, fx and fy the drift there,
+    trig the (N, 1) columns _trig(theta = d/r); None where unneeded."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -164,76 +166,79 @@ class _Pairs(NamedTuple):
     uy: np.ndarray | None = None
     fx: np.ndarray | None = None
     fy: np.ndarray | None = None
+    trig: tuple | None = None
 
 
 def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray) -> _Pairs:
-    """The _Pairs of X, Y at distances d.  Flat space with zero or linear
-    drift needs no direction; pairs closer than 1e-15 (the threshold of
-    transport_many) get u = 0."""
+    """The _Pairs of X, Y at distances d, with u and u' from one sine and
+    cosine of theta.  Flat space with zero or linear drift needs no direction;
+    pairs closer than 1e-15 (the threshold of transport_many) get u = 0."""
     m = spec.manifold
     if m.kind == EUCLIDEAN and (spec.drift.is_zero or isinstance(spec.drift, LinearDrift)):
         return _Pairs(X, Y, d)
-    deg = (d < 1e-15)[:, None]
-    u = np.where(deg, 0.0, m.log_many(X, Y, d) / np.where(deg, 1.0, d[:, None]))
-    uy = u if m.kind == EUCLIDEAN else m._forward_unit(X, Y, u, d)
-    if spec.drift.is_zero:
-        return _Pairs(X, Y, d, u, uy)
-    return _Pairs(X, Y, d, u, uy, spec.drift.vector_many(m, X), spec.drift.vector_many(m, Y))
+    d1 = d[:, None]
+    sn = cs = None
+    if m.kind == EUCLIDEAN:
+        V = Y - X
+    else:
+        th = d1 / m.radius
+        sn, cs = _trig(m.kind, th)
+        V = m.project_tangent(X, (Y - cs * X) * _guarded_div(th, sn, sn < 1e-14, 1.0))
+    u = _guarded_div(V, d1, d1 < 1e-15, 0.0)
+    uy = u if m.kind == EUCLIDEAN else (-sn if m.kind == SPHERE else sn) * X / m.radius + cs * u
+    f = (None, None) if spec.drift.is_zero else (spec.drift.vector_many(m, X),
+                                                  spec.drift.vector_many(m, Y))
+    return _Pairs(X, Y, d, u, uy, *f, None if sn is None else (sn, cs))
 
 
-def _per_row(f, dt):
-    """f(dt), or f per row of a dt column, once per distinct value (scalar bits)."""
-    if np.ndim(dt) == 0:
-        return f(dt)
-    vals, inv = np.unique(dt, return_inverse=True)
-    return np.array([f(v) for v in vals.tolist()])[inv].reshape(np.shape(dt))
+class _Step(NamedTuple):
+    """A step size dt (a scalar, or a column with one per row), with the
+    noise scale sqrt(c dt) and a flat linear drift's flow exp(-rate dt)."""
+
+    dt: object
+    sig: object
+    decay: object
+
+
+def _step(spec: DiffusionSpec, dt) -> _Step:
+    flow = isinstance(spec.drift, LinearDrift) and spec.manifold.kind == EUCLIDEAN
+    decay = np.vectorize(lambda h: math.exp(-spec.drift.rate * h))(dt) if flow else 1.0
+    return _Step(dt, np.sqrt(spec.diffusion.constant_inverse_metric * dt), decay)  # = math.sqrt
 
 
 def _coupled_step(spec: DiffusionSpec, p: _Pairs, z: np.ndarray,
                   dt) -> tuple[np.ndarray, np.ndarray]:
     """One parallel-transport coupled step of every pair in p from ambient
-    standard normals z, one row per pair: the _split_increments (the common
-    Gaussian increment in flat space) plus the Euler drift increment, or in
-    flat space the exact flow of a zero or linear drift.  dt is a scalar or
-    a column with one step size per row."""
+    standard normals z, one row per pair, plus the Euler drift increment (in
+    flat space with a zero or linear drift, the common increment and the exact
+    flow); dt is a scalar, a column, or their _Step.  The tangent noise zt
+    splits into a*u along the geodesic and w across it, of fixed norm
+    sqrt(n - 1); X moves by a*u + w, Y by a*u' + w (u = 0: zt at both ends)."""
     m = spec.manifold
-    c = spec.diffusion.constant_inverse_metric
-    sig = _per_row(lambda h: math.sqrt(c * h), dt)
+    h = dt if isinstance(dt, _Step) else _step(spec, dt)
     if p.u is None:
         # exact: the common Gaussian increment cancels in Y - X
-        decay = (_per_row(lambda h: math.exp(-spec.drift.rate * h), dt)
-                 if isinstance(spec.drift, LinearDrift) else 1.0)
-        return decay * p.X + sig * z, decay * p.Y + sig * z
+        noise = h.sig * z
+        return h.decay * p.X + noise, h.decay * p.Y + noise
     if m.kind == EUCLIDEAN:
-        vx = vy = sig * z
+        vx = vy = h.sig * z
     else:
-        # Gaussian along the geodesic, fixed norm across it: O(dt) defect
-        vx, vy = _split_increments(m, p, m.tangent_noise(p.X, z))
-        vx, vy = sig * vx, sig * vy
+        zt = m.tangent_noise(p.X, z)
+        a = m.ip(zt, p.u)[:, None]
+        vx = a * p.u
+        w = zt - vx
+        nw = np.sqrt(np.maximum(m.ip(w, w), 0.0))[:, None]
+        w *= math.sqrt(m.dim - 1) / np.where(nw > 0.0, nw, 1.0)
+        vx += w
+        vy = a * p.uy + w
+        deg = (p.d < 1e-15)[:, None]
+        if deg.any():
+            vx, vy = np.where(deg, zt, vx), np.where(deg, zt, vy)
+        vx *= h.sig
+        vy *= h.sig
     if p.fx is not None:
-        vx, vy = vx + dt * p.fx, vy + dt * p.fy
+        vx, vy = vx + h.dt * p.fx, vy + h.dt * p.fy
     return m.exp_many(p.X, vx), m.exp_many(p.Y, vy)
-
-
-def _split_increments(m: ModelManifold, p: _Pairs, zt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-variance tangent increments at X and Y for one parallel-transport
-    coupled step.  The tangent noise zt splits into a Gaussian part a*u along
-    the geodesic direction u and a part w orthogonal to it; w is rescaled to
-    the fixed norm sqrt(n - 1), which keeps the covariance at the identity
-    and the odd moments at zero.  X moves by a*u + w and Y by a*u' + w: that
-    is the parallel transport of the X increment, since w is orthogonal to
-    u.  Pairs with u = 0 get the unsplit zt at both ends."""
-    a = m.ip(zt, p.u)[:, None]
-    w = zt - a * p.u
-    nw = np.sqrt(np.maximum(m.ip(w, w), 0.0))[:, None]
-    w = w * (math.sqrt(m.dim - 1) / np.where(nw > 0.0, nw, 1.0))
-    vx = a * p.u + w
-    vy = a * p.uy + w
-    deg = (p.d < 1e-15)[:, None]
-    if deg.any():
-        vx = np.where(deg, zt, vx)
-        vy = np.where(deg, zt, vy)
-    return vx, vy
 
 
 def kappa_fast(spec: DiffusionSpec, d, X=None, Y=None):
@@ -254,6 +259,7 @@ def kappa_fast(spec: DiffusionSpec, d, X=None, Y=None):
 
 
 def _kappa(spec: DiffusionSpec, p: _Pairs):
+    """kappa_fast of p, from the sine and cosine of theta that _pairs kept."""
     m = spec.manifold
     c = spec.diffusion.constant_inverse_metric
     d = np.maximum(p.d, 1e-300)
@@ -261,8 +267,9 @@ def _kappa(spec: DiffusionSpec, p: _Pairs):
     if m.kind == EUCLIDEAN:
         kap = np.full_like(d, drift)
     else:
-        th = d / m.radius
-        kap = drift + c * (m.dim - 1) * (_scale_b(m.kind, th) - _scale_a(m.kind, th)) / d**2
+        trig = None if p.trig is None else tuple(t[:, 0] for t in p.trig)
+        qa, qb = _jet_scales(m.kind, d / m.radius, trig)
+        kap = drift + c * (m.dim - 1) * (qb - qa) / d**2
     if p.fx is None:
         return kap
     return kap + (m.ip(p.u, p.fx) - m.ip(p.uy, p.fy)) / d
@@ -297,11 +304,11 @@ def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> li
 
 
 def _noise_steps(rngs, rows: int, k: int, steps: int, block: int):
-    """Ambient standard normals for `steps` steps, one (len(rngs) * rows, k)
-    array per step: stream i fills rows i*rows .. (i+1)*rows - 1 and draws
-    `block` steps at a time (the same numbers as one draw per step).  Each
-    array is a view into one buffer that the next block overwrites."""
-    buf = np.empty((min(block, steps), len(rngs) * rows, k))
+    """Ambient standard normals for `steps` steps, one column-major
+    (len(rngs) * rows, k) array per step: stream i fills rows i*rows ..
+    (i+1)*rows - 1, `block` steps at a time (the numbers of one draw per
+    step).  Each is a view into one buffer that the next block overwrites."""
+    buf = np.empty((min(block, steps), k, len(rngs) * rows)).transpose(0, 2, 1)
     for s in range(0, steps, block):
         nb = min(block, steps - s)
         for i, rng in enumerate(rngs):
@@ -312,22 +319,24 @@ def _noise_steps(rngs, rows: int, k: int, steps: int, block: int):
 def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
                steps: int, stride: int, j0: int, count: int) -> list[CoupledTrajectory]:
     """Trajectories j0 .. j0 + count - 1, stepped together by one step rule:
-    the kernel for A = c g^{-1} (k ambient normals a step), else _step_pair
-    and kappa_pair row by row (2n normals a step).  Each draws its noise from
-    its own stream, _NOISE_BLOCK steps at a time.  A pair stops before it
-    would accept d >= cut ('cut-locus') or d <= 0 ('collapse'); the per-row
-    rule neither steps nor re-evaluates a stopped pair."""
+    the kernel for A = c g^{-1} (k ambient normals a step, column-major), else
+    _step_pair and kappa_pair row by row (2n normals a step), each from its
+    own stream, _NOISE_BLOCK steps at a time.  A pair stops before it would
+    accept d >= cut ('cut-locus') or d <= 0 ('collapse'); the per-row rule
+    neither steps nor re-evaluates a stopped pair."""
     m = spec.manifold
     dt = cfg.dt
     cut = m.cut_threshold - cfg.cut_margin
     rngs = [_traj_rng(cfg.seed, j0 + i) for i in range(count)]
-    X = np.broadcast_to(x0.coords, (count, m.ambient_dim)).copy()
-    Y = np.broadcast_to(y0.coords, (count, m.ambient_dim)).copy()
-    if spec.diffusion.constant_inverse_metric is not None:
+    kernel = spec.diffusion.constant_inverse_metric is not None
+    X, Y = (np.array(np.broadcast_to(v.coords, (count, m.ambient_dim)),
+                     order="F" if kernel else "C") for v in (x0, y0))
+    if kernel:
         width = m.ambient_dim
+        step = _step(spec, dt)
 
         def advance(p, z, alive):
-            return _coupled_step(spec, p, z, dt)
+            return _coupled_step(spec, p, z, step)
 
         def settle(X, Y, d, rows):
             p = _pairs(spec, X, Y, d)
@@ -337,8 +346,8 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
 
         def advance(p, z, alive):
             Xn, Yn = p.X.copy(), p.Y.copy()
-            for i in np.flatnonzero(alive).tolist():
-                xn, yn = _step_pair(spec, m.point(p.X[i]), m.point(p.Y[i]), dt, z[i])
+            for i in np.flatnonzero(alive).tolist():  # each z row contiguous, as it was
+                xn, yn = _step_pair(spec, m.point(p.X[i]), m.point(p.Y[i]), dt, z[i].copy())
                 Xn[i], Yn[i] = xn.coords, yn.coords
             return Xn, Yn
 
@@ -370,10 +379,14 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
             for i in np.flatnonzero(alive & stop).tolist():
                 reasons[i] = "cut-locus" if dn[i] >= cut else "collapse"
             alive = alive & ~stop
-        p, kn = settle(np.where(alive[:, None], Xn, p.X), np.where(alive[:, None], Yn, p.Y),
-                       np.where(alive, dn, p.d), alive)
-        integral = np.where(alive, integral + 0.5 * dt * (kap + kn), integral)
-        kap = np.where(alive, kn, kap)
+        if alive.all():  # nothing to merge
+            p, kn = settle(Xn, Yn, dn, alive)
+            integral, kap = integral + 0.5 * dt * (kap + kn), kn
+        else:
+            p, kn = settle(np.where(alive[:, None], Xn, p.X), np.where(alive[:, None], Yn, p.Y),
+                           np.where(alive, dn, p.d), alive)
+            integral = np.where(alive, integral + 0.5 * dt * (kap + kn), integral)
+            kap = np.where(alive, kn, kap)
         if (s + 1) in rec_set:
             logs[:, pos] = np.log(np.maximum(p.d, 1e-300))
             integ[:, pos] = integral

@@ -268,6 +268,22 @@ def test_check_h_walks_in_units_of_the_scale(runner, tmp_path, manifold, field):
     assert read_csv(str(out))[0]["admissible"] == "true"
 
 
+@pytest.mark.parametrize("manifold", ["hyperbolic:2:1e7", "sphere:2:1e9", "hyperbolic:2:1"])
+def test_check_h_tolerance_is_relative_to_the_tensor(runner, tmp_path, manifold):
+    # the identity Kulkarni-Nomizu field is invariant by construction; its
+    # residual grows with A, to ~1e-8 at these scales, where |A| is ~1e15
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps({"kn_pairs": [[np.eye(3).tolist(), np.eye(3).tolist()]]}))
+    out = tmp_path / "h.csv"
+    res = invoke(runner, ["check-h", "--manifold", manifold, "--field", f"example-t:{tensor}",
+                          "--geodesics", "4", "--out", str(out)])
+    assert res.exit_code == 0
+    row = read_csv(str(out))[0]
+    assert row["admissible"] == "true"
+    if manifold != "hyperbolic:2:1":
+        assert float(row["max_residual"]) > 1e-8
+
+
 def test_check_h_below_cut_guard_exits_3(runner, tmp_path):
     # half the circumference is below the cut-locus guard of the log map
     out = tmp_path / "h.csv"
@@ -448,6 +464,30 @@ def test_sweep_error_rows_carry_clicks_message(runner, tmp_path):
                                "--method", "bogus"])
     assert res.exit_code == 2
     assert "'bogus' is not one of 'formula', 'limit', 'mc'." in res.output
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_non_object_items_give_error_rows(runner, tmp_path, workers):
+    # an item that is not a JSON object is one bad item: an error row, and
+    # the valid item after it still runs
+    valid = {"command": "bounds", "manifold": "sphere:1:1", "grid": 64}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps([1, "x", None, valid]))
+    out = tmp_path / "sweep.csv"
+    res = invoke(runner, ["sweep", "--configs", str(cfg), "--workers", str(workers),
+                          "--out", str(out)])
+    assert res.exit_code == 0
+    rows = read_csv(str(out))
+    assert [(row["command"], row["status"], row["error"]) for row in rows[:3]] == [
+        ("", "error", "sweep item 1 is not an object"),
+        ("", "error", "sweep item 'x' is not an object"),
+        ("", "error", "sweep item None is not an object")]
+    assert rows[3]["command"] == "bounds" and rows[3]["status"] == "ok"
+    one = tmp_path / "one.csv"
+    assert invoke(runner, ["bounds", "--manifold", "sphere:1:1", "--grid", "64",
+                           "--out", str(one)]).exit_code == 0
+    want = read_csv(str(one))[0]
+    assert {key: rows[3][key] for key in want} == want
 
 
 def test_sweep_potential_dominance(runner, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -335,10 +336,13 @@ _IP_LEADS = {"N": lambda n: (n,), "N1": lambda n: (n, 1), "1N": lambda n: (1, n)
          v=[1.0] * 27)
 @example(space=("hyperbolic", 4), n=3, leads=("N1", "1N"), scales=(1.0, 1.0), u=[1.0] * 27,
          v=[-0.0] * 27)
+@example(space=("euclidean", 8), n=2, leads=("N", "N"), scales=(1.0, 1.0), u=[1.0] * 27,
+         v=2 * ([1.0] + [2.0**-53] * 7) + [0.0] * 11)  # pairwise and sequential sums differ
 def test_ip_row_sums_match_numpy_sum_bitwise(space, n, leads, scales, u, v):
     # ambient dimensions 1-9 (2-9 on the curved spaces), rows broadcast, by
-    # one ufunc.reduce (few rows) and by a sum of columns (many rows); the
-    # flat distance is the same kind of row sum
+    # one ufunc.reduce (few rows) and by a sum of columns (many rows), on
+    # C-ordered and on column-major rows; the flat distance is the same kind
+    # of row sum
     kind, k = space
     m = ModelManifold(kind, k if kind == "euclidean" else k - 1)
     U = scales[0] * np.array(u[:n * k]).reshape(_IP_LEADS[leads[0]](n) + (k,))
@@ -347,10 +351,11 @@ def test_ip_row_sums_match_numpy_sum_bitwise(space, n, leads, scales, u, v):
     if kind == "hyperbolic":
         want = want - 2.0 * U[..., -1] * V[..., -1]
     norm = np.linalg.norm(V - U, axis=-1)
-    for min_size in (manifolds._COLUMN_SUM_MIN_SIZE, 0):
+    for min_size, layout in itertools.product((manifolds._COLUMN_SUM_MIN_SIZE, 0),
+                                              (np.ascontiguousarray, np.asfortranarray)):
         with mock.patch.object(manifolds, "_COLUMN_SUM_MIN_SIZE", min_size):
-            got = m.ip(U, V)
-            dist = m.dist_many(U, V) if kind == "euclidean" else norm
+            got = m.ip(layout(U), layout(V))
+            dist = m.dist_many(layout(U), layout(V)) if kind == "euclidean" else norm
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.array_equal(dist.view(np.int64), norm.view(np.int64))

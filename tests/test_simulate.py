@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riccigap import simulate
 from riccigap.cli import main, parse_field
@@ -442,6 +444,124 @@ def test_coupled_step_dt_column_equals_scalar_calls(manifold, field):
         p = simulate._pairs(spec, X[rows], Y[rows], d[rows])
         xs, ys = simulate._coupled_step(spec, p, z[rows], h)
         assert np.array_equal(Xn[rows], xs) and np.array_equal(Yn[rows], ys), h
+
+
+# ---------------------------------------------------------------------------
+# the fused kernel against the composition of the public geometry kernels
+
+
+def _reference_scales(kind, th):
+    """theta cot theta and theta / sin theta (sinh on H), series below 1e-4."""
+    small = np.abs(th) < 1e-4
+    ts = np.where(small, 1.0, th)
+    if kind == "sphere":
+        qa = np.where(small, 1.0 - th**2 / 3.0 - th**4 / 45.0, ts * np.cos(ts) / np.sin(ts))
+        qb = np.where(small, 1.0 + th**2 / 6.0 + 7.0 * th**4 / 360.0, ts / np.sin(ts))
+    else:
+        qa = np.where(small, 1.0 + th**2 / 3.0 - th**4 / 45.0, ts * np.cosh(ts) / np.sinh(ts))
+        qb = np.where(small, 1.0 - th**2 / 6.0 + 7.0 * th**4 / 360.0, ts / np.sinh(ts))
+    return qa, qb
+
+
+def _reference_forward_unit(m, X, u, d):
+    """The unit velocity at Y of the geodesic X -> Y."""
+    th = (d / m.radius)[:, None]
+    if m.kind == "sphere":
+        return -np.sin(th) * X / m.radius + np.cos(th) * u
+    return np.sinh(th) * X / m.radius + np.cosh(th) * u
+
+
+def _reference_kernel(spec, X, Y, d, z, dt):
+    """u, u', kappa and one coupled step, each by its own kernel: log_many,
+    tangent_noise, exp_many, the forward unit velocity and the jet scales."""
+    m = spec.manifold
+    c = spec.diffusion.constant_inverse_metric
+    linear = isinstance(spec.drift, LinearDrift)
+    sig = np.sqrt(c * dt)  # correctly rounded, as math.sqrt is
+    dk = np.maximum(d, 1e-300)
+    kap = np.full_like(d, spec.drift.rate if linear else 0.0)
+    if m.kind != "euclidean":
+        qa, qb = _reference_scales(m.kind, dk / m.radius)
+        kap = kap + c * (m.dim - 1) * (qb - qa) / dk**2
+    if m.kind == "euclidean" and (linear or spec.drift.is_zero):
+        decay = np.vectorize(lambda h: math.exp(-spec.drift.rate * h))(dt) if linear else 1.0
+        return None, None, kap, (decay * X + sig * z, decay * Y + sig * z)
+    deg = (d < 1e-15)[:, None]
+    u = np.where(deg, 0.0, m.log_many(X, Y, d) / np.where(deg, 1.0, d[:, None]))
+    uy = u if m.kind == "euclidean" else _reference_forward_unit(m, X, u, d)
+    if m.kind == "euclidean":
+        vx = vy = sig * z
+    else:
+        zt = m.tangent_noise(X, z)
+        a = m.ip(zt, u)[:, None]
+        w = zt - a * u
+        nw = np.sqrt(np.maximum(m.ip(w, w), 0.0))[:, None]
+        w = w * (math.sqrt(m.dim - 1) / np.where(nw > 0.0, nw, 1.0))
+        vx, vy = np.where(deg, zt, a * u + w), np.where(deg, zt, a * uy + w)
+        vx, vy = sig * vx, sig * vy
+    if not spec.drift.is_zero:
+        fx, fy = spec.drift.vector_many(m, X), spec.drift.vector_many(m, Y)
+        kap = kap + (m.ip(u, fx) - m.ip(uy, fy)) / dk
+        vx, vy = vx + dt * fx, vy + dt * fy
+    return u, uy, kap, (m.exp_many(X, vx), m.exp_many(Y, vy))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+_KERNEL_SPECS = [("sphere:2:1", "brownian"), ("sphere:2:1", "potential:0.3*cos"),
+                 ("sphere:3:0.7", "brownian"), ("sphere:3:1", "potential:0.3*cos"),
+                 ("hyperbolic:2:1", "brownian"), ("hyperbolic:3:3", "brownian"),
+                 ("euclidean:1", "brownian"), ("euclidean:1", "ou"),
+                 ("euclidean:2", "brownian"), ("euclidean:2", "ou")]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_KERNEL_SPECS), n=st.sampled_from([1, 2, 100, 600]),
+       seed=st.integers(0, 2**32 - 1), tiny=st.floats(0.0, 0.3), close=st.floats(0.0, 0.3),
+       per_row=st.booleans(), column_major=st.booleans())
+@example(case=("sphere:2:1", "brownian"), n=2, seed=0, tiny=1.0, close=0.0, per_row=False,
+         column_major=True)
+@example(case=("hyperbolic:2:1", "brownian"), n=1, seed=1, tiny=0.0, close=1.0, per_row=True,
+         column_major=True)
+def test_fused_kernel_matches_composed_kernels_bitwise(case, n, seed, tiny, close, per_row,
+                                                      column_major):
+    # u, u', kappa and the step of the fused pass against the public kernels
+    # on C-ordered rows: pairs at distances up to 2.5 r, a share `close`
+    # with theta < 1e-4 (the series) and a share `tiny` with d < 1e-15
+    # (u = 0), one step size or one per row, with N on both sides of
+    # _COLUMN_SUM_MIN_SIZE
+    m = parse_manifold(case[0])
+    spec = parse_field(m, case[1])
+    g = np.random.default_rng(seed)
+    r = 1.0 if m.kind == "euclidean" else m.radius
+    X = np.array([m.random_point(g).coords for _ in range(n)])
+    V = m.project_tangent(X, g.standard_normal(X.shape))
+    V /= np.sqrt(m.ip(V, V))[:, None]
+    kind = g.random(n)
+    d = np.where(kind < tiny, g.uniform(1e-17, 1e-15, n),
+                 np.where(kind < tiny + close, r * 10.0 ** g.uniform(-12, -4, n),
+                          r * g.uniform(1e-4, 2.5, n)))
+    Y = np.where((d < 1e-15)[:, None], X, m.exp_many(X, d[:, None] * V))
+    z = g.standard_normal(X.shape)
+    dt = g.choice([1e-3, 2e-4, 5e-5], (n, 1)) if per_row else 1e-3
+    u, uy, kap, (Xn, Yn) = _reference_kernel(spec, X, Y, d, z, dt)
+    layout = np.asfortranarray if column_major else np.ascontiguousarray
+    p = simulate._pairs(spec, layout(X), layout(Y), d)
+    if u is not None:
+        assert _same_bits(p.u, u) and _same_bits(p.uy, uy)
+    assert _same_bits(simulate._kappa(spec, p), kap)
+    if spec.drift.is_zero or isinstance(spec.drift, LinearDrift):
+        assert _same_bits(kappa_fast(spec, d), kap)
+    else:
+        assert _same_bits(kappa_fast(spec, d, X, Y), kap)
+    got = simulate._coupled_step(spec, p, layout(z), dt)
+    assert _same_bits(got[0], Xn) and _same_bits(got[1], Yn)
+    # a step size given once for many steps keeps the bits
+    got = simulate._coupled_step(spec, p, layout(z), simulate._step(spec, dt))
+    assert _same_bits(got[0], Xn) and _same_bits(got[1], Yn)
 
 
 def test_kappa_fast_matches_kappa_pair():
