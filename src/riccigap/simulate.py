@@ -346,7 +346,7 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
 
         def advance(p, z, alive):
             Xn, Yn = p.X.copy(), p.Y.copy()
-            for i in np.flatnonzero(alive).tolist():  # each z row contiguous, as it was
+            for i in np.flatnonzero(alive).tolist():  # contiguous z rows for the matmuls
                 xn, yn = _step_pair(spec, m.point(p.X[i]), m.point(p.Y[i]), dt, z[i].copy())
                 Xn[i], Yn[i] = xn.coords, yn.coords
             return Xn, Yn
@@ -379,7 +379,7 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
             for i in np.flatnonzero(alive & stop).tolist():
                 reasons[i] = "cut-locus" if dn[i] >= cut else "collapse"
             alive = alive & ~stop
-        if alive.all():  # nothing to merge
+        if alive.all():  # no pair has stopped: nothing to merge
             p, kn = settle(Xn, Yn, dn, alive)
             integral, kap = integral + 0.5 * dt * (kap + kn), kn
         else:
