@@ -31,7 +31,7 @@ import click
 import numpy as np
 
 from . import curvature, simulate, spectral
-from .coupling import c0_covariance
+from .coupling import _rounding_cut, c0_covariance
 from .errors import InputError, RicciGapError
 from .fields import (
     DiffusionSpec,
@@ -460,7 +460,7 @@ def coupling_cmd(a_csv, d_csv, b_csv, out_c, out):
     res = c0_covariance(A, D, B)
     if out_c:
         _atomic_write(out_c, "\n".join(",".join(f"{v:.17g}" for v in r) for r in res.C) + "\n")
-    rank = int(np.linalg.matrix_rank(res.C, tol=1e-9 * max(np.abs(res.C).max(), 1e-300)))
+    rank = int(np.count_nonzero(_rounding_cut(np.linalg.svd(res.C, compute_uv=False))))
     write_csv(out, [{
         "value": res.value, "feasible": res.feasible,
         "min_eigenvalue": res.min_eigenvalue, "rank": rank,

@@ -4,6 +4,11 @@ The minimized quantity is E[D_ij X^i Y^j] over joint laws of X ~ N(0, A)
 and Y ~ N(0, B); the minimum is -tr sqrt(A D B D^T) and is achieved by an
 explicit cross-covariance.  Feasibility of a cross-covariance C means the
 block matrix [[A, C], [C^T, B]] is positive semidefinite.
+
+One rule says what is rounding noise: of n eigenvalues (or C0's n singular
+values), those negative or at most 100 n eps of the largest are zero
+(_rounding_cut).  Every square root, rank factor and rank cut reads it;
+_RANK_TOL only decides whether a diffusion tensor is invertible.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from .errors import (
 )
 from .manifolds import DistanceJet
 
-_RANK_TOL = 1e-9  # numerical rank cutoff, relative to largest singular value
+_RANK_TOL = 1e-9  # a diffusion tensor that must be invertible is singular when its smallest
+                  # eigenvalue is at most _RANK_TOL max(largest, 1) (_check_invertible)
 _EPS = np.finfo(float).eps
 _EPS2 = _EPS ** 2
 _JACOBI_SWEEPS = 30  # a guard: every stack tried, random or built to be hard, needed <= 7
@@ -51,11 +57,28 @@ def check_sym_psd(m, name="matrix", sym_tol=1e-12, neg_tol=1e-10) -> np.ndarray:
     return a
 
 
+def _rounding_cut(w: np.ndarray) -> np.ndarray:
+    """The n values w with those at most 100 n eps of the largest set to zero."""
+    return np.where(w > 100 * len(w) * _EPS * max(w.max(), 0.0), w, 0.0)
+
+
+def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending, after _rounding_cut) and eigenvectors of m's symmetric part."""
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    return _rounding_cut(w), v
+
+
+def _check_invertible(w: np.ndarray):
+    """Raise SingularDiffusionError if a diffusion tensor's eigenvalues w fail _RANK_TOL's test."""
+    if w.min() <= _RANK_TOL * max(w.max(), 1.0):
+        raise SingularDiffusionError("the diffusion tensor must have full rank")
+
+
 def sym_psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root by eigendecomposition (negativity clipped)."""
-    a = 0.5 * (m + m.T)
-    w, v = np.linalg.eigh(a)
-    w = np.clip(w, 0.0, None)
+    """Symmetric PSD square root of the symmetric part of m, with the
+    eigenvalues at rounding level set to zero (_rounding_cut): the root of
+    one would be noise of size ~sqrt(eps) in a singular direction."""
+    w, v = _psd_eigh(m)
     return (v * np.sqrt(w)) @ v.T
 
 
@@ -63,18 +86,18 @@ def psd_sqrt(m, neg_tol: float = 1e-6) -> np.ndarray:
     """Square root of a diagonalizable matrix with nonnegative eigenvalues.
 
     Returns the unique diagonalizable R with nonnegative eigenvalues and
-    R @ R = m.  Symmetric input takes the eigh path; otherwise a general
-    eigendecomposition is used and validated.
+    R @ R = m.  Symmetric input takes one eigh, as in sym_psd_sqrt;
+    otherwise a general eigendecomposition is used and validated.
     """
     a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise InputError("psd_sqrt needs a square matrix")
     scale = max(float(np.abs(a).max()), 1.0)
     if np.abs(a - a.T).max() <= 1e-12 * scale:
-        w = np.linalg.eigvalsh(0.5 * (a + a.T))
-        if w.min() < -neg_tol * scale:
-            raise NegativeSpectrumError(f"eigenvalue {w.min():.3e} below tolerance")
-        return sym_psd_sqrt(a)
+        w, v = np.linalg.eigh(0.5 * (a + a.T))
+        if w[0] < -neg_tol * scale:
+            raise NegativeSpectrumError(f"eigenvalue {w[0]:.3e} below tolerance")
+        return (v * np.sqrt(_rounding_cut(w))) @ v.T
     w, v = np.linalg.eig(a)
     if np.abs(w.imag).max() > 1e-8 * scale or w.real.min() < -neg_tol * scale:
         raise NegativeSpectrumError("matrix has eigenvalues off the nonnegative real axis")
@@ -90,26 +113,15 @@ def psd_sqrt(m, neg_tol: float = 1e-6) -> np.ndarray:
     return r
 
 
-def _rounding_sqrt(m: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root with the eigenvalues at rounding level (at
-    most 100 n eps of the largest) set to zero."""
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    w = np.where(w > 100 * len(w) * _EPS * max(w[-1], 0.0), w, 0.0)
-    return (v * np.sqrt(w)) @ v.T
-
-
 def tr_sqrt_sandwich(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> float:
     """tr sqrt(a d b d^T) for PSD a, b: the sum of the singular values of
-    sqrt(a) @ d @ sqrt(b).
-
-    The singular-value route keeps full absolute precision (the eigenvalues
-    of the product lose half the digits near rank deficiency).  It is valid
-    for singular a and b because eigenvalues at rounding level are dropped
-    before the roots are taken: the root of a rounding-size eigenvalue of a
-    singular a would move the value by ~sqrt(eps).  Every larger eigenvalue
-    is kept, so an ill-conditioned a or b is not truncated.
+    sqrt(a) @ d @ sqrt(b), which keeps full absolute precision (the
+    eigenvalues of the product lose half the digits near rank deficiency).
+    The roots are sym_psd_sqrt's, with the eigenvalues at rounding level
+    dropped: the root of one of a singular a would move the value by
+    ~sqrt(eps).  An ill-conditioned a or b keeps every larger eigenvalue.
     """
-    return float(np.linalg.svd(_rounding_sqrt(a) @ d @ _rounding_sqrt(b), compute_uv=False).sum())
+    return float(np.linalg.svd(sym_psd_sqrt(a) @ d @ sym_psd_sqrt(b), compute_uv=False).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,47 +180,34 @@ def min_coupling_value(A, D, B) -> float:
     return -tr_sqrt_sandwich(A, D, B)
 
 
-def _psd_factor(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Rank-revealing factor M' with M' I M'^T = mat; also returns the left
-    inverse and the numerical rank."""
-    w, v = np.linalg.eigh(mat)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    v = v[:, order]
-    tol = _RANK_TOL * max(w[0], 0.0) if w.size else 0.0
-    r = int(np.sum(w > tol))
-    wr = w[:r]
-    fac = v[:, :r] * np.sqrt(wr)
-    left_inv = (v[:, :r] / np.sqrt(wr)).T if r else np.zeros((0, mat.shape[0]))
-    return fac, left_inv, r
+def _psd_factor(mat: np.ndarray) -> np.ndarray:
+    """Rank-revealing factor F with F F^T = mat: one column sqrt(w) v for
+    each eigenpair of mat left nonzero by the rounding cut (_psd_eigh), in
+    decreasing order of w.  Its column count is the numerical rank."""
+    w, v = _psd_eigh(mat)
+    return (v[:, ::-1] * np.sqrt(w[::-1]))[:, :np.count_nonzero(w)]
 
 
 def c0_covariance(A, D, B) -> CouplingCovariance:
     """The minimal-rank optimal cross-covariance C0.
 
     Constructed by reducing to identity marginals with rank factors of A and
-    B, diagonalizing the reduced cost by SVD, and putting -1 on the positive
-    singular directions (zero elsewhere).
+    B, diagonalizing the reduced cost by SVD, and putting -1 on the singular
+    directions the rounding cut keeps (zero elsewhere).
     """
     A = check_sym_psd(A, "A")
     B = check_sym_psd(B, "B")
     D = _as_matrix(D, "D")
     if D.shape != (A.shape[0], B.shape[0]):
         raise InputError("D has inconsistent shape")
-    Af, _, ra = _psd_factor(A)
-    Bf, _, rb = _psd_factor(B)
-    if ra == 0 or rb == 0:
-        C = np.zeros((A.shape[0], B.shape[0]))
-        return CouplingCovariance(C=C, value=0.0, feasible=True, min_eigenvalue=0.0)
-    Dp = Af.T @ D @ Bf
-    U, s, Vt = np.linalg.svd(Dp)
-    tol = _RANK_TOL * (s[0] if s.size else 0.0)
-    r = int(np.sum(s > tol))
-    Cp = -U[:, :r] @ Vt[:r, :]
-    C = Af @ Cp @ Bf.T
-    value = -float(s[:r].sum())
-    ok, lam = feasibility_check(A, B, C)
-    return CouplingCovariance(C=C, value=value, feasible=ok, min_eigenvalue=lam)
+    Af = _psd_factor(A)
+    Bf = _psd_factor(B)
+    if Af.shape[1] == 0 or Bf.shape[1] == 0:
+        return CouplingCovariance(np.zeros((A.shape[0], B.shape[0])), 0.0, True, 0.0)
+    U, s, Vt = np.linalg.svd(Af.T @ D @ Bf)
+    r = np.count_nonzero(_rounding_cut(s))
+    C = Af @ (-U[:, :r] @ Vt[:r, :]) @ Bf.T
+    return CouplingCovariance(C, -float(s[:r].sum()), *feasibility_check(A, B, C))
 
 
 def sample_feasible(A, B, count: int, seed: int,
@@ -300,8 +299,9 @@ def sample_feasible_array(A, B, count: int, seed: int,
     A = check_sym_psd(A, "A")
     B = check_sym_psd(B, "B")
     n1, n2 = A.shape[0], B.shape[0]
-    Af, _, ra = _psd_factor(A)
-    Bf, _, rb = _psd_factor(B)
+    Af = _psd_factor(A)
+    Bf = _psd_factor(B)
+    ra, rb = Af.shape[1], Bf.shape[1]
     if ra == 0 or rb == 0:
         return np.zeros((count, n1, n2))
     rng = np.random.Generator(np.random.Philox(key=np.array([seed & (2**64 - 1), 0x5EED],
@@ -329,33 +329,25 @@ def extremal_covariances(A_x, A_y, jet: DistanceJet) -> tuple[CouplingCovariance
 
     A_x and A_y are matrices in the jet's adapted frames and must be
     invertible.  C+ extends parallel-transport coupling, C- reflection
-    coupling.
+    coupling: C+- = C0 +- e1 e1^T / sqrt((A_x^{-1})_11 (A_y^{-1})_11), where
+    C0 = -F pinv(sqrt(S)) F^T q12 A_y with F = eigenvectors * sqrt(eigenvalues)
+    of A_x and S = F^T q12 A_y q12^T F, so C0 q12^T = -sqrt(A_x q12 A_y q12^T).
     """
     A_x = check_sym_psd(A_x, "A_x")
     A_y = check_sym_psd(A_y, "A_y")
     n = jet.manifold.dim
     if A_x.shape[0] != n or A_y.shape[0] != n:
         raise InputError("covariances must match the manifold dimension")
-    wx = np.linalg.eigvalsh(A_x)
-    wy = np.linalg.eigvalsh(A_y)
-    if wx.min() <= _RANK_TOL * max(wx.max(), 1.0) or wy.min() <= _RANK_TOL * max(wy.max(), 1.0):
-        raise SingularDiffusionError("extremal covariances need invertible diffusion tensors")
+    wx, vx = _psd_eigh(A_x)
+    wy, vy = _psd_eigh(A_y)
+    _check_invertible(wx)
+    _check_invertible(wy)
     q12 = jet.q12
-    M = A_x @ q12 @ A_y @ q12.T
-    # sqrt(M) through the symmetric similarity by sqrt(A_x)
-    gx = sym_psd_sqrt(A_x)
-    gx_inv = np.linalg.inv(gx)
-    root = gx @ sym_psd_sqrt(gx @ q12 @ A_y @ q12.T @ gx) @ gx_inv
-    p = np.linalg.pinv(M, rcond=_RANK_TOL) @ (A_x @ q12 @ A_y)
-    base = -root @ p
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    denom = math.sqrt(float(np.linalg.solve(A_x, e1)[0] * np.linalg.solve(A_y, e1)[0]))
-    rank_one = np.outer(e1, e1) / denom
-    out = []
-    for sign in (+1.0, -1.0):
-        C = base + sign * rank_one
-        ok, lam = feasibility_check(A_x, A_y, C)
-        out.append(CouplingCovariance(C=C, value=coupling_cost(C, q12), feasible=ok,
-                                      min_eigenvalue=lam))
-    return out[0], out[1]
+    F = vx * np.sqrt(wx)
+    ws, vs = _psd_eigh(F.T @ q12 @ A_y @ q12.T @ F)
+    inv_root = np.divide(1.0, np.sqrt(ws), out=np.zeros_like(ws), where=ws > 0)
+    c0 = -(F @ (vs * inv_root)) @ (vs.T @ F.T @ q12 @ A_y)
+    rank_one = np.zeros((n, n))
+    rank_one[0, 0] = 1.0 / math.sqrt((vx[0] ** 2 @ (1.0 / wx)) * (vy[0] ** 2 @ (1.0 / wy)))
+    return tuple(CouplingCovariance(C, coupling_cost(C, q12), *feasibility_check(A_x, A_y, C))
+                 for C in (c0 + rank_one, c0 - rank_one))

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import tr_sqrt_sandwich
+from .coupling import _check_invertible, tr_sqrt_sandwich
 from .errors import (
     CutLocusRiskWarning,
     HViolationError,
     InputError,
     NonPositiveSpectrumError,
-    SingularDiffusionError,
 )
 from .fields import DiffusionSpec, h_residual
 from .manifolds import EUCLIDEAN, ModelManifold, Point, TangentVector
@@ -53,12 +52,6 @@ class CurvatureReport:
         total = sum(self.terms.values())
         if not math.isclose(total, self.kappa, rel_tol=0.0, abs_tol=1e-12 * max(1.0, abs(self.kappa))):
             raise AssertionError("term breakdown does not sum to kappa")
-
-
-def _rank_check(A: np.ndarray, what: str):
-    w = np.linalg.eigvalsh(A)
-    if w.min() <= 1e-9 * max(w.max(), 1.0):
-        raise SingularDiffusionError(f"{what} must have full rank")
 
 
 def _lyapunov_solve(A: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -121,7 +114,7 @@ def _dir_terms(spec: DiffusionSpec, x: Point,
         raise InputError("direction must be a unit tangent vector")
     E = m.frame(x, first=u.components / nu)
     A = spec.diffusion.matrix(x, E)
-    _rank_check(A, "the diffusion tensor")
+    _check_invertible(np.linalg.eigvalsh(A))
     dA = spec.diffusion.derivative(x, E)
     drift_term = -spec.drift.du_uu(x, u)
     riemann_term = 0.5 * m.sectional_curvature * (float(np.trace(A)) - float(A[0, 0]))

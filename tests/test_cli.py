@@ -180,6 +180,27 @@ def test_coupling_command(runner, tmp_path):
     assert row["rank"] == "1"
 
 
+@pytest.mark.parametrize("a, d, b, value, rank", [
+    # A's 1e-10 eigenvalue is the only one the cost sees: the minimum
+    # -tr sqrt(A D B D^T) = -1e-5 with a rank-one C0
+    (np.diag([1.0, 1e-10]), np.diag([0.0, 1.0]), np.eye(2), "-1.0000000000000001e-05", "1"),
+    # C0 = -diag(1, 1e-12): the rank counts the singular values the coupling
+    # layer's rounding rule keeps, as C0's construction does
+    (np.diag([1.0, 1e-12]), np.eye(2), np.diag([1.0, 1e-12]), "-1.0000000000010001", "2"),
+])
+def test_coupling_command_keeps_ill_conditioned_directions(runner, tmp_path, a, d, b, value, rank):
+    paths = []
+    for name, mat in (("a", a), ("d", d), ("b", b)):
+        paths.append(tmp_path / f"{name}.csv")
+        np.savetxt(paths[-1], mat, delimiter=",")
+    rout = tmp_path / "r.csv"
+    res = invoke(runner, ["coupling", "--a-csv", str(paths[0]), "--d-csv", str(paths[1]),
+                          "--b-csv", str(paths[2]), "--out", str(rout)])
+    assert res.exit_code == 0
+    row = read_csv(str(rout))[0]
+    assert (row["value"], row["rank"], row["feasible"]) == (value, rank, "true")
+
+
 def test_coupling_command_exit_codes(runner, tmp_path):
     def csv(name, text):
         path = tmp_path / name

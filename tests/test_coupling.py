@@ -248,6 +248,60 @@ def test_c0_feasible_optimal_and_square_root(n1, n2, ranks, seed):
     assert np.abs(cd @ cd - S).max() <= 1e-9 * max(np.abs(S).max(), 1e-300)
 
 
+def orthogonal(g, n):
+    q, _ = np.linalg.qr(g.standard_normal((n, n)))
+    return q
+
+
+@st.composite
+def ill_conditioned_problems(draw):
+    """(A, D, B) with n1, n2 in 1..5: marginals with eigenvalues log-uniform
+    in [1e-12, 1] or exactly 0, and a cost with singular values log-uniform
+    in [1e-12, 1], each in a random basis."""
+    n1, n2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    g = rng(draw(st.integers(0, 2**32 - 1)))
+    tiny = st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e)
+
+    def marginal(n):
+        w = np.array(draw(st.lists(st.one_of(st.just(0.0), tiny), min_size=n, max_size=n)))
+        q = orthogonal(g, n)
+        return (q * w) @ q.T
+
+    A, B = marginal(n1), marginal(n2)
+    k = min(n1, n2)
+    s = np.array(draw(st.lists(tiny, min_size=k, max_size=k)))
+    D = (orthogonal(g, n1)[:, :k] * s) @ orthogonal(g, n2)[:k]
+    return A, D, B
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(problem=ill_conditioned_problems())
+def test_c0_attains_the_minimum_on_ill_conditioned_input(problem):
+    # C0's rank cut and min_coupling_value's roots read one rounding rule, so
+    # C0 attains the minimum to rounding even when the marginals, or the
+    # cost, have singular values down to 1e-12 of the largest
+    A, D, B = problem
+    v = min_coupling_value(A, D, B)
+    res = c0_covariance(A, D, B)
+    assert abs(res.value - v) <= 1e-12 * abs(v)
+    assert res.feasible
+    # no feasible coupling does better; |C_ij| <= sqrt(A_ii B_jj) bounds any cost
+    scale = np.sum(np.abs(D) * np.sqrt(np.outer(np.diag(A), np.diag(B))))
+    costs = np.einsum("kij,ij->k", sample_feasible_array(A, B, 500, seed=0), D)
+    assert costs.min() >= v - 1e-12 * scale
+
+
+def test_c0_keeps_an_ill_conditioned_direction():
+    # the cost sees only A's 1e-10 direction, which a rank cut at 1e-9 of
+    # the largest eigenvalue would drop, leaving C0 = 0 with value 0
+    A, D = np.diag([1.0, 1e-10]), np.diag([0.0, 1.0])
+    res = c0_covariance(A, D, np.eye(2))
+    assert res.value == pytest.approx(-1e-5, rel=1e-12)
+    assert res.value == pytest.approx(min_coupling_value(A, D, np.eye(2)), rel=1e-12)
+    assert res.feasible
+    assert np.linalg.matrix_rank(res.C) == 1
+
+
 def test_sample_feasible_includes_extremal():
     g = rng(7)
     n = 3
@@ -310,8 +364,8 @@ def test_extremal_frame_constant_tensor_gives_exact_limits():
     for d in (0.5, 1e-2):
         jet = jet_at(m, d)
         cp, cm = extremal_covariances(A, A, jet)
-        assert np.abs(cp.C - A).max() < 1e-9
-        assert np.abs(cm.C - refl).max() < 1e-9
+        assert np.abs(cp.C - A).max() < 1e-13
+        assert np.abs(cm.C - refl).max() < 1e-13
         assert cp.feasible and cm.feasible
 
 
@@ -351,7 +405,7 @@ def test_extremal_deterministic_coupling_identity():
     cp, cm = extremal_covariances(A, B, jet)
     for cov in (cp, cm):
         assert cov.feasible
-        assert np.abs(cov.C.T @ np.linalg.inv(A) @ cov.C - B).max() < 1e-8
+        assert np.abs(cov.C.T @ np.linalg.inv(A) @ cov.C - B).max() < 1e-13
 
 
 def test_extremal_optimal_value():

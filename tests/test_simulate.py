@@ -12,6 +12,7 @@ from riccigap.cli import main, parse_field
 from riccigap.curvature import kappa_pair
 from riccigap.errors import InputError
 from riccigap.fields import (
+    ConstantFrameField,
     DiffusionSpec,
     InverseMetricField,
     LinearDrift,
@@ -157,6 +158,24 @@ def test_run_coupled_flat_cases_exact():
             assert np.abs(tr.defect).max() < 1e-10
             want = math.log(1.0) - rate * 0.4
             assert tr.log_distance[-1] == pytest.approx(want, abs=1e-10)
+
+
+def test_run_coupled_per_pair_rule_keeps_flat_distance_exactly():
+    # a constant tensor on flat space: C+ = A and the joint covariance
+    # [[A, A], [A, A]] has rank n, so X and Y take the same increment and
+    # Y - X never moves; an error e in C+ enters the block's root as
+    # ~sqrt(e) and pushes the two apart
+    cfg = SimConfig(dt=1e-3, horizon=0.2, trajectories=4, seed=3)
+    for A in (np.array([[1.3, 0.4], [0.4, 0.6]]),
+              np.array([[2.0, 0.4, 0.0], [0.4, 1.0, -0.2], [0.0, -0.2, 0.7]])):
+        n = len(A)
+        m = parse_manifold(f"euclidean:{n}")
+        spec = DiffusionSpec(m, ConstantFrameField(A), ZeroDrift())
+        x0 = m.point([0.5, 0.2, 0.0][:n])
+        y0 = m.point([-0.5, 0.1, 0.3][:n])
+        for tr in run_coupled(spec, x0, y0, cfg):
+            assert not tr.aborted
+            assert np.abs(tr.log_distance - tr.log_distance[0]).max() <= 1e-12
 
 
 def test_run_coupled_sphere_defect_small_and_shrinking():
