@@ -11,7 +11,10 @@ with the distance jet in the normalized convention of manifolds.DistanceJet.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,17 +25,23 @@ from .errors import (
     HViolationError,
     InputError,
     NonPositiveSpectrumError,
+    TermMismatchError,
 )
 from .fields import DiffusionSpec, h_residual
 from .manifolds import EUCLIDEAN, ModelManifold, Point, TangentVector
 
+_EPS = float(np.finfo(float).eps)
 _H_TOL = 1e-8  # admissibility residual allowed, relative to |A(x)|, before
                # the constrained curvature is considered undefined
 _ROW_CAP = 1 << 14  # rows the direct estimator steps together
 _NOISE_FLOATS = 1 << 16  # numbers in its noise buffer (512 KB; more buys nothing)
 _CLOUD_CAP = 4096  # points per cloud; the assignment's cost matrix is then at
                    # most 128 MB, and building it takes 2-3 times that (dist_many
-                   # sums a column at a time up to an ambient dimension of 7)
+                   # sums a column at a time up to an ambient dimension of 7).
+                   # Clouds of N points keep at most (_CLOUD_CAP // N)^2 cost
+                   # matrices alive, one per solver thread, so they never hold
+                   # more than one _CLOUD_CAP-point matrix
+_POOL_MIN_POINTS = 64  # smaller clouds are solved on the calling thread
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,16 +51,25 @@ class CurvatureReport:
     terms always carries drift_term, riemann_term and gradient_A_penalty and
     sums to kappa; for pair curvatures riemann_term holds the whole
     jet-quadratic contribution (trace terms plus the transport gain).
+    magnitude is the sum of the absolute values of the parts that kappa and
+    the terms were added up from (by default the terms').  kappa and the sum
+    of the terms are each at most three additions of those parts, and each
+    addition rounds by at most eps/2 * magnitude, so they may differ by
+    4 eps * magnitude and no more.
     """
 
     kappa: float
     terms: dict
     location: tuple
+    magnitude: float | None = None
 
     def __post_init__(self):
         total = sum(self.terms.values())
-        if not math.isclose(total, self.kappa, rel_tol=0.0, abs_tol=1e-12 * max(1.0, abs(self.kappa))):
-            raise AssertionError("term breakdown does not sum to kappa")
+        size = (sum(abs(v) for v in self.terms.values()) if self.magnitude is None
+                else self.magnitude)
+        if not abs(total - self.kappa) <= 4.0 * _EPS * size:  # NaN fails too
+            raise TermMismatchError(f"term breakdown sums to {total!r}, not to kappa = "
+                                    f"{self.kappa!r}")
 
 
 def _lyapunov_solve(A: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -87,6 +105,7 @@ def kappa_pair(spec: DiffusionSpec, x: Point, y: Point) -> CurvatureReport:
         kappa=kappa,
         terms={"drift_term": drift_term, "riemann_term": quad + gain, "gradient_A_penalty": 0.0},
         location=(x, y),
+        magnitude=abs(drift_term) + abs(quad) + abs(gain),
     )
 
 
@@ -184,6 +203,7 @@ def kappa_tilde_dir(spec: DiffusionSpec, x: Point, u: TangentVector) -> Curvatur
         terms={"drift_term": drift_term, "riemann_term": riemann_term,
                "gradient_A_penalty": term3 + term4},
         location=(x, u),
+        magnitude=abs(drift_term) + abs(riemann_term) + abs(term3) + abs(term4),
     )
 
 
@@ -250,6 +270,12 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
     _NOISE_FLOATS numbers or one step's.  A cloud holds samples // batches
     points, at most _CLOUD_CAP, since the assignment's cost matrix grows with
     its square (up to ambient dimension 7 without a k-times larger broadcast).
+    Clouds of at least _POOL_MIN_POINTS points are solved on one pool of
+    S = min(CPUs the process may run on, (_CLOUD_CAP // points)^2) threads
+    per call.  Only scipy's solver runs there: the calling thread steps the
+    clouds, builds each centred cost and takes each W1, and holds at most S
+    cost matrices at once, so they never take more memory than one
+    _CLOUD_CAP-point matrix.  Every bit of the result is the same at any S.
     Returns (estimate, (lo, hi)); the interval combines a 95% normal CI
     from the batch spread with the size of the Richardson correction (a
     conservative gauge of the remaining O(t^2) truncation).
@@ -272,22 +298,26 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
         raise InputError("the direct estimator supports metric-proportional diffusions")
     per, k = samples // batches, m.ambient_dim
     clouds = [(it, b) for it in range(len(t_ladder)) for b in range(batches)]
-    kap = np.zeros(len(clouds))
     crossed = False
-    size = max(1, _ROW_CAP // per)
-    for g0 in range(0, len(clouds), size):
-        group = clouds[g0:g0 + size]
-        rngs = [_traj_rng(seed, (it << 32) | b) for it, b in group]
-        h = _step(spec, np.repeat([t_ladder[it] / substeps for it, _ in group], per)[:, None])
-        X, Y = (np.asfortranarray(np.broadcast_to(v.coords, (len(h.dt), k))) for v in (x, y))
-        d = m.dist_many(X, Y)
-        for z in _noise_steps(rngs, per, k, substeps, max(1, _NOISE_FLOATS // (len(d) * k))):
-            X, Y = _coupled_step(spec, _pairs(spec, X, Y, d), z, h)
+
+    def stepped():
+        nonlocal crossed
+        size = max(1, _ROW_CAP // per)
+        for g0 in range(0, len(clouds), size):
+            group = clouds[g0:g0 + size]
+            rngs = [_traj_rng(seed, (it << 32) | b) for it, b in group]
+            h = _step(spec, np.repeat([t_ladder[it] / substeps for it, _ in group], per)[:, None])
+            X, Y = (np.asfortranarray(np.broadcast_to(v.coords, (len(h.dt), k))) for v in (x, y))
             d = m.dist_many(X, Y)
-            crossed = crossed or bool(d.max() > m.cut_threshold)
-        for j, (it, _) in enumerate(group):
-            w1 = _assignment_w1(m, X[j * per:(j + 1) * per], Y[j * per:(j + 1) * per])
-            kap[g0 + j] = (d0 - w1) / (t_ladder[it] * d0)
+            for z in _noise_steps(rngs, per, k, substeps, max(1, _NOISE_FLOATS // (len(d) * k))):
+                X, Y = _coupled_step(spec, _pairs(spec, X, Y, d), z, h)
+                d = m.dist_many(X, Y)
+                crossed = crossed or bool(d.max() > m.cut_threshold)
+            for j in range(len(group)):
+                yield X[j * per:(j + 1) * per], Y[j * per:(j + 1) * per]
+
+    w1 = _cloud_w1s(m, stepped(), _solvers(m, per))
+    kap = np.array([(d0 - w) / (t_ladder[it] * d0) for (it, _), w in zip(clouds, w1)])
     kap = kap.reshape(len(t_ladder), batches)
     if crossed:
         warnings.warn("sample paths approached the cut locus; estimate may be biased",
@@ -301,16 +331,53 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
     return est, (est - half, est + half)
 
 
-def linear_sum_assignment(cost: np.ndarray):
+def _cloud_w1s(m: ModelManifold, pairs, solvers: int) -> list[float]:
+    """_assignment_w1 of each cloud pair (X, Y) that `pairs` yields, in order,
+    with solvers > 1 on a pool of that many threads.  The calling thread
+    waits for the oldest solve whenever `solvers` are pending, so at most
+    `solvers` cost matrices exist at once, the one it builds included."""
+    if solvers == 1:
+        return [_assignment_w1(m, X, Y) for X, Y in pairs]
+    out, pending = [], deque()
+    with ThreadPoolExecutor(max_workers=solvers) as pool:
+        for X, Y in pairs:
+            if len(pending) == solvers:
+                out.append(pending.popleft()())
+            pending.append(_assignment_w1(m, X, Y, pool))
+        out.extend(w1() for w1 in pending)
+    return out
+
+
+def _solvers(m: ModelManifold, per: int) -> int:
+    """Solver threads for clouds of `per` points: the CPUs the process may
+    run on, at most (_CLOUD_CAP // per)^2; one (no pool) on the line, which
+    sorts, and below _POOL_MIN_POINTS, where a solve is about a hand-off."""
+    if per < _POOL_MIN_POINTS or (m.kind == EUCLIDEAN and m.dim == 1):
+        return 1
+    return min(_usable_cpus(), (_CLOUD_CAP // per) ** 2)
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _scipy_solver():
     """scipy.optimize.linear_sum_assignment, imported on first use: scipy.optimize
-    is most of the package's import time and only _assignment_w1 needs it."""
+    is most of the package's import time and only the assignments need it."""
     from scipy.optimize import linear_sum_assignment as solve
 
-    return solve(cost)
+    return solve
 
 
-def _assignment_w1(m: ModelManifold, X: np.ndarray, Y: np.ndarray) -> float:
-    """Exact W1 between two equal-size empirical clouds.
+def linear_sum_assignment(cost: np.ndarray):
+    """scipy.optimize.linear_sum_assignment, for the solves made on the
+    calling thread."""
+    return _scipy_solver()(cost)
+
+
+def _assignment_w1(m: ModelManifold, X: np.ndarray, Y: np.ndarray, pool=None):
+    """Exact W1 between two equal-size empirical clouds; given a thread pool,
+    a function that returns it once the solve, started there, is done.
 
     The cost is dist_many on the clouds broadcast against each other; up to
     an ambient dimension of 7 it sums a column at a time, with no (N, N, k)
@@ -320,12 +387,22 @@ def _assignment_w1(m: ModelManifold, X: np.ndarray, Y: np.ndarray) -> float:
     quicker.  W1 is the mean of dist_many over the chosen
     pairs, not of the centred cost: bit-equal to the uncentred solve's when
     the permutation is, and within rounding of it when a near-tie picks
-    another optimal one.
+    another optimal one.  Only scipy's (deterministic) solver runs on the
+    pool, on a cost nothing else holds, so no public function of the
+    package runs off the calling thread.
     """
     if m.kind == EUCLIDEAN and m.dim == 1:
         return float(np.abs(np.sort(X[:, 0]) - np.sort(Y[:, 0])).mean())
     cost = m.dist_many(X[:, None, :], Y[None, :, :])
     cost -= cost.mean(axis=1, keepdims=True)
     cost -= cost.mean(axis=0)
-    rows, cols = linear_sum_assignment(cost)
-    return float(m.dist_many(X[rows], Y[cols]).mean())
+    if pool is None:
+        rows, cols = linear_sum_assignment(cost)
+        return float(m.dist_many(X[rows], Y[cols]).mean())
+    solve = pool.submit(_scipy_solver(), cost)
+
+    def w1():
+        rows, cols = solve.result()
+        return float(m.dist_many(X[rows], Y[cols]).mean())
+
+    return w1

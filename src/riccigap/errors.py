@@ -41,6 +41,16 @@ class DegenerateSpectrumError(RicciGapError):
     """The zero eigenvalue of a discretized generator is not simple."""
 
 
+class TermMismatchError(RicciGapError):
+    """A curvature's additive term breakdown does not sum to its value within
+    the rounding of the additions."""
+
+
+class DivergenceError(RicciGapError):
+    """A simulated step left the model space: its coordinates stopped being
+    finite or moved off the space by more than rounding."""
+
+
 class InputError(RicciGapError):
     """Invalid user input (CLI / config validation)."""
 

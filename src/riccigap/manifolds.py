@@ -128,6 +128,17 @@ class ModelManifold:
             s = s - 2.0 * u[..., -1] * v[..., -1]
         return s
 
+    def _on_space(self, c: np.ndarray) -> bool:
+        """Whether the ambient coordinates c lie on the space, to within
+        _INVARIANT_TOL relative (NaN does not)."""
+        r2 = self.radius**2
+        if self.kind == SPHERE:
+            return abs(self.ip(c, c) - r2) <= _INVARIANT_TOL * r2
+        if self.kind == HYPERBOLIC:
+            scale = max(float(np.sum(c * c)), r2)
+            return abs(self.ip(c, c) + r2) <= _INVARIANT_TOL * scale and c[-1] > 0
+        return True
+
     # -- points and tangent vectors ----------------------------------------
 
     def point(self, coords) -> "Point":
@@ -458,15 +469,9 @@ class Point:
         c = self.coords
         if c.shape != (m.ambient_dim,):
             raise InputError(f"point needs {m.ambient_dim} ambient coordinates, got {c.shape}")
-        if m.kind == SPHERE:
-            r2 = m.radius**2
-            if not abs(m.ip(c, c) - r2) <= _INVARIANT_TOL * r2:  # NaN fails too
-                raise InputError("point is not on the sphere (|<x,x>-r^2| too large)")
-        elif m.kind == HYPERBOLIC:
-            r2 = m.radius**2
-            scale = max(float(np.sum(c * c)), r2)
-            if not (abs(m.ip(c, c) + r2) <= _INVARIANT_TOL * scale and c[-1] > 0):
-                raise InputError("point is not on the upper hyperboloid")
+        if not m._on_space(c):
+            raise InputError("point is not on the sphere (|<x,x>-r^2| too large)"
+                             if m.kind == SPHERE else "point is not on the upper hyperboloid")
 
     def __eq__(self, other):
         return (isinstance(other, Point) and self.manifold == other.manifold

@@ -44,10 +44,10 @@ import numpy as np
 
 from .coupling import extremal_covariances, sym_psd_sqrt
 from .curvature import kappa_pair
-from .errors import InputError
+from .errors import DivergenceError, InputError
 from .fields import DiffusionSpec, LinearDrift
-from .manifolds import (EUCLIDEAN, SPHERE, ModelManifold, Point, TangentVector, _guarded_div,
-                        _jet_scales, _trig)
+from .manifolds import (EUCLIDEAN, SPHERE, ModelManifold, Point, _guarded_div, _jet_scales,
+                        _trig)
 
 _NOISE_BLOCK = 256  # time steps of noise drawn at once per trajectory
 
@@ -121,7 +121,12 @@ def _advance_ambient(spec: DiffusionSpec, x: Point, noise_inc: np.ndarray, dt: f
         inc = inc + (math.exp(-drift.rate * dt) * x.coords - x.coords)  # exact flow
     elif not drift.is_zero:
         inc = inc + dt * drift.vector(x)
-    return m.exp_map(x, TangentVector(x, m.project_tangent(x.coords, inc)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
+        y = m.exp_many(x.coords, m.project_tangent(x.coords, inc))
+        if not (np.isfinite(y).all() and m._on_space(y)):
+            raise DivergenceError("a step left the model space: its coordinates overflowed "
+                                  "or drifted off it by more than rounding")
+    return Point(m, y)
 
 
 def step_coupled(spec: DiffusionSpec, x: Point, y: Point, dt: float,
@@ -278,7 +283,8 @@ def _kappa(spec: DiffusionSpec, p: _Pairs):
 def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> list[CoupledTrajectory]:
     """Simulate coupled pairs from (x0, y0); reproducible per seed and
     independent of the worker count (per-trajectory counter-based streams,
-    one block of trajectories per worker)."""
+    one block of trajectories per worker).  A per-pair step whose
+    coordinates overflow or leave the space raises DivergenceError."""
     m = spec.manifold
     if m.kind == SPHERE and cfg.cut_margin >= math.pi * m.radius / 2:
         raise InputError("cut_margin must be below a quarter circumference")

@@ -60,6 +60,19 @@ def test_kappa_pair_and_limit(runner, tmp_path):
     assert float(read_csv(str(out))[0]["kappa"]) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("where", [
+    ["--method", "formula", "--pair", "0,0,1;0.0009999998333333417,0,0.9999995000000417"],
+    ["--method", "limit", "--point", "0,0,1", "--direction", "1,0,0",
+     "--delta-ladder", "0.001,0.0005"]], ids=["formula", "limit"])
+def test_kappa_at_small_distance_with_drift_exits_0(runner, tmp_path, where):
+    # d = 1e-3: the jet-quadratic parts are ~1e6 and the drift term nonzero
+    out = tmp_path / "k.csv"
+    res = invoke(runner, ["kappa", "--manifold", "sphere:2:1", "--field", "potential:0.3*cos",
+                          *where, "--out", str(out)])
+    assert res.exit_code == 0
+    assert float(read_csv(str(out))[0]["kappa"]) == pytest.approx(0.35, abs=1e-6)
+
+
 def test_invalid_manifold_exits_2_writes_nothing(runner, tmp_path):
     out = tmp_path / "k.csv"
     res = runner.invoke(main, ["kappa", "--manifold", "banana:2", "--point", "0,0",

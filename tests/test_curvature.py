@@ -1,4 +1,7 @@
+import functools
+import inspect
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -15,7 +18,8 @@ from riccigap.curvature import (
     kappa_tilde_pair,
     sqrt_perturbation_traces,
 )
-from riccigap.errors import HViolationError, InputError, NonPSDWarning, SingularDiffusionError
+from riccigap.errors import (HViolationError, InputError, NonPSDWarning, SingularDiffusionError,
+                             TermMismatchError)
 from riccigap.fields import (
     ConstantFrameField,
     DiffusionSpec,
@@ -32,7 +36,7 @@ from riccigap.fields import (
     reversible_potential,
     tensor_diffusion,
 )
-from riccigap.manifolds import TangentVector, parse_manifold
+from riccigap.manifolds import ModelManifold, TangentVector, parse_manifold
 
 E2 = parse_manifold("euclidean:2")
 E3 = parse_manifold("euclidean:3")
@@ -100,6 +104,21 @@ def test_kappa_pair_report_terms_sum():
     rep = kappa_pair(spec, x, y)
     assert sum(rep.terms.values()) == pytest.approx(rep.kappa, abs=1e-12)
     assert rep.location == (x, y)
+
+
+def test_term_breakdown_check_scales_with_the_parts_and_is_typed():
+    # at d = 1e-4 the jet-quadratic parts are ~1e8, so the breakdown carries
+    # ~1e-8 of rounding: within the check, which scales with the parts
+    spec = reversible_potential(S2, parse_potential("0.3*cos"))
+    x = S2.point([0.0, 0.0, 1.0])
+    for d in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4):
+        rep = kappa_pair(spec, x, S2.point([math.sin(d), 0.0, math.cos(d)]))
+        assert rep.magnitude > 1.0 / d**2
+    terms = {"drift_term": 0.5, "riemann_term": 0.25, "gradient_A_penalty": 0.0}
+    with pytest.raises(TermMismatchError):
+        curvature.CurvatureReport(kappa=0.75 + 1e-12, terms=terms, location=())
+    with pytest.raises(TermMismatchError):
+        curvature.CurvatureReport(kappa=0.75 + 1e-6, terms=terms, location=(), magnitude=1e6)
 
 
 # ---------------------------------------------------------------------------
@@ -512,16 +531,51 @@ def test_estimate_pinned_bitwise(case):
     assert got == want
 
 
-@pytest.mark.parametrize("rows, floats", [(5, 1), (40, 7), (100, 10**9)])
-def test_estimate_row_cap_and_noise_buffer_keep_every_bit(rows, floats, monkeypatch):
+@pytest.mark.parametrize("rows, floats, cpus", [
+    pytest.param(rows, floats, cpus, id=f"{rows}-{floats}" + (f"-{cpus}cpus" if cpus > 1 else ""))
+    for rows, floats in [(5, 1), (40, 7), (100, 10**9)] for cpus in (1, 2, 3)])
+def test_estimate_row_cap_and_noise_buffer_keep_every_bit(rows, floats, cpus, monkeypatch):
     # 16 or 32 rows per cloud, so groups of one cloud, of two or one, and of
     # six or three (groups that span both ladder times); the noise is drawn
-    # one step at a time, a few steps at a time, and all at once
+    # one step at a time, a few steps at a time, and all at once; the pins'
+    # clouds are solved on the calling thread, or on a pool of 2 or 3 threads
+    # (E1 sorts, so it keeps the calling thread)
     monkeypatch.setattr(curvature, "_ROW_CAP", rows)
     monkeypatch.setattr(curvature, "_NOISE_FLOATS", floats)
+    monkeypatch.setattr(curvature, "_POOL_MIN_POINTS", 16)
+    monkeypatch.setattr(curvature, "_usable_cpus", lambda: cpus)
     for case in ESTIMATE_PINS:
         got, want = _pinned(case)
         assert got == want, case[0]
+
+
+def test_estimator_calls_the_package_on_the_calling_thread_only(monkeypatch):
+    # perfbench's layer tracer keeps one span stack per process, so a public
+    # call on a pool thread would corrupt it: with two solvers only scipy's
+    # solver may leave the calling thread
+    calls, solves = [], []
+
+    def record(fn, log):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            log.append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return recorded
+
+    for name, fn in list(vars(ModelManifold).items()):
+        if inspect.isfunction(fn) and not name.startswith("_"):
+            monkeypatch.setattr(ModelManifold, name, record(fn, calls))
+    monkeypatch.setattr(curvature, "linear_sum_assignment",
+                        record(curvature.linear_sum_assignment, calls))
+    solve = curvature._scipy_solver()
+    monkeypatch.setattr(curvature, "_scipy_solver", lambda: record(solve, solves))
+    monkeypatch.setattr(curvature, "_usable_cpus", lambda: 2)
+    x = S2.point([0.0, 0.0, 1.0])
+    y = S2.exp_map(x, TangentVector(x, 0.5 * S2.tangent(x, [1.0, 0, 0]).components))
+    estimate_kappa_direct(brownian(S2), x, y, samples=8 * 64, batches=8, substeps=5)
+    caller = threading.get_ident()
+    assert calls and set(calls) == {caller}
+    assert len(solves) == 2 * 8 and caller not in solves
 
 
 H3 = parse_manifold("hyperbolic:3:1")
@@ -564,9 +618,9 @@ def test_assignment_w1_matches_dense_solve(m, dist, monkeypatch):
     clouds = []
     solve = curvature._assignment_w1
 
-    def capture(mm, X, Y):
+    def capture(mm, X, Y, pool=None):
         clouds.append((X.copy(), Y.copy()))
-        return solve(mm, X, Y)
+        return solve(mm, X, Y, pool)
 
     monkeypatch.setattr(curvature, "_assignment_w1", capture)
     x = _far(m, dist, 1)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from riccigap import simulate
 from riccigap.cli import main, parse_field
 from riccigap.curvature import kappa_pair
-from riccigap.errors import InputError
+from riccigap.errors import DivergenceError, InputError
 from riccigap.fields import (
     ConstantFrameField,
     DiffusionSpec,
@@ -301,6 +301,21 @@ def test_one_abort_rule_for_kernel_and_per_pair_steps(monkeypatch):
             assert len(calls) == 3 * stop + (steps - stop)
         else:
             assert calls == [3] * steps
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_per_pair_blow_up_is_a_numerical_error(seed):
+    # A(x) of this field grows with the Lorentz position, so the Euler paths
+    # run out to infinity within 100 steps, overflowing (seed 1) or leaving
+    # the hyperboloid (seed 0): a numerical failure, raised with no
+    # floating-point warning on the way, not invalid input
+    H2 = parse_manifold("hyperbolic:2:1")
+    spec = DiffusionSpec(H2, h_admissible_field(H2, random_riemann_like(3, seed=4, psd=True)),
+                         ZeroDrift())
+    x = H2.point([-0.353, -0.208, math.sqrt(1.0 + 0.353**2 + 0.208**2)])
+    y = H2.exp_map(x, H2.tangent(x, [0.2, 0.1, 0.0], project=True))
+    with pytest.raises(DivergenceError):
+        run_coupled(spec, x, y, SimConfig(dt=1e-3, horizon=0.1, trajectories=3, seed=seed))
 
 
 def test_run_coupled_reproducible_across_workers():
