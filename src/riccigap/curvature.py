@@ -10,11 +10,12 @@ with the distance jet in the normalized convention of manifolds.DistanceJet.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,8 @@ _CLOUD_CAP = 4096  # points per cloud; the assignment's cost matrix is then at
                    # Clouds of N points keep at most (_CLOUD_CAP // N)^2 cost
                    # matrices alive, one per solver thread, so they never hold
                    # more than one _CLOUD_CAP-point matrix
-_POOL_MIN_POINTS = 64  # smaller clouds are solved on the calling thread
+_POOL_MIN_POINTS = 64  # smaller clouds are solved on the calling thread, with no warm start
+_FIT_DEGREE = 4  # the warm start fits the duals with monomials of this degree
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,12 +272,15 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
     _NOISE_FLOATS numbers or one step's.  A cloud holds samples // batches
     points, at most _CLOUD_CAP, since the assignment's cost matrix grows with
     its square (up to ambient dimension 7 without a k-times larger broadcast).
-    Clouds of at least _POOL_MIN_POINTS points are solved on one pool of
-    S = min(CPUs the process may run on, (_CLOUD_CAP // points)^2) threads
-    per call.  Only scipy's solver runs there: the calling thread steps the
-    clouds, builds each centred cost and takes each W1, and holds at most S
-    cost matrices at once, so they never take more memory than one
-    _CLOUD_CAP-point matrix.  Every bit of the result is the same at any S.
+    Clouds of at least _POOL_MIN_POINTS points are solved on a pool of
+    S = min(usable CPUs, (_CLOUD_CAP // points)^2) threads, and warm-started:
+    each t's first cloud is solved on its centred cost, its later ones on
+    their costs less the first's Kantorovich potentials as fitted by
+    _warm_start, or centred if the duals or the fit fail.  W1 is the mean
+    distance over the chosen pairs, so it never depends on the fit.  Only
+    scipy's solver leaves the calling thread, which holds at most S cost
+    matrices (never more memory than one _CLOUD_CAP-point matrix).  Every
+    bit of the result is the same at any S.
     Returns (estimate, (lo, hi)); the interval combines a 95% normal CI
     from the batch spread with the size of the Richardson correction (a
     conservative gauge of the remaining O(t^2) truncation).
@@ -313,8 +318,8 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
                 X, Y = _coupled_step(spec, _pairs(spec, X, Y, d), z, h)
                 d = m.dist_many(X, Y)
                 crossed = crossed or bool(d.max() > m.cut_threshold)
-            for j in range(len(group)):
-                yield X[j * per:(j + 1) * per], Y[j * per:(j + 1) * per]
+            for j, (it, _) in enumerate(group):
+                yield it, X[j * per:(j + 1) * per], Y[j * per:(j + 1) * per]
 
     w1 = _cloud_w1s(m, stepped(), _solvers(m, per))
     kap = np.array([(d0 - w) / (t_ladder[it] * d0) for (it, _), w in zip(clouds, w1)])
@@ -331,27 +336,30 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
     return est, (est - half, est + half)
 
 
-def _cloud_w1s(m: ModelManifold, pairs, solvers: int) -> list[float]:
-    """_assignment_w1 of each cloud pair (X, Y) that `pairs` yields, in order,
-    with solvers > 1 on a pool of that many threads.  The calling thread
-    waits for the oldest solve whenever `solvers` are pending, so at most
-    `solvers` cost matrices exist at once, the one it builds included."""
-    if solvers == 1:
-        return [_assignment_w1(m, X, Y) for X, Y in pairs]
-    out, pending = [], deque()
-    with ThreadPoolExecutor(max_workers=solvers) as pool:
-        for X, Y in pairs:
+def _cloud_w1s(m: ModelManifold, clouds, solvers: int) -> list[float]:
+    """_assignment_w1 of each cloud pair that `clouds` yields as (t index, X,
+    Y), in order, on a pool of `solvers` threads (one: on the calling thread).
+    The calling thread waits for the oldest solve whenever `solvers` are
+    pending, so at most `solvers` cost matrices exist at once, the one it
+    builds included, and for each t's first cloud, to fit its _warm_start."""
+    out, pending, shifts = [], deque(), {}
+    with ThreadPoolExecutor(max_workers=solvers) as pool:  # starts no thread unless used
+        submit = _solved if solvers == 1 else functools.partial(pool.submit, _scipy_solver())
+        for it, X, Y in clouds:
             if len(pending) == solvers:
-                out.append(pending.popleft()())
-            pending.append(_assignment_w1(m, X, Y, pool))
-        out.extend(w1() for w1 in pending)
+                out.append(pending.popleft()()[0])
+            pending.append(_assignment_w1(m, X, Y, submit, shifts.get(it)))
+            if it not in shifts:
+                shifts[it] = _warm_start(m, X, Y, pending[-1]()[1])
+        out.extend(w1()[0] for w1 in pending)
     return out
 
 
 def _solvers(m: ModelManifold, per: int) -> int:
     """Solver threads for clouds of `per` points: the CPUs the process may
-    run on, at most (_CLOUD_CAP // per)^2; one (no pool) on the line, which
-    sorts, and below _POOL_MIN_POINTS, where a solve is about a hand-off."""
+    run on, at most (_CLOUD_CAP // per)^2; one (the calling thread) on the
+    line, which sorts, and below _POOL_MIN_POINTS, where a solve is about a
+    hand-off."""
     if per < _POOL_MIN_POINTS or (m.kind == EUCLIDEAN and m.dim == 1):
         return 1
     return min(_usable_cpus(), (_CLOUD_CAP // per) ** 2)
@@ -375,34 +383,106 @@ def linear_sum_assignment(cost: np.ndarray):
     return _scipy_solver()(cost)
 
 
-def _assignment_w1(m: ModelManifold, X: np.ndarray, Y: np.ndarray, pool=None):
-    """Exact W1 between two equal-size empirical clouds; given a thread pool,
-    a function that returns it once the solve, started there, is done.
+def _solved(cost: np.ndarray) -> Future:
+    """A done future of linear_sum_assignment(cost), solved on the calling thread."""
+    done = Future()
+    done.set_result(linear_sum_assignment(cost))
+    return done
 
-    The cost is dist_many on the clouds broadcast against each other; up to
-    an ambient dimension of 7 it sums a column at a time, with no (N, N, k)
-    array.  Centring its rows and then its columns shifts every
-    permutation's total by one constant, so the optimal permutations stay
-    the same, and the estimator's near-degenerate clouds solve 1.5-1.7x
-    quicker.  W1 is the mean of dist_many over the chosen
-    pairs, not of the centred cost: bit-equal to the uncentred solve's when
-    the permutation is, and within rounding of it when a near-tie picks
-    another optimal one.  Only scipy's (deterministic) solver runs on the
-    pool, on a cost nothing else holds, so no public function of the
-    package runs off the calling thread.
-    """
+
+def _assignment_w1(m: ModelManifold, X: np.ndarray, Y: np.ndarray, submit, shift=None):
+    """Exact W1 between two equal-size empirical clouds, as a function that
+    waits for the solve and returns W1 and the column assigned to each row
+    (None on the line, which sorts).  submit(cost) starts the solve: _solved,
+    or a pool's submit of scipy's solver, the only code that leaves the
+    calling thread.  The cost is dist_many less u_i + v_j, which keeps the
+    optimal permutations: (u, v) = shift(X, Y), or the row and then the
+    column means (1.5-1.7x quicker solves than none).  W1 is the mean of
+    dist_many over the chosen pairs, so it never depends on the shift:
+    bit-equal when the permutation is, within rounding when a near-tie picks
+    another optimal one."""
     if m.kind == EUCLIDEAN and m.dim == 1:
-        return float(np.abs(np.sort(X[:, 0]) - np.sort(Y[:, 0])).mean())
+        w1 = float(np.abs(np.sort(X[:, 0]) - np.sort(Y[:, 0])).mean())
+        return lambda: (w1, None)
     cost = m.dist_many(X[:, None, :], Y[None, :, :])
-    cost -= cost.mean(axis=1, keepdims=True)
-    cost -= cost.mean(axis=0)
-    if pool is None:
-        rows, cols = linear_sum_assignment(cost)
-        return float(m.dist_many(X[rows], Y[cols]).mean())
-    solve = pool.submit(_scipy_solver(), cost)
+    if shift is None:
+        cost -= cost.mean(axis=1, keepdims=True)
+        cost -= cost.mean(axis=0)
+    else:
+        u, v = shift(X, Y)
+        cost -= u[:, None]
+        cost -= v
+    solve = submit(cost)
 
+    @functools.cache
     def w1():
         rows, cols = solve.result()
-        return float(m.dist_many(X[rows], Y[cols]).mean())
+        return float(m.dist_many(X[rows], Y[cols]).mean()), cols
 
     return w1
+
+
+def _warm_start(m: ModelManifold, X: np.ndarray, Y: np.ndarray, cols):
+    """The shift (X', Y') -> (u(X'), v(Y')) for a t's later clouds: the exact
+    duals of its first, X and Y with optimal assignment cols, _fitted.  None
+    (the centred cost) on the line (cols None), for fewer points than
+    _POOL_MIN_POINTS or the fit's monomials, when Bellman-Ford does not
+    settle, and when the fit is not finite."""
+    monomials = math.comb(X.shape[1] + _FIT_DEGREE, _FIT_DEGREE)
+    if cols is None or len(X) < max(_POOL_MIN_POINTS, monomials):
+        return None
+    duals = _kantorovich_duals(m.dist_many(X[:, None, :], Y[None, :, :]), cols)
+    if duals is None:
+        return None
+    fu, fv = (_fitted(Z, w) for Z, w in zip((X, Y), duals))
+    if fu is None or fv is None:
+        return None
+    return lambda X, Y: (fu(X), fv(Y))
+
+
+def _fitted(Z: np.ndarray, w: np.ndarray):
+    """w fitted by least squares on the monomials of degree <= _FIT_DEGREE in
+    the coordinates of the points Z about their mean, in units of their
+    spread, as a function of the points; None if the fit is not finite.
+    einsum sums the normal equations: lstsq on the (N, monomials) matrix
+    waited 10-150 ms a call in threaded BLAS for a core busy with a solve."""
+    with np.errstate(all="ignore"):  # a cloud of one point fits NaN
+        mid = Z.mean(axis=0)
+        unit = math.sqrt(np.einsum("ij,ij->", Z - mid, Z - mid) / len(Z))
+        P = _monomials((Z - mid) / unit)
+        coef = np.linalg.lstsq(np.einsum("ij,ik->jk", P, P), np.einsum("i,ij->j", w, P),
+                               rcond=None)[0]
+    if not np.isfinite(coef).all():
+        return None
+    return lambda Z: np.einsum("ij,j->i", _monomials((Z - mid) / unit), coef)
+
+
+def _kantorovich_duals(cost: np.ndarray, cols: np.ndarray):
+    """Exact duals (u, v) of the assignment `cost` for its optimal permutation
+    cols (u_i + v_j <= cost_ij up to rounding, equal at j = cols[i]), or None
+    if Bellman-Ford over the edges cols[i] -> j of length cost_ij -
+    cost_i,cols[i], all columns at once, has not settled after n rounds (a
+    negative cycle of rounding).  Overwrites cost."""
+    n = len(cols)
+    diag = cost[np.arange(n), cols]
+    cost -= diag[:, None]
+    v, moved = np.zeros(n), np.ones(n, dtype=bool)
+    for _ in range(n):
+        rows = np.flatnonzero(moved)
+        reach = cost[rows]
+        reach += v[cols[rows], None]
+        reach = reach.min(axis=0)
+        moved = (reach < v)[cols]
+        if not moved.any():
+            return diag - v[cols], v
+        v = np.minimum(v, reach)
+    return None
+
+
+def _monomials(Z: np.ndarray) -> np.ndarray:
+    """The monomials of degree <= _FIT_DEGREE in the columns of Z, a column each."""
+    terms = [(np.ones(len(Z)), 0, 0)]  # (monomial, degree, first variable it may take next)
+    for mono, deg, low in terms:  # the loop visits what it appends
+        if deg < _FIT_DEGREE:
+            terms.extend((mono * Z[:, j], deg + 1, j) for j in range(low, Z.shape[1]))
+    return np.stack([mono for mono, _, _ in terms], axis=1)

@@ -16,12 +16,13 @@ connecting geodesic, second frame obtained by parallel transport).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutLocusError, InputError
+from .errors import CutLocusError, DivergenceError, InputError
 
 EUCLIDEAN = "euclidean"
 SPHERE = "sphere"
@@ -31,6 +32,7 @@ _KINDS = (EUCLIDEAN, SPHERE, HYPERBOLIC)
 
 # Tolerances: point/tangency invariants, log-map cut guard, jet cut guard.
 _INVARIANT_TOL = 1e-12
+_FRAME_TRIES = 64  # random candidates frame() tries after the coordinate axes
 _CUT_EPS_LOG = 1e-9
 _CUT_EPS_JET = 1e-6
 # numpy sums a C-ordered row of up to 7 numbers left to right from +0, and
@@ -59,6 +61,13 @@ def _row_sum(f, u: np.ndarray, v: np.ndarray):
 
 def _squared_difference(x, y):
     return (y - x) ** 2
+
+
+def _frame_fallback(k: int):
+    """frame()'s candidates after the axes, drawn only when needed."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([7, 7], dtype=np.uint64)))
+    for _ in range(_FRAME_TRIES):
+        yield rng.standard_normal(k)
 
 
 def _as_vec(a) -> np.ndarray:
@@ -285,33 +294,23 @@ class ModelManifold:
         """Deterministic orthonormal tangent frame at x, columns = frame vectors.
 
         If `first` is given (a unit tangent vector in ambient coordinates) it
-        becomes column 0.
+        becomes column 0.  The coordinate axes, then _FRAME_TRIES fixed random
+        vectors, are projected and orthogonalised for the rest; if they fall
+        short (x has no digits left), DivergenceError.
         """
-        k = self.ambient_dim
-        cols = []
-        if first is not None:
-            cols.append(np.asarray(first, dtype=float))
-        for i in range(k):
-            if len(cols) == self.dim:
-                break
-            cand = np.zeros(k)
-            cand[i] = 1.0
+        cols = [] if first is None else [np.asarray(first, dtype=float)]
+        cands = itertools.chain(np.eye(self.ambient_dim), _frame_fallback(self.ambient_dim))
+        while len(cols) < self.dim:
+            cand = next(cands, None)
+            if cand is None:
+                raise DivergenceError("no tangent frame at a point whose coordinates have no "
+                                      "digits left")
             cand = self.project_tangent(x.coords, cand)
             for c in cols:
                 cand = cand - self.ip(cand, c) * c
             n2 = self.ip(cand, cand)
             if n2 > 1e-10:
                 cols.append(cand / math.sqrt(n2))
-        if len(cols) != self.dim:
-            # fall back to a pivoted pass over perturbed candidates
-            rng = np.random.Generator(np.random.Philox(key=np.array([7, 7], dtype=np.uint64)))
-            while len(cols) < self.dim:
-                cand = self.project_tangent(x.coords, rng.standard_normal(k))
-                for c in cols:
-                    cand = cand - self.ip(cand, c) * c
-                n2 = self.ip(cand, cand)
-                if n2 > 1e-10:
-                    cols.append(cand / math.sqrt(n2))
         return np.stack(cols, axis=1)
 
     def adapted_frames(self, x: "Point", y: "Point") -> tuple[np.ndarray, np.ndarray]:

@@ -46,8 +46,8 @@ from .coupling import extremal_covariances, sym_psd_sqrt
 from .curvature import kappa_pair
 from .errors import DivergenceError, InputError
 from .fields import DiffusionSpec, LinearDrift
-from .manifolds import (EUCLIDEAN, SPHERE, ModelManifold, Point, _guarded_div, _jet_scales,
-                        _trig)
+from .manifolds import (_INVARIANT_TOL, EUCLIDEAN, HYPERBOLIC, SPHERE, ModelManifold, Point,
+                        _guarded_div, _jet_scales, _trig)
 
 _NOISE_BLOCK = 256  # time steps of noise drawn at once per trajectory
 
@@ -126,6 +126,9 @@ def _advance_ambient(spec: DiffusionSpec, x: Point, noise_inc: np.ndarray, dt: f
         if not (np.isfinite(y).all() and m._on_space(y)):
             raise DivergenceError("a step left the model space: its coordinates overflowed "
                                   "or drifted off it by more than rounding")
+    if m.kind == HYPERBOLIC and _INVARIANT_TOL * float(y @ y) >= m.radius**2:
+        raise DivergenceError("a step ran so far out on the hyperboloid that its Lorentz form "
+                              "has no digits left")
     return Point(m, y)
 
 

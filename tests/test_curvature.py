@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from riccigap import curvature, simulate
@@ -616,11 +618,14 @@ def test_assignment_w1_matches_dense_solve(m, dist, monkeypatch):
     # stepping (near-degenerate for the solver), and independent random ones;
     # on H2 also 6 units from the base point, where <x, y>_L cancels
     clouds = []
-    solve = curvature._assignment_w1
+    assign = curvature._assignment_w1
 
-    def capture(mm, X, Y, pool=None):
+    def solve(mm, X, Y):  # the centred solve, on the calling thread
+        return assign(mm, X, Y, curvature._solved)()[0]
+
+    def capture(mm, X, Y, *args):
         clouds.append((X.copy(), Y.copy()))
-        return solve(mm, X, Y, pool)
+        return assign(mm, X, Y, *args)
 
     monkeypatch.setattr(curvature, "_assignment_w1", capture)
     x = _far(m, dist, 1)
@@ -632,3 +637,91 @@ def test_assignment_w1_matches_dense_solve(m, dist, monkeypatch):
     for X, Y in clouds:
         want = _dense_w1(m, X, Y)
         assert abs(solve(m, X, Y) - want) <= 4 * np.spacing(want)
+
+
+def _clouds_of_one_t(m, x, y, n, seed, coupled):
+    """Two cloud pairs (X, Y) of n points that sample the same two laws: the
+    first two clouds the estimator steps from x and y (coupled), or four
+    independent random clouds about x and y."""
+    if not coupled:
+        return [(_cloud(m, x, n, seed + i), _cloud(m, y, n, seed + i + 1)) for i in (0, 2)]
+    clouds = []
+    assign = curvature._assignment_w1
+
+    def capture(mm, X, Y, *args):
+        clouds.append((X.copy(), Y.copy()))
+        return assign(mm, X, Y, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curvature, "_assignment_w1", capture)
+        estimate_kappa_direct(brownian(m), x, y, samples=2 * n, batches=2, substeps=10, seed=seed)
+    return clouds[:2]  # both of the larger t
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(m=st.sampled_from([S2, S3, H2, H3]), coupled=st.booleans(), seed=st.integers(0, 2**20),
+       scale=st.floats(0.0, 10.0))
+def test_assignment_w1_is_the_same_under_any_separable_shift(m, coupled, seed, scale):
+    # the exact duals of one cloud pair are feasible and tight on its
+    # permutation; solving the next pair on its cost less the fitted duals,
+    # less nothing, or less random u_i + v_j of up to `scale` times the
+    # cost's range gives the reference W1 to 4 ulp
+    n = 96  # at least _POOL_MIN_POINTS and the 70 monomials of degree 4 in 4 coordinates
+    x = _far(m, 1.0, seed)
+    y = m.exp_map(x, TangentVector(x, 0.5 * m.random_tangent(rng(seed + 1), x).components))
+    (X0, Y0), (X, Y) = _clouds_of_one_t(m, x, y, n, seed, coupled)
+    cost = m.dist_many(X0[:, None, :], Y0[None, :, :])
+    _, cols = linear_sum_assignment(cost)
+    u, v = curvature._kantorovich_duals(cost.copy(), cols)
+    slack = cost - u[:, None] - v
+    tol = 4 * np.finfo(float).eps * (np.abs(cost).max() + np.abs(u).max() + np.abs(v).max())
+    assert slack.min() >= -tol
+    assert np.abs(slack[np.arange(n), cols]).max() <= tol
+    fitted = curvature._warm_start(m, X0, Y0, cols)
+    assert fitted is not None
+    span = float(np.ptp(m.dist_many(X[:, None, :], Y[None, :, :])))
+    g = rng(seed)
+    su, sv = (scale * span * g.uniform(-1.0, 1.0, n) for _ in range(2))
+    want = _dense_w1(m, X, Y)
+    for shift in (lambda X, Y: (np.zeros(n), np.zeros(n)), fitted, lambda X, Y: (su, sv)):
+        got = curvature._assignment_w1(m, X, Y, curvature._solved, shift)()[0]
+        assert abs(got - want) <= 4 * np.spacing(want)
+
+
+@pytest.mark.parametrize("failure", [None, "non-finite fit", "unsettled Bellman-Ford"])
+def test_warm_start_falls_back_to_the_centred_cost(failure, monkeypatch):
+    # the warm start fits a shift at each t, and here leaves the result of
+    # an estimate with no warm start as it is; with a fit that comes out
+    # NaN, or duals sought for a permutation that is not optimal (a negative
+    # cycle, so Bellman-Ford never settles), it fits none, and every cloud
+    # is solved on the centred cost: that result, bit for bit
+    x = S2.point([0.0, 0.0, 1.0])
+    y = S2.exp_map(x, TangentVector(x, 0.5 * S2.tangent(x, [1.0, 0, 0]).components))
+
+    def estimate():
+        return estimate_kappa_direct(brownian(S2), x, y, samples=8 * 64, batches=8, substeps=5)
+
+    warm_start, bellman_ford = curvature._warm_start, curvature._kantorovich_duals
+    monkeypatch.setattr(curvature, "_warm_start", lambda *args: None)
+    want = estimate()
+    shifts, duals = [], []
+
+    def recorded(m, X, Y, cols):
+        shifts.append(warm_start(m, X, Y, cols))
+        return shifts[-1]
+
+    def nan_fit(a, b, rcond=None):
+        return (np.full(a.shape[1], np.nan),)
+
+    def unsettled(cost, cols):
+        duals.append(bellman_ford(cost, np.roll(cols, 1)))
+        return duals[-1]
+
+    monkeypatch.setattr(curvature, "_warm_start", recorded)
+    if failure == "non-finite fit":
+        monkeypatch.setattr(np.linalg, "lstsq", nan_fit)
+    elif failure:
+        monkeypatch.setattr(curvature, "_kantorovich_duals", unsettled)
+    assert estimate() == want
+    assert len(shifts) == 2 and all((s is None) == bool(failure) for s in shifts)
+    assert duals == ([None, None] if failure == "unsettled Bellman-Ford" else [])

@@ -1,5 +1,8 @@
+import contextlib
 import math
+import signal
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +319,45 @@ def test_per_pair_blow_up_is_a_numerical_error(seed):
     y = H2.exp_map(x, H2.tangent(x, [0.2, 0.1, 0.0], project=True))
     with pytest.raises(DivergenceError):
         run_coupled(spec, x, y, SimConfig(dt=1e-3, horizon=0.1, trajectories=3, seed=seed))
+
+
+@contextlib.contextmanager
+def _time_budget(seconds):
+    """Raise TimeoutError in the block if it runs for more than `seconds`."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_a_step_whose_lorentz_form_has_no_digits_left_is_a_numerical_error():
+    # this path runs out to |x| ~ 5e7 on H3, where <x, x>_L rounds to 0 while
+    # the 1e-12 |x|^2 tolerance of a point still admits it; frame() then
+    # divided by 0 and, with floating-point warnings off, never returned.
+    # The step raises DivergenceError, promptly and with no warning
+    H3 = parse_manifold("hyperbolic:3:1")
+    spec = DiffusionSpec(H3, h_admissible_field(H3, random_riemann_like(4, seed=4, psd=True)),
+                         ZeroDrift())
+    g = np.random.default_rng(4)
+    H3.random_tangent(g, H3.random_point(g))
+    x = H3.random_point(g)
+    y = H3.exp_map(x, TangentVector(x, 0.3 * H3.random_tangent(g, x).components))
+    with _time_budget(20.0), warnings.catch_warnings(), pytest.raises(DivergenceError):
+        warnings.simplefilter("error", RuntimeWarning)
+        run_coupled(spec, x, y, SimConfig(dt=1e-3, horizon=0.1, trajectories=3, seed=3))
+
+
+def test_frame_gives_up_where_the_lorentz_form_has_no_digits_left():
+    H3 = parse_manifold("hyperbolic:3:1")
+    p = H3.point([1e8, 0.0, 0.0, 1e8])  # <p, p>_L is 0, within tolerance of -1
+    with _time_budget(20.0), np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        H3.frame(p)
 
 
 def test_run_coupled_reproducible_across_workers():
