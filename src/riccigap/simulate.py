@@ -123,13 +123,22 @@ def _advance_ambient(spec: DiffusionSpec, x: Point, noise_inc: np.ndarray, dt: f
         inc = inc + dt * drift.vector(x)
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
         y = m.exp_many(x.coords, m.project_tangent(x.coords, inc))
-        if not (np.isfinite(y).all() and m._on_space(y)):
-            raise DivergenceError("a step left the model space: its coordinates overflowed "
-                                  "or drifted off it by more than rounding")
-    if m.kind == HYPERBOLIC and _INVARIANT_TOL * float(y @ y) >= m.radius**2:
-        raise DivergenceError("a step ran so far out on the hyperboloid that its Lorentz form "
-                              "has no digits left")
+        ok = bool(np.isfinite(y).all()) and m._on_space(y)
+    _check_step(m, ok, y, y)
     return Point(m, y)
+
+
+def _check_step(m: ModelManifold, ok: bool, X: np.ndarray, Y: np.ndarray):
+    """Raise DivergenceError unless a step came out `ok` (its coordinates or
+    distances finite) and, on the hyperboloid, every time coordinate of the
+    points X and Y is below sqrt((1/_INVARIANT_TOL + 1)/2) r: beyond it
+    |x|^2 = 2 x_t^2 - r^2 exceeds r^2/_INVARIANT_TOL, and the Lorentz form
+    <x, x>_L = -r^2 has no digits left."""
+    if not ok or (m.kind == HYPERBOLIC and np.maximum(X[..., -1], Y[..., -1]).max()
+                  >= math.sqrt((1.0 / _INVARIANT_TOL + 1.0) / 2.0) * m.radius):
+        raise DivergenceError("a step overflowed, drifted off the model space by more than "
+                              "rounding, or ran so far out on the hyperboloid that its Lorentz "
+                              "form has no digits left")
 
 
 def step_coupled(spec: DiffusionSpec, x: Point, y: Point, dt: float,
@@ -210,7 +219,10 @@ class _Step(NamedTuple):
 
 def _step(spec: DiffusionSpec, dt) -> _Step:
     flow = isinstance(spec.drift, LinearDrift) and spec.manifold.kind == EUCLIDEAN
-    decay = np.vectorize(lambda h: math.exp(-spec.drift.rate * h))(dt) if flow else 1.0
+    try:
+        decay = np.vectorize(lambda h: math.exp(-spec.drift.rate * h))(dt) if flow else 1.0
+    except OverflowError:
+        raise DivergenceError("the linear drift's flow exp(-rate dt) overflows") from None
     return _Step(dt, np.sqrt(spec.diffusion.constant_inverse_metric * dt), decay)  # = math.sqrt
 
 
@@ -286,8 +298,8 @@ def _kappa(spec: DiffusionSpec, p: _Pairs):
 def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> list[CoupledTrajectory]:
     """Simulate coupled pairs from (x0, y0); reproducible per seed and
     independent of the worker count (per-trajectory counter-based streams,
-    one block of trajectories per worker).  A per-pair step whose
-    coordinates overflow or leave the space raises DivergenceError."""
+    one block of trajectories per worker).  A step that overflows or
+    leaves the space raises DivergenceError (_check_step)."""
     m = spec.manifold
     if m.kind == SPHERE and cfg.cut_margin >= math.pi * m.radius / 2:
         raise InputError("cut_margin must be below a quarter circumference")
@@ -381,13 +393,16 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     integ[:, 0] = 0.0
     pos = 1
     for s, z in enumerate(_noise_steps(rngs, 1, width, steps, _NOISE_BLOCK)):
-        Xn, Yn = advance(p, z, alive)
-        dn = m.dist_many(Xn, Yn)
-        stop = (dn >= cut) | (dn <= 0.0)
-        if stop.any():  # rare: alive is rebuilt only on such steps
-            for i in np.flatnonzero(alive & stop).tolist():
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
+            Xn, Yn = advance(p, z, alive)
+            dn = m.dist_many(Xn, Yn)
+        ok = (dn > 0.0) & (dn < cut)  # NaN and inf fail too, and _check_step rejects them
+        halted = not ok.all()
+        _check_step(m, not halted or bool(np.isfinite(dn).all()), Xn, Yn)
+        if halted:  # rare: alive is rebuilt only on such steps
+            for i in np.flatnonzero(alive & ~ok).tolist():
                 reasons[i] = "cut-locus" if dn[i] >= cut else "collapse"
-            alive = alive & ~stop
+            alive = alive & ok
         if alive.all():  # no pair has stopped: nothing to merge
             p, kn = settle(Xn, Yn, dn, alive)
             integral, kap = integral + 0.5 * dt * (kap + kn), kn

@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+import os
 import struct
+import tempfile
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from riccigap import cli, simulate
 from riccigap.cli import main
 from riccigap.errors import NonPSDWarning
+from test_simulate import _time_budget
 
 
 @pytest.fixture()
@@ -716,3 +719,85 @@ def test_typed_writer_rejects_a_decade_guess_off_by_one(monkeypatch, toward):
     table["x"] = xs
     text = "".join(cli._csv_blocks(table, ["x"]))
     assert text.split("\r\n")[2:-1] == ["%.17g" % x for x in xs]
+
+
+# ---------------------------------------------------------------------------
+# the vectorised route: the estimator and the coupled-step kernel
+
+
+@pytest.mark.parametrize("args", [
+    ["kappa", "--method", "mc", "--manifold", "hyperbolic:2:1e-3", "--pair",
+     "0,0,0.001;0.0005210953054937474,0,0.0011276259652063807", "--samples", "64"],
+    ["simulate", "--manifold", "hyperbolic:2:1", "--field", "brownian:1e6", "--x0", "0,0,1",
+     "--y0", "0.5210953054937474,0,1.1276259652063807", "--dt", "1e-3", "--horizon", "0.05",
+     "--paths", "2"],
+    ["simulate", "--manifold", "euclidean:2", "--field", "ou:-1e6", "--x0", "0,0", "--y0", "1,0",
+     "--dt", "1e-3", "--horizon", "0.05", "--paths", "2"],
+    ["simulate", "--manifold", "euclidean:2", "--field", "ou:-1e5", "--x0", "0,0", "--y0", "1,0",
+     "--dt", "1e-3", "--horizon", "0.05", "--paths", "2"],
+    ["kappa", "--method", "mc", "--manifold", "euclidean:1", "--field", "ou:-1e6", "--pair", "0;1",
+     "--samples", "64"],
+], ids=["H2-mc", "H2-simulate", "E2-ou-simulate", "E2-ou-growth-simulate", "E1-ou-mc"])
+def test_blow_up_on_the_vectorised_route_exits_3(runner, args):
+    # coordinates that overflow (in one step, or by e^100 a step, which
+    # leaves NaN distances rather than a stop), a hyperboloid point with no
+    # digits left in its Lorentz form and an OU flow exp(-rate dt) that
+    # overflows are a DivergenceError, raised with no floating-point warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = invoke(runner, args)
+    assert res.exit_code == 3
+    assert res.output.startswith("numerical error: ")
+    assert [str(w.message) for w in caught] == []
+
+
+@st.composite
+def _vectorised_route_args(draw):
+    """kappa --method mc or simulate on E, S or H of dimension 1-3 and scale
+    1e-75-1e75, with a Brownian (c in 1e-6-1e6), OU (rate +-1e6, on E) or
+    potential (|a| <= 50, on S) field, from the base point to a point
+    1e-9 r away up to near the cut locus (3 r on H)."""
+    kind = draw(st.sampled_from(["euclidean", "sphere", "hyperbolic"]))
+    n = draw(st.integers(1, 3))
+    r = 10.0 ** draw(st.floats(-75.0, 75.0))
+    fields = [st.just("brownian"), st.floats(-6.0, 6.0).map(lambda e: f"brownian:{10.0**e!r}")]
+    if kind == "euclidean":
+        fields.append(st.sampled_from(["ou:1e6", "ou:-1e6"]))
+    if kind == "sphere":
+        fields.append(st.floats(-50.0, 50.0).map(lambda a: f"potential:{a!r}*cos"))
+    field = draw(st.one_of(fields))
+    top = math.pi if kind == "sphere" else 3.0
+    theta = draw(st.one_of(st.floats(-9.0, 0.0).map(lambda e: top * 10.0**e),
+                           st.floats(-12.0, -1.0).map(lambda e: top * (1.0 - 10.0**e))))
+    x, y = np.zeros(n + (kind != "euclidean")), np.zeros(n + (kind != "euclidean"))
+    if kind == "euclidean":
+        y[0] = r * theta
+        space = f"euclidean:{n}"
+    else:
+        sin, cos = (math.sin, math.cos) if kind == "sphere" else (math.sinh, math.cosh)
+        x[-1], y[0], y[-1] = r, r * sin(theta), r * cos(theta)
+        space = f"{kind}:{n}:{r!r}"
+    x, y = (",".join(repr(float(v)) for v in p) for p in (x, y))
+    if draw(st.booleans()):
+        return ["kappa", "--method", "mc", "--manifold", space, "--field", field,
+                "--pair", f"{x};{y}", "--samples", str(draw(st.integers(16, 64)))]
+    return ["simulate", "--manifold", space, "--field", field, "--x0", x, "--y0", y,
+            "--dt", "1e-3", "--horizon", "0.05", "--paths", "2"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(args=_vectorised_route_args())
+def test_vectorised_route_exits_0_2_or_3_in_time_with_no_warning(args):
+    # every input ends in a row or a typed error, never in a traceback, a
+    # NaN row or a floating-point warning
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        with warnings.catch_warnings(record=True) as caught, _time_budget(5.0):
+            warnings.simplefilter("always")
+            res = CliRunner().invoke(main, [*args, "--out", out], catch_exceptions=False)
+        assert res.exit_code in (0, 2, 3), (args, res.output)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], args
+        if res.exit_code == 0:  # the estimate, or the distances, integrals and defects
+            rows = read_csv(out)
+            assert rows and all(math.isfinite(float(row[k])) for row in rows
+                                for k in list(row)[-3:]), args
