@@ -513,7 +513,8 @@ def simulate_rows(manifold: str, field: str, x0: str, y0: str, dt: float,
 @click.option("--horizon", type=float, required=True)
 @click.option("--paths", default=100, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--cut-margin", type=float, default=0.1, show_default=True)
+@click.option("--cut-margin", type=float, default=0.1, show_default=True,
+              help="distance kept from the cut locus, in units of the radius")
 @click.option("--workers", default=1, show_default=True)
 @click.option("--out", default=None, type=click.Path(), help="trajectory CSV")
 @click.option("--summary", default=None, type=click.Path(), help="summary JSON")
@@ -610,8 +611,9 @@ def check_h_row(manifold: str, field: str, geodesics: int, seed: int) -> dict:
         worst, admissible = max(worst, res), admissible and ok
         vals = []
         for t in np.linspace(0.0, 0.6 * min(mfd.cut_threshold, mfd.radius), 7):
-            y = mfd.exp_map(x, TangentVector(x, t * u.components))
-            ut = mfd.parallel_transport(u, y)
+            # t = 0 is x and u themselves: exp_map(x, 0) is x only to rounding
+            y = mfd.exp_map(x, TangentVector(x, t * u.components)) if t else x
+            ut = mfd.parallel_transport(u, y) if t else u
             E = mfd.frame(y, first=ut.components)
             vals.append(float(spec.diffusion.matrix(y, E)[0, 0]))
         drift = max(drift, float(np.ptp(vals)))

@@ -42,18 +42,19 @@ def _as_matrix(m, name="matrix") -> np.ndarray:
     return a
 
 
-def check_sym_psd(m, name="matrix", sym_tol=1e-12, neg_tol=1e-10) -> np.ndarray:
-    """Validate a symmetric PSD matrix; returns the symmetrized copy."""
+def check_sym_psd(m, name="matrix") -> np.ndarray:
+    """Validate a symmetric PSD matrix (asymmetry <= 1e-12 and eigenvalues >=
+    -1e-10, relative to max(max|m|, 1)); returns the symmetrized copy."""
     a = _as_matrix(m, name)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"{name} must be square")
     scale = max(float(np.abs(a).max()), 1.0)
-    if np.abs(a - a.T).max() > sym_tol * scale:
+    if np.abs(a - a.T).max() > 1e-12 * scale:
         raise InputError(f"{name} is not symmetric within tolerance")
     a = 0.5 * (a + a.T)
     w = np.linalg.eigvalsh(a)
-    if w.min() < -neg_tol * scale:
-        raise NegativeSpectrumError(f"{name} has eigenvalue {w.min():.3e} below -{neg_tol:.0e}")
+    if w.min() < -1e-10 * scale:
+        raise NegativeSpectrumError(f"{name} has eigenvalue {w.min():.3e} below -1e-10")
     return a
 
 
@@ -82,8 +83,9 @@ def sym_psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
-def psd_sqrt(m, neg_tol: float = 1e-6) -> np.ndarray:
-    """Square root of a diagonalizable matrix with nonnegative eigenvalues.
+def psd_sqrt(m) -> np.ndarray:
+    """Square root of a diagonalizable matrix with nonnegative eigenvalues
+    (none below -1e-6 max(max|m|, 1)).
 
     Returns the unique diagonalizable R with nonnegative eigenvalues and
     R @ R = m.  Symmetric input takes one eigh, as in sym_psd_sqrt;
@@ -95,11 +97,11 @@ def psd_sqrt(m, neg_tol: float = 1e-6) -> np.ndarray:
     scale = max(float(np.abs(a).max()), 1.0)
     if np.abs(a - a.T).max() <= 1e-12 * scale:
         w, v = np.linalg.eigh(0.5 * (a + a.T))
-        if w[0] < -neg_tol * scale:
+        if w[0] < -1e-6 * scale:
             raise NegativeSpectrumError(f"eigenvalue {w[0]:.3e} below tolerance")
         return (v * np.sqrt(_rounding_cut(w))) @ v.T
     w, v = np.linalg.eig(a)
-    if np.abs(w.imag).max() > 1e-8 * scale or w.real.min() < -neg_tol * scale:
+    if np.abs(w.imag).max() > 1e-8 * scale or w.real.min() < -1e-6 * scale:
         raise NegativeSpectrumError("matrix has eigenvalues off the nonnegative real axis")
     w = np.clip(w.real, 0.0, None)
     try:
@@ -210,17 +212,16 @@ def c0_covariance(A, D, B) -> CouplingCovariance:
     return CouplingCovariance(C, -float(s[:r].sum()), *feasibility_check(A, B, C))
 
 
-def sample_feasible(A, B, count: int, seed: int,
-                    include_extremal: bool = True) -> list[CouplingCovariance]:
+def sample_feasible(A, B, count: int, seed: int) -> list[CouplingCovariance]:
     """Deterministic random feasible cross-covariances C = A' C' B'^T with
     operator norm of C' at most 1 (test oracle for optimality).
 
-    The first samples are extremal (C' orthogonal-like, all singular values
-    equal to 1) when include_extremal is set and count allows.
+    The first min(count, 4) samples are extremal (C' orthogonal-like, all
+    singular values equal to 1).
     """
     A = check_sym_psd(A, "A")
     B = check_sym_psd(B, "B")
-    stack = sample_feasible_array(A, B, count, seed, include_extremal)
+    stack = sample_feasible_array(A, B, count, seed)
     oks, lams = _feasibility(A, B, stack)
     return [CouplingCovariance(C=C, value=math.nan, feasible=bool(ok), min_eigenvalue=float(lam))
             for C, ok, lam in zip(stack, oks.tolist(), lams.tolist())]
@@ -279,20 +280,18 @@ def _top_gram(R: np.ndarray) -> np.ndarray:
     return np.ldexp(np.max([g[p][p] for p in range(r)], axis=0), exponent)
 
 
-def sample_feasible_array(A, B, count: int, seed: int,
-                          include_extremal: bool = True) -> np.ndarray:
+def sample_feasible_array(A, B, count: int, seed: int) -> np.ndarray:
     """Vectorized variant of sample_feasible: (count, n1, n2) array of
     feasible cross-covariances, feasible by construction.
 
     Each sample is C = A' C' B'^T, with A' and B' rank factors of A and B
     (A' A'^T = A) and C' = U raw / ||raw||_2: raw has i.i.d. standard normal
-    entries, ||raw||_2 is its operator norm and U is uniform on [0, 1].  When
-    include_extremal is set, the first min(count, 4) samples are replaced by
-    extremal ones, C' with every singular value 1.  ||raw||_2 is the square
-    root of the top eigenvalue of the smaller Gram matrix of raw (size r, the
-    smaller rank), from Jacobi sweeps run on all samples at once (see
-    _top_gram).  With a zero marginal the only feasible cross-covariance is
-    0, and every sample is 0.
+    entries, ||raw||_2 is its operator norm and U is uniform on [0, 1].  The
+    first min(count, 4) samples are replaced by extremal ones, C' with every
+    singular value 1.  ||raw||_2 is the square root of the top eigenvalue of
+    the smaller Gram matrix of raw (size r, the smaller rank), from Jacobi
+    sweeps run on all samples at once (see _top_gram).  With a zero marginal
+    the only feasible cross-covariance is 0, and every sample is 0.
     """
     if count < 0:
         raise InputError("count must be nonnegative")
@@ -311,15 +310,9 @@ def sample_feasible_array(A, B, count: int, seed: int,
     radii = rng.uniform(0.0, 1.0, size=count)
     scale = np.where(top > 0, radii / np.where(top > 0, top, 1.0), 0.0)
     Cp = raw * scale[:, None, None]
-    if include_extremal:
-        k = min(count, 4)
-        for i in range(k):
-            if ra >= rb:
-                q, _ = np.linalg.qr(rng.standard_normal((ra, ra)))
-                Cp[i] = q[:, :rb]
-            else:
-                q, _ = np.linalg.qr(rng.standard_normal((rb, rb)))
-                Cp[i] = q[:ra, :]
+    for i in range(min(count, 4)):
+        q, _ = np.linalg.qr(rng.standard_normal((max(ra, rb),) * 2))
+        Cp[i] = q[:ra, :rb]
     return np.einsum("ia,kab,jb->kij", Af, Cp, Bf, optimize=True)
 
 

@@ -106,16 +106,17 @@ def kappa_pair(spec: DiffusionSpec, x: Point, y: Point) -> CurvatureReport:
 
 
 def h_check(spec: DiffusionSpec, x: Point, u: TangentVector) -> tuple[float, bool]:
-    """The geodesic-invariance residual at (x, u), and whether it is <= _H_TOL |A(x)|_F."""
+    """The geodesic-invariance residual at (x, u), a derivative along a unit
+    vector, and whether it is <= _H_TOL |A(x)|_F / r."""
     res = h_residual(spec, x, u)
     size = np.linalg.norm(spec.diffusion.matrix(x, spec.manifold.frame(x)))
-    return res, bool(res <= _H_TOL * size)
+    return res, bool(res <= _H_TOL * size / spec.manifold.radius)
 
 
 def _check_h(spec: DiffusionSpec, x: Point, u: TangentVector):
     res, ok = h_check(spec, x, u)
     if not ok:
-        raise HViolationError(f"admissibility residual {res:.3e} exceeds {_H_TOL:.0e} times |A(x)|")
+        raise HViolationError(f"admissibility residual {res:.3e} exceeds {_H_TOL:.0e} times |A(x)|/r")
 
 
 def _dir_terms(spec: DiffusionSpec, x: Point,

@@ -28,12 +28,12 @@ _FD_STEP = 1e-5  # central-difference step along geodesics for black-box fields
 class TensorField:
     """Field of symmetric PSD tensors A(x), reported in orthonormal frames.
 
-    matrix(x, frame) returns the n x n matrix of A at x with respect to the
-    orthonormal tangent frame given as columns; derivative(x, frame) returns
-    the covariant derivative of A along the first frame vector, in the same
-    frame.  Subclasses may override derivative with a closed form; the base
-    implementation uses central differences along the geodesic with
-    parallel-transported frames.
+    A subclass implements matrix(x, frame), the n x n matrix of A at x with
+    respect to the orthonormal tangent frame given as columns.
+    derivative(x, frame), the covariant derivative of A along the first
+    frame vector in the same frame, defaults to a central difference of step
+    _FD_STEP along the geodesic with parallel-transported frames; a subclass
+    may override it with a closed form.
     """
 
     #: scale c when the field is exactly c * g^{-1} (enables fast paths)
@@ -42,18 +42,18 @@ class TensorField:
     def matrix(self, x: Point, frame: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def derivative(self, x: Point, frame: np.ndarray, step: float = _FD_STEP) -> np.ndarray:
+    def derivative(self, x: Point, frame: np.ndarray) -> np.ndarray:
         m = x.manifold
         u = TangentVector(x, frame[:, 0].copy())
         out = []
-        for s in (step, -step):
+        for s in (_FD_STEP, -_FD_STEP):
             y = m.exp_map(x, TangentVector(x, s * u.components))
             fy = m.transport_many(
                 np.broadcast_to(x.coords, (m.dim, m.ambient_dim)),
                 np.broadcast_to(y.coords, (m.dim, m.ambient_dim)),
                 frame.T).T
             out.append(self.matrix(y, fy))
-        return (out[0] - out[1]) / (2.0 * step)
+        return (out[0] - out[1]) / (2.0 * _FD_STEP)
 
 
 class InverseMetricField(TensorField):
@@ -68,7 +68,7 @@ class InverseMetricField(TensorField):
     def matrix(self, x: Point, frame: np.ndarray) -> np.ndarray:
         return self.scale * np.eye(x.manifold.dim)
 
-    def derivative(self, x: Point, frame: np.ndarray, step: float = _FD_STEP) -> np.ndarray:
+    def derivative(self, x: Point, frame: np.ndarray) -> np.ndarray:
         return np.zeros((x.manifold.dim, x.manifold.dim))
 
 
@@ -76,19 +76,11 @@ class ScalarScaledMetricField(TensorField):
     """A = s(x) * g^{-1} for a smooth positive scalar s; generically breaks
     geodesic invariance of the contracted field."""
 
-    def __init__(self, fn, grad_ambient=None):
+    def __init__(self, fn):
         self.fn = fn
-        self.grad_ambient = grad_ambient
 
     def matrix(self, x: Point, frame: np.ndarray) -> np.ndarray:
         return float(self.fn(x)) * np.eye(x.manifold.dim)
-
-    def derivative(self, x: Point, frame: np.ndarray, step: float = _FD_STEP) -> np.ndarray:
-        if self.grad_ambient is None:
-            return super().derivative(x, frame, step)
-        g = np.asarray(self.grad_ambient(x), dtype=float)
-        u = frame[:, 0]
-        return float(np.dot(g, u)) * np.eye(x.manifold.dim)
 
 
 class ConstantFrameField(TensorField):
@@ -104,7 +96,7 @@ class ConstantFrameField(TensorField):
         E = frame
         return E.T @ self.mat @ E
 
-    def derivative(self, x: Point, frame: np.ndarray, step: float = _FD_STEP) -> np.ndarray:
+    def derivative(self, x: Point, frame: np.ndarray) -> np.ndarray:
         return np.zeros((x.manifold.dim, x.manifold.dim))
 
 
@@ -112,11 +104,10 @@ class ConstantFrameField(TensorField):
 # curvature-like tensors and the invariant field construction
 
 
-def _check_riemann_symmetries(T: np.ndarray, tol: float | None = None):
+def _check_riemann_symmetries(T: np.ndarray):
     # single Kulkarni-Nomizu products are bitwise symmetric; sums of them
     # carry 1-ulp Bianchi residuals, so "exact" means machine roundoff here
-    if tol is None:
-        tol = 8.0 * np.finfo(float).eps * max(float(np.abs(T).max()), 1.0)
+    tol = 8.0 * np.finfo(float).eps * max(float(np.abs(T).max()), 1.0)
     if np.abs(T + np.transpose(T, (1, 0, 2, 3))).max() > tol:
         raise InputError("tensor is not antisymmetric in the first index pair")
     if np.abs(T + np.transpose(T, (0, 1, 3, 2))).max() > tol:
@@ -217,7 +208,7 @@ class TensorConstructedField(TensorField):
         A = E.T @ T2 @ E
         return 0.5 * (A + A.T)
 
-    def derivative(self, x: Point, frame: np.ndarray, step: float = _FD_STEP) -> np.ndarray:
+    def derivative(self, x: Point, frame: np.ndarray) -> np.ndarray:
         # d/dt T(gamma, e_a, gamma, e_b) along the geodesic in direction
         # frame[:,0] with parallel frames; the frame-velocity terms vanish
         # because they are proportional to the position, which the tensor
@@ -230,16 +221,14 @@ class TensorConstructedField(TensorField):
         return 0.5 * (dA + dA.T)
 
 
-def h_admissible_field(manifold: ModelManifold, tensor: RiemannLikeTensor,
-                       psd_samples: int = 32, seed: int = 0) -> TensorConstructedField:
+def h_admissible_field(manifold: ModelManifold, tensor: RiemannLikeTensor) -> TensorConstructedField:
     """Build the geodesically invariant tensor field induced by a
     curvature-like tensor, warning if it fails positive semidefiniteness at
-    sampled points."""
+    32 sampled points (a fixed stream)."""
     fld = TensorConstructedField(manifold, tensor)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed & (2**64 - 1), 0xAD31],
-                                                            dtype=np.uint64)))
+    rng = np.random.Generator(np.random.Philox(key=np.array([0, 0xAD31], dtype=np.uint64)))
     worst = math.inf
-    for _ in range(psd_samples):
+    for _ in range(32):
         x = manifold.random_point(rng)
         A = fld.matrix(x, manifold.frame(x))
         w = np.linalg.eigvalsh(A)
@@ -252,8 +241,7 @@ def h_admissible_field(manifold: ModelManifold, tensor: RiemannLikeTensor,
     return fld
 
 
-def h_residual(spec: "DiffusionSpec", x: Point, u: TangentVector,
-               step: float = _FD_STEP) -> float:
+def h_residual(spec: "DiffusionSpec", x: Point, u: TangentVector) -> float:
     """|grad_u A contracted three times with u|: zero iff the contraction of
     A with the squared unit velocity is constant along the geodesic through
     x in direction u."""
@@ -263,7 +251,7 @@ def h_residual(spec: "DiffusionSpec", x: Point, u: TangentVector,
         raise InputError("direction must be nonzero")
     uhat = TangentVector(x, u.components / nu)
     E = m.frame(x, first=uhat.components)
-    dA = spec.diffusion.derivative(x, E, step=step)
+    dA = spec.diffusion.derivative(x, E)
     return abs(float(dA[0, 0]))
 
 
@@ -357,39 +345,30 @@ def parse_potential(text: str) -> ZonalPolynomial:
 
 
 class DriftField:
-    """Vector field F; vector(x) returns ambient tangent components, and
-    vector_many(manifold, X) the same for each row of stacked points X."""
+    """Vector field F.  A subclass implements vector_many(manifold, X), the
+    ambient tangent components of F at each row of stacked points X, and
+    du_uu(x, u), <u, grad_u F> for a unit tangent u, in closed form;
+    vector(x) is vector_many at one point."""
 
     is_zero = False
 
     def vector(self, x: Point) -> np.ndarray:
-        raise NotImplementedError
+        return self.vector_many(x.manifold, x.coords)
 
     def vector_many(self, manifold: ModelManifold, X: np.ndarray) -> np.ndarray:
-        return np.stack([self.vector(manifold.point(row)) for row in X])
+        raise NotImplementedError
 
-    def du_uu(self, x: Point, u: TangentVector, step: float = _FD_STEP) -> float:
-        """<u, grad_u F> for a unit tangent u (central differences along the
-        geodesic by default; subclasses override with closed forms)."""
-        m = x.manifold
-        vals = []
-        for s in (step, -step):
-            y = m.exp_map(x, TangentVector(x, s * u.components))
-            uy = m.transport_many(x.coords, y.coords, u.components)
-            vals.append(float(m.ip(self.vector(y), uy)))
-        return (vals[0] - vals[1]) / (2.0 * step)
+    def du_uu(self, x: Point, u: TangentVector) -> float:
+        raise NotImplementedError
 
 
 class ZeroDrift(DriftField):
     is_zero = True
 
-    def vector(self, x: Point) -> np.ndarray:
-        return np.zeros(x.manifold.ambient_dim)
-
     def vector_many(self, manifold: ModelManifold, X: np.ndarray) -> np.ndarray:
         return np.zeros_like(X)
 
-    def du_uu(self, x: Point, u: TangentVector, step: float = _FD_STEP) -> float:
+    def du_uu(self, x: Point, u: TangentVector) -> float:
         return 0.0
 
 
@@ -399,15 +378,12 @@ class LinearDrift(DriftField):
     def __init__(self, rate: float = 1.0):
         self.rate = float(rate)
 
-    def vector(self, x: Point) -> np.ndarray:
-        return self.vector_many(x.manifold, x.coords)
-
     def vector_many(self, manifold: ModelManifold, X: np.ndarray) -> np.ndarray:
         if manifold.kind != EUCLIDEAN:
             raise InputError("linear drift is defined on Euclidean space")
         return -self.rate * X
 
-    def du_uu(self, x: Point, u: TangentVector, step: float = _FD_STEP) -> float:
+    def du_uu(self, x: Point, u: TangentVector) -> float:
         return -self.rate
 
 
@@ -417,13 +393,6 @@ class PotentialDrift(DriftField):
 
     def __init__(self, potential: ZonalPolynomial):
         self.potential = potential
-
-    def _cos_colat(self, x: Point) -> float:
-        m = x.manifold
-        return float(x.coords[-1] / m.radius)
-
-    def vector(self, x: Point) -> np.ndarray:
-        return self.vector_many(x.manifold, x.coords)
 
     def vector_many(self, manifold: ModelManifold, X: np.ndarray) -> np.ndarray:
         if manifold.kind != SPHERE:
@@ -436,12 +405,12 @@ class PotentialDrift(DriftField):
         """Hessian of phi along the unit tangent u (second derivative of phi
         along the geodesic)."""
         m = x.manifold
-        c = self._cos_colat(x)
+        c = float(x.coords[-1] / m.radius)
         ul = float(u.components[-1])
         r = m.radius
         return float(self.potential.d2p(c)) * ul**2 / r**2 - float(self.potential.dp(c)) * c / r**2
 
-    def du_uu(self, x: Point, u: TangentVector, step: float = _FD_STEP) -> float:
+    def du_uu(self, x: Point, u: TangentVector) -> float:
         return -0.5 * self.hess_uu(x, u)
 
 
@@ -487,7 +456,6 @@ def reversible_potential(manifold: ModelManifold, potential: ZonalPolynomial) ->
                          potential=potential, label=f"potential({potential})")
 
 
-def tensor_diffusion(manifold: ModelManifold, tensor: RiemannLikeTensor,
-                     drift: DriftField | None = None, seed: int = 0) -> DiffusionSpec:
-    fld = h_admissible_field(manifold, tensor, seed=seed)
-    return DiffusionSpec(manifold, fld, drift or ZeroDrift(), label="tensor-field")
+def tensor_diffusion(manifold: ModelManifold, tensor: RiemannLikeTensor) -> DiffusionSpec:
+    return DiffusionSpec(manifold, h_admissible_field(manifold, tensor), ZeroDrift(),
+                         label="tensor-field")

@@ -30,7 +30,7 @@ HYPERBOLIC = "hyperbolic"
 
 _KINDS = (EUCLIDEAN, SPHERE, HYPERBOLIC)
 
-# Tolerances: point/tangency invariants, log-map cut guard, jet cut guard.
+# Tolerances: point/tangency invariants; log-map and jet cut guards, as angles.
 _INVARIANT_TOL = 1e-12
 _FRAME_TRIES = 64  # random candidates frame() tries after the coordinate axes
 _CUT_EPS_LOG = 1e-9
@@ -125,7 +125,7 @@ class ModelManifold:
     def cut_threshold(self) -> float:
         """Distances must stay below this for jets/couplings to be defined."""
         if self.kind == SPHERE:
-            return math.pi * self.radius - _CUT_EPS_JET
+            return (math.pi - _CUT_EPS_JET) * self.radius
         return math.inf
 
     def ip(self, u, v):
@@ -261,7 +261,7 @@ class ModelManifold:
     def log_map(self, x: "Point", y: "Point") -> "TangentVector":
         self._check_pair(x, y)
         d = self.dist_many(x.coords, y.coords)
-        if self.kind == SPHERE and d >= math.pi * self.radius - _CUT_EPS_LOG:
+        if self.kind == SPHERE and d >= (math.pi - _CUT_EPS_LOG) * self.radius:
             raise CutLocusError(
                 f"log map undefined: d = {d:.17g} is at the cut locus (pi*r = {math.pi*self.radius:.17g})"
             )
@@ -275,7 +275,7 @@ class ModelManifold:
         x = v.point
         self._check_pair(x, y)
         d = self.dist_many(x.coords, y.coords)
-        if self.kind == SPHERE and d >= math.pi * self.radius - _CUT_EPS_LOG:
+        if self.kind == SPHERE and d >= (math.pi - _CUT_EPS_LOG) * self.radius:
             raise CutLocusError("parallel transport undefined at the cut locus")
         return TangentVector(y, self.transport_many(x.coords, y.coords, v.components))
 

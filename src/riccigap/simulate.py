@@ -59,6 +59,7 @@ class SimConfig:
     trajectories: int
     seed: int = 0
     cut_margin: float = 0.1
+    """Distance a pair keeps from the cut threshold, in units of the radius."""
     workers: int = 1
 
     def __post_init__(self):
@@ -301,10 +302,10 @@ def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> li
     one block of trajectories per worker).  A step that overflows or
     leaves the space raises DivergenceError (_check_step)."""
     m = spec.manifold
-    if m.kind == SPHERE and cfg.cut_margin >= math.pi * m.radius / 2:
-        raise InputError("cut_margin must be below a quarter circumference")
+    if m.kind == SPHERE and cfg.cut_margin >= math.pi / 2:
+        raise InputError("cut_margin must be below pi/2, a quarter circumference in radii")
     d0 = m.distance(x0, y0)
-    if not 0 < d0 < m.cut_threshold - cfg.cut_margin + 1e-300:
+    if not 0 < d0 < m.cut_threshold - cfg.cut_margin * m.radius + 1e-300:
         raise InputError("initial distance must lie in (0, cut threshold - margin)")
     steps = int(round(cfg.horizon / cfg.dt))
     if abs(steps * cfg.dt - cfg.horizon) > 1e-9 * cfg.horizon:
@@ -347,7 +348,7 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     neither steps nor re-evaluates a stopped pair."""
     m = spec.manifold
     dt = cfg.dt
-    cut = m.cut_threshold - cfg.cut_margin
+    cut = m.cut_threshold - cfg.cut_margin * m.radius
     rngs = [_traj_rng(cfg.seed, j0 + i) for i in range(count)]
     kernel = spec.diffusion.constant_inverse_metric is not None
     X, Y = (np.array(np.broadcast_to(v.coords, (count, m.ambient_dim)),

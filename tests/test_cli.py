@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import struct
 import tempfile
 import warnings
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riccigap
 from riccigap import cli, simulate
 from riccigap.cli import main
 from riccigap.errors import NonPSDWarning
@@ -38,6 +40,13 @@ def read_csv(path):
         header = next(reader)
         rows = [dict(zip(header, rec)) for rec in reader if rec]
     return rows
+
+
+def test_the_suite_tests_the_checkout():
+    # pyproject.toml puts src/ on pytest's path, so a stale installed copy
+    # of the package is never the one tested
+    checkout = pathlib.Path(__file__).resolve().parents[1] / "src" / "riccigap"
+    assert pathlib.Path(riccigap.__file__).resolve().parent == checkout
 
 
 def test_kappa_formula(runner, tmp_path):
@@ -157,6 +166,24 @@ def test_bounds_command_values(runner, tmp_path):
     assert float(row["lichnerowicz"]) == 1.0
     assert float(row["chen_wang_cosine"]) == 1.0
     assert float(row["cd_value"]) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("radius", ["1e-4", "1e-30", "1e30"])
+def test_bounds_on_any_sphere_scale_as_the_inverse_square_radius(runner, tmp_path, radius):
+    # the search for the interpolated bound's c in [0, K] stops at a width
+    # relative to K: an absolute 1e-10 is below the ulp of K = 5e7 on
+    # sphere:2:1e-4, where the search never ended
+    rows = []
+    for r in ("1", radius):
+        out = tmp_path / f"b{r}.csv"
+        with _time_budget(5.0):
+            res = invoke(runner, ["bounds", "--manifold", f"sphere:2:{r}", "--potential", "0",
+                                  "--grid", "64", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows.append(read_csv(str(out))[0])
+    for col in ("lambda1", "K", "lichnerowicz", "harmonic_mean", "interpolated_c", "interpolated"):
+        assert float(rows[1][col]) * float(radius) ** 2 == pytest.approx(float(rows[0][col]),
+                                                                        rel=1e-9)
 
 
 def test_spectrum_command(runner, tmp_path):
@@ -321,15 +348,44 @@ def test_check_h_tolerance_is_relative_to_the_tensor(runner, tmp_path, manifold)
         assert float(row["max_residual"]) > 1e-8
 
 
-def test_check_h_below_cut_guard_exits_3(runner, tmp_path):
-    # half the circumference is below the cut-locus guard of the log map
+def test_check_h_on_a_sphere_below_the_old_absolute_cut_guard(runner, tmp_path):
+    # the cut guards are angles, so half the circumference of a 1e-12 sphere
+    # is as far from the guard as on the unit sphere
     out = tmp_path / "h.csv"
     res = invoke(runner, ["check-h", "--manifold", "sphere:2:1e-12", "--field", "brownian",
                           "--geodesics", "2", "--out", str(out)])
+    assert res.exit_code == 0
+    assert read_csv(str(out))[0]["admissible"] == "true"
+
+
+def test_antipodal_pair_on_a_small_sphere_exits_3(runner, tmp_path):
+    out = tmp_path / "k.csv"
+    res = invoke(runner, ["kappa", "--manifold", "sphere:2:1e-12", "--pair",
+                          "0,0,1e-12;0,0,-1e-12", "--out", str(out)])
     assert res.exit_code == 3
-    assert res.output.splitlines() == [
-        "numerical error: parallel transport undefined at the cut locus"]
+    assert res.output.startswith("numerical error: distance jet needs 0 < d < ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("manifold,field", [
+    ("sphere:2:1e5", "brownian"), ("hyperbolic:2:1e3", "brownian"),
+    ("hyperbolic:2:1e7", "kn"), ("sphere:2:1e9", "kn"),
+    ("sphere:2:1e-9", "kn"), ("sphere:2:1e-30", "kn"), ("hyperbolic:2:1e-20", "kn")])
+def test_check_h_reads_invariant_fields_as_admissible_at_every_scale(runner, tmp_path,
+                                                                      manifold, field):
+    # with the default 32 geodesics: the walk starts from x and u themselves
+    # (exp_map(x, 0) is x only to rounding, and u transported over that
+    # distance failed the tangency check), and the residual, a derivative
+    # along a unit vector, is compared with |A(x)|/r
+    if field == "kn":
+        tensor = tmp_path / "t.json"
+        tensor.write_text(json.dumps({"kn_pairs": [[np.eye(3).tolist(), np.eye(3).tolist()]]}))
+        field = f"example-t:{tensor}"
+    out = tmp_path / "h.csv"
+    res = invoke(runner, ["check-h", "--manifold", manifold, "--field", field,
+                          "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert read_csv(str(out))[0]["admissible"] == "true"
 
 
 def test_kappa_mc_cloud_over_cap_exits_2(runner, tmp_path, monkeypatch):
@@ -801,3 +857,65 @@ def test_vectorised_route_exits_0_2_or_3_in_time_with_no_warning(args):
             rows = read_csv(out)
             assert rows and all(math.isfinite(float(row[k])) for row in rows
                                 for k in list(row)[-3:]), args
+
+
+@st.composite
+def _report_args(draw):
+    """spectrum, bounds, check-h or variance on scales 1e-75-1e75: zonal
+    potentials a cos^k up to the overflow edge of exp(phi), grids 16-1024,
+    --nprime below, at and above n, check-h on the brownian, a potential or
+    the identity Kulkarni-Nomizu field ("kn", written by the test), and
+    variance with 2-1,000 samples."""
+    command = draw(st.sampled_from(["spectrum", "bounds", "check-h", "variance"]))
+    r = 10.0 ** draw(st.floats(-75.0, 75.0))
+    n = draw(st.integers(1, 3))
+    potential = draw(st.one_of(st.just("0"), st.builds(
+        "{!r}*cos^{}".format, st.floats(-750.0, 750.0) | st.floats(-2.0, 2.0), st.integers(1, 4))))
+    if command in ("spectrum", "bounds"):
+        args = [command, "--manifold", f"sphere:{n}:{r!r}", "--potential", potential,
+                "--grid", str(draw(st.integers(16, 1024)))]
+        nprime = draw(st.none() | st.sampled_from([n - 0.5, n]) | st.floats(n, 1e3))
+        return args + ["--nprime", repr(nprime)] if command == "bounds" and nprime else args
+    kind = draw(st.sampled_from(["euclidean", "sphere", "hyperbolic"]))
+    space = f"euclidean:{n}" if kind == "euclidean" else f"{kind}:{n}:{r!r}"
+    if command == "variance":
+        return ["variance", "--manifold", space, "--samples", str(draw(st.integers(2, 1000)))]
+    field = draw(st.sampled_from(["brownian", "kn", f"potential:{potential}"]))
+    return ["check-h", "--manifold", space, "--field", field,
+            "--geodesics", str(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(args=_report_args())
+def test_report_commands_exit_0_2_or_3_in_time_with_no_warning(args):
+    # every input ends in a finite row or a typed error, never in a traceback,
+    # a hang or a floating-point warning; a row's bounds are below its gap and
+    # an invariant field reads admissible.  The gap is the grid's, whose
+    # Richardson-extrapolated error is O(m^-4): 1.1 m^-4 relative with no
+    # potential, where the Lichnerowicz and Chen-Wang bounds are the exact
+    # continuum gap, so 2 m^-4 is allowed besides 1e-6
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        if "kn" in args:
+            n = int(args[args.index("--manifold") + 1].split(":")[1])
+            tensor = os.path.join(tmp, "t.json")
+            with open(tensor, "w") as fh:
+                json.dump({"kn_pairs": [[np.eye(n + 1).tolist(), np.eye(n + 1).tolist()]]}, fh)
+            args = [f"example-t:{tensor}" if a == "kn" else a for a in args]
+        with warnings.catch_warnings(record=True) as caught, _time_budget(5.0):
+            warnings.simplefilter("always")
+            res = CliRunner().invoke(main, [*args, "--out", out], catch_exceptions=False)
+        assert res.exit_code in (0, 2, 3), (args, res.output)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], args
+        if res.exit_code != 0:
+            return
+        row = read_csv(out)[0]
+        text = ("manifold", "potential", "field", "admissible", "within_bound")
+        assert all(math.isfinite(float(v)) for k, v in row.items() if k not in text and v), row
+        if args[0] == "bounds":
+            top = float(row["lambda1"]) * (1.0 + 1e-6 + 2.0 * float(row["m"]) ** -4)
+            assert all(float(row[k]) <= top for k in (
+                "lichnerowicz", "chen_wang_additive", "chen_wang_cosine", "harmonic_mean",
+                "interpolated", "cd_value") if row[k]), row
+        if args[0] == "check-h" and not args[4].startswith("potential:"):
+            assert row["admissible"] == "true", (args, row)

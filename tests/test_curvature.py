@@ -20,8 +20,8 @@ from riccigap.curvature import (
     kappa_tilde_pair,
     sqrt_perturbation_traces,
 )
-from riccigap.errors import (HViolationError, InputError, NonPSDWarning, SingularDiffusionError,
-                             TermMismatchError)
+from riccigap.errors import (CutLocusError, HViolationError, InputError, NonPSDWarning,
+                             SingularDiffusionError, TermMismatchError)
 from riccigap.fields import (
     ConstantFrameField,
     DiffusionSpec,
@@ -90,6 +90,33 @@ def test_kappa_pair_sphere_closed_form():
         x, u, y = random_pair(S2, d, seed=3)
         want = math.tan(d / 2) / d
         assert kappa_pair(spec, x, y).kappa == pytest.approx(want, rel=1e-12)
+
+
+def _pair_at_angle(kind: str, n: int, r: float, theta: float):
+    """The base point of the n-dim sphere or hyperbolic space of scale r and
+    the point at angle theta from it (distance theta r)."""
+    m = ModelManifold(kind, n, r)
+    sin, cos = (math.sin, math.cos) if kind == "sphere" else (math.sinh, math.cosh)
+    x, y = np.zeros(n + 1), np.zeros(n + 1)
+    x[-1], y[0], y[-1] = r, r * sin(theta), r * cos(theta)
+    return m, m.point(x), m.point(y)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["sphere", "hyperbolic"]), n=st.integers(2, 3),
+       exponent=st.floats(-12.0, 12.0), frac=st.floats(0.0, 1.0))
+def test_kappa_pair_scales_as_the_inverse_square_radius(kind, n, exponent, frac):
+    # the cut guards are angles, not distances: at every radius r a pair at
+    # angle theta has the same r^2 kappa, and theta >= pi - 1e-7 is refused
+    r = 10.0 ** exponent
+    theta = 0.01 + frac * ((math.pi - 1e-3 if kind == "sphere" else 5.0) - 0.01)
+    r2_kappa = [kappa_pair(brownian(m), x, y).kappa * m.radius ** 2
+                for m, x, y in (_pair_at_angle(kind, n, s, theta) for s in (1.0, r))]
+    assert r2_kappa[1] == pytest.approx(r2_kappa[0], rel=1e-9)
+    if kind == "sphere":
+        m, x, y = _pair_at_angle(kind, n, r, math.pi - 1e-7)
+        with pytest.raises(CutLocusError):
+            kappa_pair(brownian(m), x, y)
 
 
 def test_kappa_pair_symmetry():

@@ -321,11 +321,17 @@ def test_per_pair_blow_up_is_a_numerical_error(seed):
         run_coupled(spec, x, y, SimConfig(dt=1e-3, horizon=0.1, trajectories=3, seed=seed))
 
 
+class _Overrun(BaseException):
+    """Raised by _time_budget.  Not an Exception: the CLI maps OSError (and
+    so TimeoutError) to exit 2, and sweep catches every Exception, so either
+    would turn a run that overruns its budget into a clean-looking result."""
+
+
 @contextlib.contextmanager
 def _time_budget(seconds):
-    """Raise TimeoutError in the block if it runs for more than `seconds`."""
+    """Raise _Overrun in the block if it runs for more than `seconds`."""
     def expire(*_):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise _Overrun(f"still running after {seconds} s")
 
     old = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
