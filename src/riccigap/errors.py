@@ -56,7 +56,7 @@ class InputError(RicciGapError):
 
 
 class GridTooCoarseError(RicciGapError):
-    """Discretization residuals exceed tolerance at the requested grid size."""
+    """The grid cannot resolve the problem; raised only as GridSizeError."""
 
 
 class GridSizeError(GridTooCoarseError, InputError):

@@ -10,13 +10,14 @@ Discretization is in divergence form on a half-cell-offset grid, which
 makes the operator exactly self-adjoint for the discrete reversible
 weights and second-order accurate.
 
-Every operator is stored as its periodic three-point stencil (three bands
-of length m).  Every gap is the lowest eigenvalue of one positive-definite
-symmetric tridiagonal matrix (_ground), found by Sturm-sequence bisection
-(LAPACK stebz) in O(m) time and memory.  The zero mode is removed by
-structure, not by a tolerance: a zonal gap is the ground state of the dual
-path on the edges, and the circle splits by the mirror symmetry i -> -i
-into an even path and an odd one.
+Every operator -L = W^{-1} B^T C B + diag(kill) is stored as its edge
+conductances C, node weights W and killing rate (B the periodic difference
+operator).  Every gap is the lowest eigenvalue of one positive-definite
+symmetric tridiagonal matrix built from them (_ground), found by
+Sturm-sequence bisection (LAPACK stebz) in O(m) time and memory.  The zero
+mode is removed by structure, not by a tolerance: a zonal gap is the ground
+state of the dual path on the edges, and the circle splits by the mirror
+symmetry i -> -i into an even path and an odd one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import (
     DimensionMismatchError,
     DimensionOneError,
     GridSizeError,
-    GridTooCoarseError,
     InputError,
     NonPositiveCurvatureError,
 )
@@ -41,26 +41,24 @@ from .manifolds import SPHERE, ModelManifold
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedOperator:
-    """Grid generator with its reversible weights.
+    """Grid generator -L = W^{-1} B^T C B + diag(kill) with its reversible
+    weights.
 
     kind: "s1" (uniform angle grid) or "s2-zonal" / "s2-azimuthal"
-    (half-cell colatitude grid with sin(theta) weights).  The generator is
-    the periodic three-point stencil L[i, i-1] = lower[i], L[i, i] = diag[i],
-    L[i, i+1] = upper[i], indices mod m; the zonal sectors have zero wrap
-    entries (lower[0] = upper[-1] = 0).  Rows sum to zero (exactly, up to
-    roundoff) except for the azimuthal sector, which carries a positive
-    diagonal angular-momentum term; weights are the discrete reversible
-    measure, normalized to total mass one.
+    (half-cell colatitude grid with sin(theta) weights).  cond[i] is the
+    conductance of the edge i -> i+1, indices mod m; cond[-1] is the wrap,
+    zero on the zonal sectors.  weights are the discrete reversible measure,
+    normalized to total mass one.  kill is the azimuthal sector's
+    angular-momentum term 1/(2 r^2 sin^2 theta), zero elsewhere.
     """
 
     kind: str
     radius: float
     theta: np.ndarray
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
+    cond: np.ndarray
     weights: np.ndarray
     potential: ZonalPolynomial
+    kill: np.ndarray | float = 0.0
 
     @property
     def size(self) -> int:
@@ -68,14 +66,17 @@ class DiscretizedOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense m x m view of the stencil, built on each access; for
-        inspection only, no computation in this module reads it."""
-        return _periodic_three_point(self.lower, self.diag, self.upper).toarray()
+        """Dense m x m view of the three-point stencil, built on each access;
+        for inspection only, no computation in this module reads it."""
+        lower = np.roll(self.cond, 1) / self.weights
+        upper = self.cond / self.weights
+        return _periodic_three_point(lower, -(lower + upper) - self.kill, upper).toarray()
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """L f on the grid.  The neighbours are summed before the diagonal,
-        so a row whose diagonal is -(lower + upper) kills constants exactly."""
-        return (self.lower * np.roll(f, 1) + self.upper * np.roll(f, -1)) + self.diag * f
+        """L f on the grid: the divergence of the edge currents c (f' - f),
+        so a sector with zero kill maps constants to exactly zero."""
+        current = self.cond * (np.roll(f, -1) - f)
+        return (current - np.roll(current, 1)) / self.weights - self.kill * f
 
 
 def _periodic_three_point(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
@@ -90,27 +91,19 @@ def _periodic_three_point(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
                      shape=(m, m))
 
 
-def _abs_max(*arrays) -> float:
-    return max(float(np.abs(a).max()) for a in arrays)
-
-
-def _validate(op: DiscretizedOperator, zero_rows: bool = True) -> DiscretizedOperator:
-    scale = _abs_max(op.lower, op.diag, op.upper)
-    if not (math.isfinite(scale) and np.isfinite(op.weights).all()):
+@np.errstate(over="ignore", invalid="ignore")  # overflow is rejected below
+def _operator(kind: str, radius: float, theta: np.ndarray, w: np.ndarray, upper: np.ndarray,
+              potential: ZonalPolynomial, kill=0.0) -> DiscretizedOperator:
+    """Normalize the weights and take the conductances c_i = w_i L[i, i+1];
+    InputError if any of them overflows."""
+    w = w / w.sum()
+    cond = w * upper
+    if not all(np.isfinite(a).all() for a in (w, cond, kill)):
         raise InputError("the discretized operator overflows: the potential is too large")
-    if zero_rows:
-        rowsum = float(np.abs(op.lower + op.diag + op.upper).max())
-        if rowsum > 1e-10 * max(scale, 1.0):
-            raise GridTooCoarseError(f"row sums {rowsum:.3e} exceed tolerance")
-    # w_i L[i, i+1] against w_{i+1} L[i+1, i]; the diagonal is symmetric
-    w = op.weights
-    asym = float(np.abs(w * op.upper - np.roll(w * op.lower, -1)).max())
-    if asym > 1e-8 * max(_abs_max(w * op.lower, w * op.diag, w * op.upper), 1.0):
-        raise GridTooCoarseError(f"weighted symmetry residual {asym:.3e} exceeds tolerance")
-    return op
+    return DiscretizedOperator(kind, radius, theta, cond, w, potential, kill)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is rejected by _validate
+@np.errstate(over="ignore", invalid="ignore")  # overflow is rejected by _operator
 def discretize_s1(potential: ZonalPolynomial, m: int, radius: float = 1.0) -> DiscretizedOperator:
     """L = (1/(2 r^2)) e^{phi} d/dth (e^{-phi} d/dth) on the circle,
     periodic uniform grid."""
@@ -121,50 +114,40 @@ def discretize_s1(potential: ZonalPolynomial, m: int, radius: float = 1.0) -> Di
     b = np.exp(-potential.value(theta + 0.5 * h))   # conductances at i+1/2
     phi_i = potential.value(theta)
     scale = 1.0 / (2.0 * radius**2 * h**2) * np.exp(phi_i)
-    w = np.exp(-phi_i)
-    w = w / w.sum()
-    return _validate(DiscretizedOperator("s1", radius, theta, scale * np.roll(b, 1),
-                                         -scale * (b + np.roll(b, 1)), scale * b, w, potential))
+    return _operator("s1", radius, theta, np.exp(-phi_i), scale * b, potential)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is rejected by _validate
-def _zonal_parts(potential: ZonalPolynomial, m: int, radius: float):
-    """Half-cell colatitude grid: the three-point operator with zero
-    conductance across the poles (the wrap); returns the grid, the bands
-    (lower, diag, upper) and the weights."""
+@np.errstate(over="ignore", invalid="ignore")  # overflow is rejected by _operator
+def _zonal_operator(kind: str, potential: ZonalPolynomial, m: int,
+                    radius: float) -> DiscretizedOperator:
+    """Half-cell colatitude grid with zero conductance across the poles (the
+    wrap); the azimuthal sector adds its angular-momentum killing rate."""
     if m < 16:
         raise GridSizeError("need at least 16 grid points")
     h = math.pi / m
     theta = (np.arange(m) + 0.5) * h
     edges = np.arange(m + 1) * h
     c = np.sin(edges) * np.exp(-potential.value(edges))  # conductance at cell edges
-    c[0] = 0.0
     c[-1] = 0.0
     phi_i = potential.value(theta)
     sin_i = np.sin(theta)
     scale = 1.0 / (2.0 * radius**2 * h**2) * np.exp(phi_i)
-    lower = scale * c[:-1] / sin_i
-    upper = scale * c[1:] / sin_i
-    w = sin_i * np.exp(-phi_i)
-    w = w / w.sum()
-    return theta, (lower, -(lower + upper), upper), w
+    kill = 1.0 / (2.0 * radius**2 * sin_i**2) if kind == "s2-azimuthal" else 0.0
+    return _operator(kind, radius, theta, sin_i * np.exp(-phi_i), scale * c[1:] / sin_i,
+                     potential, kill)
 
 
 def discretize_zonal(potential: ZonalPolynomial, m: int, radius: float = 1.0) -> DiscretizedOperator:
     """Zonal sector of L = (1/2)(Laplacian - grad(phi).grad) on the
     2-sphere, for colatitude potentials; half-cell grid avoids the poles."""
-    theta, bands, w = _zonal_parts(potential, m, radius)
-    return _validate(DiscretizedOperator("s2-zonal", radius, theta, *bands, w, potential))
+    return _zonal_operator("s2-zonal", potential, m, radius)
 
 
 def azimuthal_operator(potential: ZonalPolynomial, m: int, radius: float = 1.0) -> DiscretizedOperator:
     """First angular-momentum sector: the zonal operator plus the
-    1/(2 r^2 sin^2 theta) centrifugal diagonal.  Its lowest eigenvalue
+    1/(2 r^2 sin^2 theta) centrifugal killing rate.  Its lowest eigenvalue
     competes with the zonal gap for the full spectral gap."""
-    theta, (lower, diag, upper), w = _zonal_parts(potential, m, radius)
-    diag = diag - 1.0 / (2.0 * radius**2 * np.sin(theta) ** 2)
-    return _validate(DiscretizedOperator("s2-azimuthal", radius, theta, lower, diag, upper,
-                                         w, potential), zero_rows=False)
+    return _zonal_operator("s2-azimuthal", potential, m, radius)
 
 
 def _reversible_potential(spec: DiffusionSpec) -> ZonalPolynomial:
@@ -209,9 +192,9 @@ def _ground(cond: np.ndarray, w: np.ndarray, v=0.0) -> float:
 
 
 def _conductances(op: DiscretizedOperator) -> np.ndarray:
-    """c_i = w_i L[i, i+1], c[-1] the wrap.  A connected path or cycle has a
-    simple zero mode (Perron-Frobenius), so only a zero edge degenerates it."""
-    c = op.weights * op.upper
+    """op.cond, checked: a connected path or cycle has a simple zero mode
+    (Perron-Frobenius), so only a zero edge degenerates it."""
+    c = op.cond
     if not (np.isfinite(c).all() and c[:-1].min() > 0):
         raise DegenerateSpectrumError("an edge conductance is zero or not finite")
     return c
@@ -242,12 +225,13 @@ def spectral_gap(op: DiscretizedOperator) -> float:
 
 @np.errstate(over="ignore")  # _ground rejects overflow
 def lowest_eigenvalue(op: DiscretizedOperator) -> float:
-    """Ground eigenvalue of -L on a sector with zero wrap, such as the
-    azimuthal one; its row sums are the killing rate."""
+    """Ground eigenvalue of -L = W^{-1} B^T C B + diag(kill) on a sector with
+    zero wrap, such as the azimuthal one: the path with free ends, node
+    weights op.weights and killing rate op.kill."""
     c = _conductances(op)
     if c[-1] != 0.0:
         raise InputError("lowest_eigenvalue takes a sector with zero wrap")
-    return _ground(np.concatenate(([0.0], c)), op.weights, -(op.diag + (op.lower + op.upper)))
+    return _ground(np.concatenate(([0.0], c)), op.weights, op.kill)
 
 
 def _richardson(gaps, m: int):
@@ -321,37 +305,14 @@ def harmonic_mean_bound(kappa_values, weights) -> float:
     return float(1.0 / np.sum(w / k))
 
 
-def _maximize_scalar(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Coarse scan then golden-section refinement of a scalar maximum on
-    [lo, hi] to width 1e-10 (hi - lo), relative since an absolute width below
-    the ulp of hi is never reached; endpoint maxima are found exactly."""
-    coarse, tol = 129, 1e-10 * (hi - lo)
-    xs = np.linspace(lo, hi, coarse)
-    vals = np.array([fn(x) for x in xs])
-    i = int(np.argmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, coarse - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fn(x1)
-    candidates = [(fn(lo), lo), (fn(hi), hi), (f1, x1), (f2, x2)]
-    best = max(candidates, key=lambda p: p[0])
-    return best[1], best[0]
-
-
-def _dimensional_bound(values: np.ndarray, weights: np.ndarray, fac: float,
-                       hi: float) -> tuple[float, float]:
-    """max over c in [0, hi] of fac c + harmonic mean of (values - c)."""
+def _dimensional_bound(values: np.ndarray, weights: np.ndarray,
+                       fac: float) -> tuple[float, float]:
+    """(c, value) maximizing fac c + harmonic mean of (values - c) over
+    c in [0, min(values)].  The objective is concave (a weighted harmonic
+    mean is a concave power mean), so golden-section search finds it, to
+    width 1e-10 of the interval (relative, since an absolute width below the
+    ulp of the end is never reached); both ends are evaluated exactly."""
+    hi = float(values.min())
 
     def val(c):
         gap = values - c
@@ -359,7 +320,22 @@ def _dimensional_bound(values: np.ndarray, weights: np.ndarray, fac: float,
             return fac * c
         return fac * c + 1.0 / float(np.sum(weights / gap))
 
-    return _maximize_scalar(val, 0.0, hi)
+    a, b = 0.0, hi
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = val(x1), val(x2)
+    while b - a > 1e-10 * hi:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = val(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = val(x1)
+    value, c = max([(val(0.0), 0.0), (val(hi), hi), (f1, x1), (f2, x2)], key=lambda p: p[0])
+    return c, value
 
 
 def interpolated_bound(ric_values, weights, n: int) -> tuple[float, float]:
@@ -370,10 +346,9 @@ def interpolated_bound(ric_values, weights, n: int) -> tuple[float, float]:
         raise DimensionOneError("the interpolated bound needs n >= 2")
     ric = np.asarray(ric_values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    K = float(ric.min())
-    if K <= 0:
+    if ric.min() <= 0:
         raise NonPositiveCurvatureError("needs positive curvature on the grid")
-    return _dimensional_bound(ric, w, n / (n - 1), K)
+    return _dimensional_bound(ric, w, n / (n - 1))
 
 
 def _zonal_potential(spec: DiffusionSpec) -> ZonalPolynomial:
@@ -424,15 +399,14 @@ def bakry_emery_rho(spec: DiffusionSpec, n_prime: float):
 
 
 def cd_bound(rho_values, weights, n_prime: float) -> tuple[float, float]:
-    """max over c in [0, R) of n' c/(n'-1) + harmonic mean of (rho - c),
-    R the infimum of rho on the grid."""
+    """max over c in [0, R] of n' c/(n'-1) + harmonic mean of (rho - c),
+    R the infimum of rho on the grid; c = R gives n' R/(n'-1)."""
     rho = np.asarray(rho_values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    R = float(rho.min())
-    if R <= 0:
+    if rho.min() <= 0:
         raise NonPositiveCurvatureError("needs positive curvature-dimension curvature")
     fac = 1.0 if n_prime == math.inf else n_prime / (n_prime - 1)
-    return _dimensional_bound(rho, w, fac, max(R - 1e-12, 0.0))
+    return _dimensional_bound(rho, w, fac)
 
 
 # ---------------------------------------------------------------------------

@@ -168,22 +168,26 @@ def test_bounds_command_values(runner, tmp_path):
     assert float(row["cd_value"]) == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("radius", ["1e-4", "1e-30", "1e30"])
+@pytest.mark.parametrize("radius", ["1e-4", "1e7", "1e-30", "1e30"])
 def test_bounds_on_any_sphere_scale_as_the_inverse_square_radius(runner, tmp_path, radius):
     # the search for the interpolated bound's c in [0, K] stops at a width
     # relative to K: an absolute 1e-10 is below the ulp of K = 5e7 on
-    # sphere:2:1e-4, where the search never ended
-    rows = []
-    for r in ("1", radius):
-        out = tmp_path / f"b{r}.csv"
-        with _time_budget(5.0):
-            res = invoke(runner, ["bounds", "--manifold", f"sphere:2:{r}", "--potential", "0",
-                                  "--grid", "64", "--out", str(out)])
-        assert res.exit_code == 0, res.output
-        rows.append(read_csv(str(out))[0])
-    for col in ("lambda1", "K", "lichnerowicz", "harmonic_mean", "interpolated_c", "interpolated"):
-        assert float(rows[1][col]) * float(radius) ** 2 == pytest.approx(float(rows[0][col]),
-                                                                        rel=1e-9)
+    # sphere:2:1e-4, where the search never ended.  The CD search runs over
+    # [0, R] itself: an absolute margin below R emptied it from r ~ 1e6.
+    # Under a potential the flat maximum fixes c only to ~sqrt(eps), so the
+    # c columns are compared on the zero potential, whose optimum is an end.
+    for pot, cols in (("0", ("lichnerowicz", "interpolated_c", "cd_c")), ("0.1*cos", ())):
+        rows = []
+        for r in ("1", radius):
+            out = tmp_path / f"b{r}.csv"
+            with _time_budget(5.0):
+                res = invoke(runner, ["bounds", "--manifold", f"sphere:2:{r}", "--potential",
+                                      pot, "--grid", "64", "--nprime", "3", "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            rows.append(read_csv(str(out))[0])
+        for col in ("lambda1", "K", "harmonic_mean", "interpolated", "cd_value") + cols:
+            assert float(rows[1][col]) * float(radius) ** 2 == pytest.approx(
+                float(rows[0][col]), rel=1e-9), (pot, col)
 
 
 def test_spectrum_command(runner, tmp_path):

@@ -88,8 +88,7 @@ def test_zonal_gap_legendre():
 
 def test_spectral_gap_linear_in_generator_scale():
     op = sp.discretize_zonal(parse_potential("0.2*cos"), 256)
-    doubled = sp.DiscretizedOperator(op.kind, op.radius, op.theta, lower=2.0 * op.lower,
-                                     diag=2.0 * op.diag, upper=2.0 * op.upper,
+    doubled = sp.DiscretizedOperator(op.kind, op.radius, op.theta, cond=2.0 * op.cond,
                                      weights=op.weights, potential=op.potential)
     assert sp.spectral_gap(doubled) == pytest.approx(2.0 * sp.spectral_gap(op), rel=1e-12)
 
@@ -98,11 +97,10 @@ def test_degenerate_spectrum_detected():
     # two zonal chains side by side: zero wrap and zero coupling between
     # them, so the constant on each chain is a zero mode
     op = sp.discretize_zonal(ZERO, 64)
-    two = [np.concatenate([band, band]) for band in (op.lower, op.diag, op.upper)]
     w = np.concatenate([op.weights, op.weights]) / 2.0
     broken = sp.DiscretizedOperator("s2-zonal", 1.0, np.concatenate([op.theta, op.theta]),
-                                    *two, weights=w, potential=ZERO)
-    assert broken.lower[0] == broken.upper[63] == broken.lower[64] == broken.upper[-1] == 0.0
+                                    np.concatenate([op.cond, op.cond]), w, ZERO)
+    assert broken.cond[63] == broken.cond[-1] == 0.0
     with pytest.raises(DegenerateSpectrumError):
         sp.spectral_gap(broken)
 
@@ -155,18 +153,24 @@ def test_random_potentials_gap_and_bounds(pot, n_prime):
     assert ("harmonic-mean" in bounds) == (rep.K > 0)
     for name, val in bounds.items():
         assert val <= rep.lambda1 + 1e-6, (str(pot), name, val, rep.lambda1)
+    # each dimensional bound is at least both ends of its search, which the
+    # search evaluates with this same arithmetic
+    if rep.interpolated is not None:
+        n = S2.dim
+        assert rep.interpolated[1] >= max(rep.harmonic_mean, n / (n - 1) * rep.K)
+    if rep.bakry_emery_cd is not None:
+        op = sp.discretize_zonal(pot, 256)
+        rho = sp.bakry_emery_rho(reversible_potential(S2, pot), n_prime)(op.theta)
+        ends = (sp.harmonic_mean_bound(rho, op.weights), n_prime / (n_prime - 1) * rho.min())
+        assert rep.bakry_emery_cd[2] >= max(ends), (str(pot), n_prime)
 
 
 def test_cycle_without_mirror_symmetry_rejected():
     # a stronger edge 3 -> 4 that keeps the weighted symmetry but not i -> -i
     op = sp.discretize_s1(parse_potential("0.5*cos"), 64)
-    lower, diag, upper = op.lower.copy(), op.diag.copy(), op.upper.copy()
-    upper[3] *= 2.0
-    lower[4] *= 2.0
-    diag[3] = -(lower[3] + upper[3])
-    diag[4] = -(lower[4] + upper[4])
-    skew = sp.DiscretizedOperator("s1", 1.0, op.theta, lower, diag, upper, op.weights,
-                                  op.potential)
+    cond = op.cond.copy()
+    cond[3] *= 2.0
+    skew = sp.DiscretizedOperator("s1", 1.0, op.theta, cond, op.weights, op.potential)
     with pytest.raises(InputError):
         sp.spectral_gap(skew)
     with pytest.raises(InputError):
@@ -184,6 +188,9 @@ def test_band_view_and_apply_match_dense():
         assert np.count_nonzero(L) <= 3 * op.size
         f = np.cos(op.theta) + 0.3 * np.sin(3 * op.theta)
         assert np.abs(op.apply(f) - L @ f).max() <= 1e-12 * np.abs(L).max()
+        if op.kind != "s2-azimuthal":
+            # the flux form kills constants exactly, on the cycle too
+            assert not op.apply(np.ones(op.size)).any(), (op.kind, str(op.potential))
 
 
 def test_spectra_run_in_linear_memory():
