@@ -243,11 +243,12 @@ class ModelManifold:
         """Parallel transport of tangent vectors W at X to Y along the geodesic."""
         if self.kind == EUCLIDEAN:
             return np.array(W, copy=True)
-        V = self.log_many(X, Y)
+        dxy = self.dist_many(X, Y)
+        V = self.log_many(X, Y, dxy)
         d = np.sqrt(np.maximum(self.ip(V, V), 0.0))[..., None]
         deg = d < 1e-15
         u = _guarded_div(V, d, deg, 0.0)
-        s, c = _trig(self.kind, (self.dist_many(X, Y) / self.radius)[..., None])
+        s, c = _trig(self.kind, (dxy / self.radius)[..., None])
         uprime = (-s if self.kind == SPHERE else s) * X / self.radius + c * u  # velocity at Y
         out = W + self.ip(W, u)[..., None] * (uprime - u)
         return np.where(deg, W, out) if deg.any() else out
@@ -351,8 +352,12 @@ class ModelManifold:
         if not 0.0 < d < self.cut_threshold:
             raise CutLocusError(f"distance jet needs 0 < d < {self.cut_threshold:.17g}, got {d:.17g}")
         E, F = self.adapted_frames(x, y)
-        th = d / self.radius
-        qa, qb = _jet_scales(self.kind, th)
+        if self.kind == EUCLIDEAN:
+            qa = qb = 1.0
+        else:  # the q1 and -q12 scales: theta cot theta and theta / sin theta (coth, sinh on H)
+            th = d / self.radius
+            sn, cs = _trig(self.kind, th)
+            qa, qb = th * cs / sn, th / sn
         qa, qb = qa / d**2, qb / d**2
         n = self.dim
         P = np.eye(n)
@@ -434,28 +439,6 @@ def _guarded_div(a, b, mask, fill):
     if not mask.any():
         return a / b
     return np.where(mask, fill, a / np.where(mask, 1.0, b))
-
-
-def _jet_scales(kind: str, th, trig=None):
-    """The q1 and -q12 jet scales at theta = d/r: theta cot theta and
-    theta / sin theta (sphere), theta coth theta and theta / sinh theta
-    (hyperbolic; series in K theta^2 below 1e-4), 1 and 1 (Euclidean).
-    trig, when given, is _trig(kind, theta), read where theta >= 1e-4."""
-    th = np.asarray(th, dtype=float)
-    if kind == EUCLIDEAN:
-        return np.ones_like(th), np.ones_like(th)
-    small = np.abs(th) < 1e-4
-    series = small.any()
-    ts = np.where(small, 1.0, th) if series else th
-    sn, cs = _trig(kind, ts) if trig is None else trig
-    if series and trig is not None:
-        sn = np.where(small, 1.0, sn)
-    qa, qb = ts * cs / sn, ts / sn
-    if not series:
-        return qa, qb
-    K = 1.0 if kind == SPHERE else -1.0
-    return (np.where(small, 1.0 - K * th**2 / 3.0 - th**4 / 45.0, qa),
-            np.where(small, 1.0 + K * th**2 / 6.0 + 7.0 * th**4 / 360.0, qb))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,8 @@ exponential chart:
   increment dt F.  A Gaussian orthogonal part w would move log d by a
   multiple of the fluctuating |w|^2 and leave a defect of size
   O(sqrt(T dt)); with |w| fixed the pathwise defect is O(dt).
-  A step makes one column-major geometry pass (`_pairs`; sin, cos once).
+  A step makes one column-major geometry pass (`_pairs`; sin, cos once);
+  its kappa adds one tan (`_kappa`).
 - The per-pair step (`_step_pair`; fields without constant_inverse_metric,
   such as tensor-constructed or scalar-scaled ones): Gaussian
   Euler-Maruyama.  Each step turns 2n standard normals into one joint
@@ -47,7 +48,7 @@ from .curvature import kappa_pair
 from .errors import DivergenceError, InputError
 from .fields import DiffusionSpec, LinearDrift
 from .manifolds import (_INVARIANT_TOL, EUCLIDEAN, HYPERBOLIC, SPHERE, ModelManifold, Point,
-                        _guarded_div, _jet_scales, _trig)
+                        _guarded_div, _trig)
 
 _NOISE_BLOCK = 256  # time steps of noise drawn at once per trajectory
 
@@ -174,8 +175,8 @@ def _step_pair(spec: DiffusionSpec, x: Point, y: Point, dt: float,
 
 class _Pairs(NamedTuple):
     """Stacked pairs at distances d, column-major: u and uy (u') are the unit
-    velocities of the geodesic X -> Y at X and Y, fx and fy the drift there,
-    trig the (N, 1) columns _trig(theta = d/r); None where unneeded."""
+    velocities of the geodesic X -> Y at X and Y, fx and fy the drift there;
+    None where unneeded."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -184,7 +185,6 @@ class _Pairs(NamedTuple):
     uy: np.ndarray | None = None
     fx: np.ndarray | None = None
     fy: np.ndarray | None = None
-    trig: tuple | None = None
 
 
 def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray) -> _Pairs:
@@ -195,7 +195,6 @@ def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray) -> 
     if m.kind == EUCLIDEAN and (spec.drift.is_zero or isinstance(spec.drift, LinearDrift)):
         return _Pairs(X, Y, d)
     d1 = d[:, None]
-    sn = cs = None
     if m.kind == EUCLIDEAN:
         V = Y - X
     else:
@@ -206,7 +205,7 @@ def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray) -> 
     uy = u if m.kind == EUCLIDEAN else (-sn if m.kind == SPHERE else sn) * X / m.radius + cs * u
     f = (None, None) if spec.drift.is_zero else (spec.drift.vector_many(m, X),
                                                   spec.drift.vector_many(m, Y))
-    return _Pairs(X, Y, d, u, uy, *f, None if sn is None else (sn, cs))
+    return _Pairs(X, Y, d, u, uy, *f)
 
 
 class _Step(NamedTuple):
@@ -263,10 +262,10 @@ def _coupled_step(spec: DiffusionSpec, p: _Pairs, z: np.ndarray,
 
 
 def kappa_fast(spec: DiffusionSpec, d, X=None, Y=None):
-    """kappa(x, y) for A = c * g^{-1} at distance d (matches kappa_pair;
-    cross-checked in the test suite).  With zero or linear drift it depends
-    on d alone.  Any other drift F adds (<u, F(x)> - <u', F(y)>)/d, the
-    drift term of kappa_pair, which needs the points: X and Y, stacked."""
+    """kappa(x, y) for A = c * g^{-1} at distance d (matches kappa_pair; cross-checked in
+    the test suite): its curvature part to a few ulps at every d >= 0, the d -> 0 limit at
+    d = 0.  With zero or linear drift it depends on d alone; any other drift F adds (<u, F(x)>
+    - <u', F(y)>)/d, the drift term of kappa_pair, which needs the points: X and Y, stacked."""
     if spec.diffusion.constant_inverse_metric is None:
         raise InputError("kappa_fast needs A = c * g^{-1}")
     d = np.asarray(d, dtype=float)
@@ -280,20 +279,22 @@ def kappa_fast(spec: DiffusionSpec, d, X=None, Y=None):
 
 
 def _kappa(spec: DiffusionSpec, p: _Pairs):
-    """kappa_fast of p, from the sine and cosine of theta that _pairs kept."""
+    """kappa_fast of p: c (n - 1)(theta / sin theta - theta cot theta)/d^2 at theta = d/r is
+    c (n - 1) h/r^2, h = tan(theta/2)/theta (S) or -tanh(theta/2)/theta (H), which subtracts
+    nothing; below theta = 1e-8, h is its limit +-1/2 to rounding and is taken as that."""
     m = spec.manifold
     c = spec.diffusion.constant_inverse_metric
-    d = np.maximum(p.d, 1e-300)
     drift = spec.drift.rate if isinstance(spec.drift, LinearDrift) else 0.0
     if m.kind == EUCLIDEAN:
-        kap = np.full_like(d, drift)
+        kap = np.full_like(p.d, drift)
     else:
-        trig = None if p.trig is None else tuple(t[:, 0] for t in p.trig)
-        qa, qb = _jet_scales(m.kind, d / m.radius, trig)
-        kap = drift + c * (m.dim - 1) * (qb - qa) / d**2
+        th = p.d / m.radius
+        half = np.tan(th / 2) if m.kind == SPHERE else -np.tanh(th / 2)
+        h = _guarded_div(half, th, th < 1e-8, 0.5 if m.kind == SPHERE else -0.5)
+        kap = drift + c * (m.dim - 1) * h / m.radius**2
     if p.fx is None:
         return kap
-    return kap + (m.ip(p.u, p.fx) - m.ip(p.uy, p.fy)) / d
+    return kap + (m.ip(p.u, p.fx) - m.ip(p.uy, p.fy)) / np.maximum(p.d, 1e-300)
 
 
 def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> list[CoupledTrajectory]:

@@ -4,6 +4,7 @@ import signal
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from riccigap import simulate
 from riccigap.cli import main, parse_field
-from riccigap.curvature import kappa_pair
+from riccigap.curvature import kappa_dir, kappa_pair
 from riccigap.errors import DivergenceError, InputError
 from riccigap.fields import (
     ConstantFrameField,
@@ -532,17 +533,14 @@ def test_coupled_step_dt_column_equals_scalar_calls(manifold, field):
 # the fused kernel against the composition of the public geometry kernels
 
 
-def _reference_scales(kind, th):
-    """theta cot theta and theta / sin theta (sinh on H), series below 1e-4."""
-    small = np.abs(th) < 1e-4
-    ts = np.where(small, 1.0, th)
-    if kind == "sphere":
-        qa = np.where(small, 1.0 - th**2 / 3.0 - th**4 / 45.0, ts * np.cos(ts) / np.sin(ts))
-        qb = np.where(small, 1.0 + th**2 / 6.0 + 7.0 * th**4 / 360.0, ts / np.sin(ts))
-    else:
-        qa = np.where(small, 1.0 + th**2 / 3.0 - th**4 / 45.0, ts * np.cosh(ts) / np.sinh(ts))
-        qb = np.where(small, 1.0 - th**2 / 6.0 + 7.0 * th**4 / 360.0, ts / np.sinh(ts))
-    return qa, qb
+def _reference_half_angle(kind, th):
+    """(theta / sin theta - theta cot theta)/theta^2 by the half-angle
+    identity: tan(theta/2)/theta on S, -tanh(theta/2)/theta on H, and the
+    limit +-1/2 below theta = 1e-8."""
+    sign = 1.0 if kind == "sphere" else -1.0
+    t = np.tan(th / 2) if kind == "sphere" else np.tanh(th / 2)
+    far = th >= 1e-8
+    return np.where(far, sign * t / np.where(far, th, 1.0), sign * 0.5)
 
 
 def _reference_forward_unit(m, X, u, d):
@@ -555,7 +553,8 @@ def _reference_forward_unit(m, X, u, d):
 
 def _reference_kernel(spec, X, Y, d, z, dt):
     """u, u', kappa and one coupled step, each by its own kernel: log_many,
-    tangent_noise, exp_many, the forward unit velocity and the jet scales."""
+    tangent_noise, exp_many, the forward unit velocity and the half-angle
+    form of the curvature term."""
     m = spec.manifold
     c = spec.diffusion.constant_inverse_metric
     linear = isinstance(spec.drift, LinearDrift)
@@ -563,8 +562,7 @@ def _reference_kernel(spec, X, Y, d, z, dt):
     dk = np.maximum(d, 1e-300)
     kap = np.full_like(d, spec.drift.rate if linear else 0.0)
     if m.kind != "euclidean":
-        qa, qb = _reference_scales(m.kind, dk / m.radius)
-        kap = kap + c * (m.dim - 1) * (qb - qa) / dk**2
+        kap = kap + c * (m.dim - 1) * _reference_half_angle(m.kind, d / m.radius) / m.radius**2
     if m.kind == "euclidean" and (linear or spec.drift.is_zero):
         decay = np.vectorize(lambda h: math.exp(-spec.drift.rate * h))(dt) if linear else 1.0
         return None, None, kap, (decay * X + sig * z, decay * Y + sig * z)
@@ -612,9 +610,9 @@ def test_fused_kernel_matches_composed_kernels_bitwise(case, n, seed, tiny, clos
                                                       column_major):
     # u, u', kappa and the step of the fused pass against the public kernels
     # on C-ordered rows: pairs at distances up to 2.5 r, a share `close`
-    # with theta < 1e-4 (the series) and a share `tiny` with d < 1e-15
-    # (u = 0), one step size or one per row, with N on both sides of
-    # _COLUMN_SUM_MIN_SIZE
+    # with theta < 1e-4 (on both sides of the 1e-8 limit) and a share `tiny`
+    # with d < 1e-15 (u = 0), one step size or one per row, with N on both
+    # sides of _COLUMN_SUM_MIN_SIZE
     m = parse_manifold(case[0])
     spec = parse_field(m, case[1])
     g = np.random.default_rng(seed)
@@ -666,6 +664,49 @@ def test_kappa_fast_matches_kappa_pair():
         assert kappa_fast(spec, d, x.coords, y.coords)[0] == pytest.approx(want, rel=1e-10)
         with pytest.raises(InputError):
             kappa_fast(spec, d)
+
+
+def _mp_curvature_term(kind, n, r, d):
+    """(n - 1)(theta / sin theta - theta cot theta)/d^2 at theta = d/r (sinh,
+    coth on H) in mpmath, as written, with digits enough to cover the
+    cancellation: about 2 log10(1/theta) of them cancel."""
+    th = mpmath.mpf(d) / mpmath.mpf(r)
+    with mpmath.workdps(40 + 2 * max(0, -int(mpmath.log10(th)))):
+        th = mpmath.mpf(d) / mpmath.mpf(r)
+        if kind == "sphere":
+            bracket = th / mpmath.sin(th) - th * mpmath.cot(th)
+        else:
+            bracket = th / mpmath.sinh(th) - th * mpmath.coth(th)
+        return (n - 1) * bracket / mpmath.mpf(d) ** 2
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.sampled_from(["sphere:2", "sphere:3", "hyperbolic:2", "hyperbolic:3"]),
+       log_r=st.floats(-12.0, 12.0), frac=st.floats(0.0, 1.0))
+@example(case="sphere:2", log_r=0.0, frac=(-8 + 300) / (math.log10(0.9 * math.pi) + 300))
+@example(case="sphere:2", log_r=0.0, frac=0.0)
+@example(case="sphere:2", log_r=0.0, frac=(-4 + 300) / (math.log10(0.9 * math.pi) + 300))
+@example(case="hyperbolic:2", log_r=0.0, frac=2.0)
+def test_kappa_fast_holds_a_few_ulps_at_every_distance(case, log_r, frac):
+    # d log-uniform in [1e-300, 0.9 cut] on S, [1e-300, 40 r] on H, against
+    # the curvature term in 50+ digits; frac = 2 is theta = 800 on H, where
+    # sinh and cosh overflow a double
+    m = parse_manifold(f"{case}:{10.0 ** log_r!r}")
+    r, n = m.radius, m.dim
+    hi = 0.9 * m.cut_threshold if m.kind == "sphere" else 40.0 * r
+    d = 800.0 * r if frac == 2.0 else 10.0 ** (-300 + frac * (math.log10(hi) + 300))
+    got = kappa_fast(brownian(m), d)
+    want = _mp_curvature_term(m.kind, n, r, d)
+    assert abs(mpmath.mpf(float(got)) - want) <= 8 * _EPS * abs(want), (d, r, got)
+    # d = 0 gives the d -> 0 limit, c (n - 1)/(2 r^2), which is kappa_dir
+    limit = float(kappa_fast(brownian(m), 0.0))
+    assert limit == (1.0 if m.kind == "sphere" else -1.0) * (n - 1) / (2 * r**2)
+    x = m.point(np.eye(m.ambient_dim)[-1] * r)
+    u = TangentVector(x, np.eye(m.ambient_dim)[0])
+    assert abs(limit - kappa_dir(brownian(m), x, u).kappa) <= 2 * np.spacing(abs(limit))
 
 
 def test_kappa_fast_rejects_linear_drift_off_euclidean():
