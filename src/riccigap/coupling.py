@@ -30,7 +30,8 @@ _RANK_TOL = 1e-9  # a diffusion tensor that must be invertible is singular when 
                   # eigenvalue is at most _RANK_TOL max(largest, 1) (_check_invertible)
 _EPS = np.finfo(float).eps
 _EPS2 = _EPS ** 2
-_JACOBI_SWEEPS = 30  # a guard: every stack tried, random or built to be hard, needed <= 7
+_JACOBI_SWEEPS = 30  # a guard per block: every stack tried, random or built to be hard, needed <= 7
+_JACOBI_BLOCK = 8192  # matrices per Jacobi block; 2^12-2^14 time alike, 1.3 MB of rows at r = 5
 
 
 def _as_matrix(m, name="matrix") -> np.ndarray:
@@ -231,53 +232,73 @@ def _top_gram(R: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of R_k R_k^T for each matrix of a stack R of shape
     (count, r, s) with 1 <= r <= s.
 
-    The r(r+1)/2 Gram entries are held as (count,) arrays, scaled by a power
-    of two that puts the largest diagonal entry in [1/2, 1), and
-    diagonalised all at once by cyclic Jacobi sweeps.  The sweeps stop when
-    every off-diagonal entry satisfies g_pq^2 <= eps^2 |g_pp g_qq|, which
-    gives the eigenvalues of a positive semidefinite matrix to high relative
-    accuracy (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).  The
-    scaling keeps the squares from overflowing, and an entry whose square
-    underflows is below 1e-154 of the top eigenvalue.  The absolute value is
-    there because the rounded Gram matrix of a rank-deficient R can have a
+    In blocks of _JACOBI_BLOCK matrices, the r(r+1)/2 Gram entries are rows
+    of one buffer, scaled by a power of two that puts each largest diagonal
+    entry in [1/2, 1), and diagonalised by cyclic Jacobi sweeps that write
+    into those rows and six scratch rows.  A block's sweeps stop when every
+    off-diagonal entry satisfies g_pq^2 <= eps^2 |g_pp g_qq|, which gives
+    the eigenvalues of a positive semidefinite matrix to high relative
+    accuracy (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).  A
+    matrix past this test is not rotated again (t = 0, c = 1, sn = 0 keep
+    its diagonal bit for bit), so blocking changes no bits.  The scaling
+    keeps the squares from overflowing, and an entry whose square underflows
+    is below 1e-154 of the top eigenvalue.  The absolute value is there
+    because the rounded Gram matrix of a rank-deficient R can have a
     diagonal entry of -eps size.
     """
-    r = R.shape[1]
-    g = [[None] * r for _ in range(r)]  # g[p][q] is g[q][p]: one array per entry
-    for p in range(r):
-        for q in range(p, r):
-            g[p][q] = g[q][p] = np.einsum("kb,kb->k", R[:, p], R[:, q])
-    _, exponent = np.frexp(np.max([g[p][p] for p in range(r)], axis=0))
-    for p in range(r):
-        for q in range(p, r):
-            g[p][q] = g[q][p] = np.ldexp(g[p][q], -exponent)
+    count, r = R.shape[0], R.shape[1]
     pairs = [(p, q) for p in range(r) for q in range(p + 1, r)]
-    for _ in range(_JACOBI_SWEEPS):
-        if not any(np.any(g[p][q] * g[p][q] > _EPS2 * np.abs(g[p][p] * g[q][q]))
-                   for p, q in pairs):
-            break
-        for p, q in pairs:
-            app, aqq, apq = g[p][p], g[q][q], g[p][q]
-            d = aqq - app
-            # tan of the rotation that annihilates apq, |t| <= 1 (Golub & Van Loan's
-            # 2-by-2 symmetric Schur decomposition, without its overflow-prone ratio).
-            # An entry that already passes the stop test is not rotated: within a
-            # cluster of equal eigenvalues its rotation would be ~45 degrees and
-            # would spread rounding errors back over the other entries.
-            big = apq * apq > _EPS2 * np.abs(app * aqq)
-            den = d + np.copysign(np.sqrt(d * d + 4.0 * apq * apq), d)
-            t = np.divide(2.0 * apq, den, out=np.zeros_like(den), where=big)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            sn = t * c
-            g[p][p] = app - t * apq
-            g[q][q] = aqq + t * apq
-            g[p][q] = g[q][p] = np.zeros_like(apq)
-            for o in range(r):
-                if o != p and o != q:
-                    op, oq = g[o][p], g[o][q]
-                    g[o][p] = g[p][o] = c * op - sn * oq
-                    g[o][q] = g[q][o] = sn * op + c * oq
-    return np.ldexp(np.max([g[p][p] for p in range(r)], axis=0), exponent)
+    top = np.empty(count)
+    rows = np.empty((r * (r + 1) // 2 + 6, min(count, _JACOBI_BLOCK)))
+    for lo in range(0, count, _JACOBI_BLOCK):
+        block = R[lo:lo + _JACOBI_BLOCK]
+        n = len(block)
+        free, big = iter(rows[:, :n]), np.empty(n, dtype=bool)
+        g = [[None] * r for _ in range(r)]  # g[p][q] is g[q][p]: one row per entry
+        for p in range(r):
+            for q in range(p, r):
+                g[p][q] = g[q][p] = np.einsum("kb,kb->k", block[:, p], block[:, q], out=next(free))
+        d, den, t, c, sn, w = free
+        _, exponent = np.frexp(np.max([g[p][p] for p in range(r)], axis=0))
+        np.ldexp(rows[:-6, :n], -exponent, out=rows[:-6, :n])
+        for _ in range(_JACOBI_SWEEPS):
+            if not any(np.any(g[p][q] * g[p][q] > _EPS2 * np.abs(g[p][p] * g[q][q]))
+                       for p, q in pairs):
+                break
+            for p, q in pairs:
+                app, aqq, apq = g[p][p], g[q][q], g[p][q]
+                # tan of the rotation that annihilates apq, |t| <= 1 (Golub & Van Loan's
+                # 2-by-2 symmetric Schur decomposition, without its overflow-prone ratio):
+                # t = 2 apq / (d + sign(d) sqrt(d d + (4 apq) apq)), d = aqq - app.
+                # An entry that already passes the stop test is not rotated: within a
+                # cluster of equal eigenvalues its rotation would be ~45 degrees and
+                # would spread rounding errors back over the other entries.
+                np.multiply(app, aqq, out=den)
+                np.multiply(_EPS2, np.abs(den, out=den), out=den)
+                np.greater(np.multiply(apq, apq, out=w), den, out=big)
+                np.subtract(aqq, app, out=d)
+                np.multiply(np.multiply(4.0, apq, out=w), apq, out=w)
+                np.add(np.multiply(d, d, out=den), w, out=den)
+                np.copysign(np.sqrt(den, out=den), d, out=den)
+                den += d
+                t.fill(0.0)
+                np.divide(np.multiply(2.0, apq, out=w), den, out=t, where=big)
+                np.add(1.0, np.multiply(t, t, out=c), out=c)  # c = 1 / sqrt(1 + t t), sn = t c
+                np.divide(1.0, np.sqrt(c, out=c), out=c)
+                np.multiply(t, c, out=sn)
+                app -= np.multiply(t, apq, out=w)
+                aqq += w
+                apq.fill(0.0)
+                for o in range(r):
+                    if o != p and o != q:
+                        op, oq = g[o][p], g[o][q]
+                        np.multiply(sn, op, out=w)  # (op, oq) = (c op - sn oq, sn op + c oq)
+                        op *= c
+                        op -= np.multiply(sn, oq, out=d)
+                        oq *= c
+                        oq += w
+        np.ldexp(np.max([g[p][p] for p in range(r)], axis=0), exponent, out=top[lo:lo + n])
+    return top
 
 
 def sample_feasible_array(A, B, count: int, seed: int) -> np.ndarray:
@@ -290,8 +311,8 @@ def sample_feasible_array(A, B, count: int, seed: int) -> np.ndarray:
     first min(count, 4) samples are replaced by extremal ones, C' with every
     singular value 1.  ||raw||_2 is the square root of the top eigenvalue of
     the smaller Gram matrix of raw (size r, the smaller rank), from Jacobi
-    sweeps run on all samples at once (see _top_gram).  With a zero marginal
-    the only feasible cross-covariance is 0, and every sample is 0.
+    sweeps (see _top_gram); raw is scaled into C' in place.  With a zero
+    marginal the only feasible cross-covariance is 0, and every sample is 0.
     """
     if count < 0:
         raise InputError("count must be nonnegative")
@@ -308,12 +329,11 @@ def sample_feasible_array(A, B, count: int, seed: int) -> np.ndarray:
     raw = rng.standard_normal((count, ra, rb))
     top = np.sqrt(_top_gram(raw if ra <= rb else raw.transpose(0, 2, 1)))
     radii = rng.uniform(0.0, 1.0, size=count)
-    scale = np.where(top > 0, radii / np.where(top > 0, top, 1.0), 0.0)
-    Cp = raw * scale[:, None, None]
+    raw *= np.where(top > 0, radii / np.where(top > 0, top, 1.0), 0.0)[:, None, None]
     for i in range(min(count, 4)):
         q, _ = np.linalg.qr(rng.standard_normal((max(ra, rb),) * 2))
-        Cp[i] = q[:ra, :rb]
-    return np.einsum("ia,kab,jb->kij", Af, Cp, Bf, optimize=True)
+        raw[i] = q[:ra, :rb]
+    return np.einsum("ia,kab,jb->kij", Af, raw, Bf, optimize=True)
 
 
 def extremal_covariances(A_x, A_y, jet: DistanceJet) -> tuple[CouplingCovariance, CouplingCovariance]:

@@ -1,11 +1,14 @@
 
+import hashlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riccigap import coupling
 from riccigap.coupling import (
     _top_gram,
     c0_covariance,
@@ -223,6 +226,58 @@ def test_top_gram_matches_eigvalsh(R):
         got = _top_gram(R)
     want = np.linalg.eigvalsh(np.einsum("kab,kcb->kac", R, R))[:, -1]
     assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * want)
+
+
+PLANTED = {"zero": 0.0, "zero row": 1.0, "tiny": 1e-150, "huge": 1e150, "random": 1.0}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dims=st.integers(1, 5).flatmap(lambda r: st.tuples(st.just(r), st.integers(r, 5))),
+       block=st.integers(2, 6), blocks=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+       edge=st.tuples(*[st.sampled_from(sorted(PLANTED))] * 4))
+def test_top_gram_does_not_depend_on_the_blocking(dims, block, blocks, seed, edge):
+    # a stack over 2-3 full blocks and a partial one gives the bits of one
+    # matrix at a time, with zero, zero-row and 1e+-150-scaled matrices
+    # planted on both sides of the first and last block boundaries
+    g = rng(seed)
+    R = g.standard_normal((blocks * block + int(g.integers(1, block)), *dims))
+    for i, kind in zip((block - 1, block, blocks * block - 1, blocks * block), edge):
+        R[i] *= PLANTED[kind]
+        if kind == "zero row":
+            R[i, g.integers(dims[0])] = 0.0
+    with mock.patch.object(coupling, "_JACOBI_BLOCK", block):
+        got = _top_gram(R)
+    want = np.concatenate([_top_gram(R[i:i + 1]) for i in range(len(R))])
+    assert got.tobytes() == want.tobytes()
+
+
+def sha256(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+# (stack, costs) digests of 20,000 samples, which follow the BLAS that einsum's
+# products run on; the costs also pin the stack's memory layout, which moves
+# contracted costs by a few ulps where the samples agree
+SAMPLER_PINS = {
+    (5, 5): ("4b8f527d5698b89744e0261659553e2093a6b082c20bab6b1827a135f2d6ba3c",
+             "5ef7844b067e6e1379ce66118acdf8da3850d2c1f753718275e06494db53de03"),
+    (4, 2): ("4da3ddcd23325c93ee682e8e2e72ef698f917f7e0ee982e90fa2954cae692acf",
+             "968ddc7845a3e37e81ca31ffbcb2b745fabeb51f263d827907bbec48e569ab99"),
+    (2, 5): ("5799c152d4e85be6edc614b0ded33a1e74a78f1c49643aec7455d9cee20c5616",
+             "d92438caa441dba2574eb20a6990c3ca9fc3325eabdb84496933ab190045e50c"),
+    (3, 3): ("15933ff75c2efc43984528d572ebcb904d53eea116b93e6f5a3274ac3917a77f",
+             "104219dff1b0a3d70c28e1128d8492403040c2a906cba68c628c50b8760d4f7f"),
+}
+
+
+@pytest.mark.parametrize("dims", sorted(SAMPLER_PINS))
+def test_sample_feasible_array_pinned_bits(dims):
+    n1, n2 = dims
+    g = rng(10 * n1 + n2)
+    A, B = random_spd(g, n1), random_spd(g, n2)
+    D = g.standard_normal((n1, n2))
+    stack = sample_feasible_array(A, B, 20_000, 10 * n1 + n2)
+    assert (sha256(stack), sha256(np.einsum("kij,ij->k", stack, D))) == SAMPLER_PINS[dims]
 
 
 def psd_of_rank(g, n, rank):
