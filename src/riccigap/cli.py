@@ -174,13 +174,15 @@ def _float_planes(x: np.ndarray) -> np.ndarray:
 
 
 def _int_planes(v: np.ndarray) -> np.ndarray:
-    """'%d' % i for each i of the int64 array v, as (20, n) cell planes."""
-    digits = _digit_planes(np.abs(v).astype(np.uint64), 19)
+    """'%d' % i for each i of the nonempty int64 array v, as (w + 1, n) cell planes (w digits)."""
+    a = np.abs(v).astype(np.uint64)
+    w = len(str(int(a.max())))
+    digits = _digit_planes(a, w)
     head = digits != 0  # then: a digit at this index or earlier is nonzero
-    head[18] = True
-    for k in range(1, 19):
+    head[w - 1] = True
+    for k in range(1, w):
         head[k] |= head[k - 1]
-    planes = np.empty((20, v.size), np.uint8)
+    planes = np.empty((w + 1, v.size), np.uint8)
     planes[0] = (v < 0) * _ascii("-")
     planes[1:] = (digits + _ascii("0")) * head
     return planes
@@ -483,16 +485,20 @@ def simulate_rows(manifold: str, field: str, x0: str, y0: str, dt: float,
     cfg = simulate.SimConfig(dt=dt, horizon=horizon, trajectories=paths, seed=seed,
                              cut_margin=cut_margin, workers=workers)
     trajs = simulate.run_coupled(spec, x, y, cfg)
-    logd = np.concatenate([tr.log_distance for tr in trajs])
-    rows = np.empty(logd.size, dtype=[("trajectory", np.int64), ("t", float), ("distance", float),
+    n, width = len(trajs), trajs[0].times.size
+    rows = np.empty(n * width, dtype=[("trajectory", np.int64), ("t", float), ("distance", float),
                                       ("kappa_integral", float), ("defect", float)])
-    rows["trajectory"] = np.repeat(np.arange(len(trajs)), [tr.times.size for tr in trajs])
-    rows["t"] = np.concatenate([tr.times for tr in trajs])
+    rows["trajectory"] = np.repeat(np.arange(n), width)
+    rows["t"] = np.tile(trajs[0].times, n)
+    # (path, time) views of the columns; log d is stacked into "distance" for now
+    logs, integ, defect = (rows[c].reshape(n, width) for c in ("distance", "kappa_integral",
+                                                                "defect"))
+    np.stack([tr.log_distance for tr in trajs], out=logs)
+    np.stack([tr.kappa_integral for tr in trajs], out=integ)
+    np.add(np.subtract(logs, logs[:, :1], out=defect), integ, out=defect)  # CoupledTrajectory.defect
     # math.exp, not np.exp: the two can differ in the last bit
-    rows["distance"] = np.fromiter(map(math.exp, logd.tolist()), float, logd.size)
-    rows["kappa_integral"] = np.concatenate([tr.kappa_integral for tr in trajs])
-    rows["defect"] = np.concatenate([tr.defect for tr in trajs])
-    finals = np.array([tr.defect[-1] for tr in trajs])
+    rows["distance"] = np.fromiter(map(math.exp, rows["distance"].tolist()), float, len(rows))
+    finals = defect[:, -1].copy()
     summary = {
         "manifold": manifold, "field": field, "dt": dt, "horizon": horizon,
         "paths": paths, "seed": seed,

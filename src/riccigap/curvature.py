@@ -278,7 +278,7 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
     conservative gauge of the remaining O(t^2) truncation).
     """
     from .simulate import (  # import cycle
-        _check_step, _coupled_step, _noise_steps, _pairs, _step, _traj_rng)
+        _check_step, _coupled_step, _noise_steps, _pairs, _Scratch, _step, _traj_rng)
 
     m = spec.manifold
     t_ladder = sorted(set(float(t) for t in t_ladder), reverse=True)
@@ -306,11 +306,12 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
             rngs = [_traj_rng(seed, (it << 32) | b) for it, b in group]
             h = _step(spec, np.repeat([t_ladder[it] / substeps for it, _ in group], per)[:, None])
             X, Y = (np.asfortranarray(np.broadcast_to(v.coords, (len(h.dt), k))) for v in (x, y))
+            s = _Scratch(X)  # the group's own; after a step X, Y and d are its arrays
             d = m.dist_many(X, Y)
             for z in _noise_steps(rngs, per, k, substeps, max(1, _NOISE_FLOATS // (len(d) * k))):
                 with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
-                    X, Y = _coupled_step(spec, _pairs(spec, X, Y, d), z, h)
-                    d = m.dist_many(X, Y)
+                    X, Y = _coupled_step(spec, _pairs(spec, X, Y, d, s), z, h)
+                    d = m._dist(X, Y, s, "d")
                 top = float(d.max())
                 _check_step(m, math.isfinite(top), X, Y)
                 crossed = crossed or top > m.cut_threshold
@@ -387,7 +388,7 @@ def _warm_start(m: ModelManifold, X: np.ndarray, Y: np.ndarray, cols):
     duals = _kantorovich_duals(m.dist_many(X[:, None, :], Y[None, :, :]), cols)
     if duals is None:
         return None
-    v = duals[1]
+    v, Y = duals[1], Y.copy()  # the clouds may be views of the stepping's scratch
 
     def shift(Z):
         d = m.dist_many(Z[:, None, :], Y[None, :, :])

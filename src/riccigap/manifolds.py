@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -41,26 +43,45 @@ _SEQUENTIAL_SUM_MAX = 7
 _COLUMN_SUM_MIN_SIZE = 512  # below this many numbers one ufunc.reduce is quicker
 
 
-def _row_sum(f, u: np.ndarray, v: np.ndarray):
+def _row_sum(f, u: np.ndarray, v: np.ndarray, out=None, tmp=None):
     """np.sum(f(u, v), axis=-1) on C-ordered rows, bit for bit, for an
-    elementwise f.  On C-ordered rows a sum of columns, as ufunc.reduce costs
-    ~6x as much at (8192, 3) and on rows broadcast to (N, N) needs an
-    (N, N, k) array; on column-major rows of one shape ufunc.reduce is that
-    sum.  The +0 seed makes a sum of -0 terms +0, as numpy's is."""
+    elementwise f, into out (f(u, v) into tmp where it is formed whole).  On
+    C-ordered rows a sum of columns, as ufunc.reduce costs ~6x as much at
+    (8192, 3) and on rows broadcast to (N, N) needs an (N, N, k) array; on
+    column-major rows of one shape ufunc.reduce is that sum.  The +0 seed
+    makes a sum of -0 terms +0, as numpy's is."""
     k = u.shape[-1]
     if k > _SEQUENTIAL_SUM_MAX or v.shape[-1] != k:
-        return np.add.reduce(np.ascontiguousarray(f(u, v)), axis=-1)  # np.sum without its wrapper
+        return np.add.reduce(np.ascontiguousarray(f(u, v)), axis=-1, out=out)  # np.sum, unwrapped
     if (max(u.size, v.size) < _COLUMN_SUM_MIN_SIZE
             or (u.shape == v.shape and u.flags.f_contiguous and v.flags.f_contiguous)):
-        return np.add.reduce(f(u, v), axis=-1)
-    s = f(u[..., 0], v[..., 0]) + 0.0
+        return np.add.reduce(f(u, v, out=tmp), axis=-1, out=out)
+    s = np.add(f(u[..., 0], v[..., 0]), 0.0, out=out)
     for j in range(1, k):
         s += f(u[..., j], v[..., j])
     return s
 
 
-def _squared_difference(x, y):
-    return (y - x) ** 2
+def _squared_difference(x, y, out=None):
+    return np.square(np.subtract(y, x, out=out), out=out)  # = (y - x) ** 2
+
+
+class _Scratch(dict):
+    """Named arrays of one block, made on first use: s[name] laid out like its
+    (N, k) rows `like`, s[name, 1] an (N,) column.  In _allocating() every
+    s[...] is None, so out=s[...] allocates: the kernels' in-place forms are
+    then their public forms."""
+
+    def __init__(self, like):
+        super().__init__()
+        self.like = like
+
+    def __missing__(self, key):
+        buf = self[key] = np.empty_like(self.like[:, 0] if isinstance(key, tuple) else self.like)
+        return buf
+
+
+_allocating = partial(defaultdict, type(None))  # a new scratch whose every s[...] is None
 
 
 def _frame_fallback(k: int):
@@ -130,12 +151,16 @@ class ModelManifold:
 
     def ip(self, u, v):
         """Ambient pairing inducing the metric (Lorentz form if hyperbolic)."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        s = _row_sum(np.multiply, u, v)
+        return self._ip(np.asarray(u, dtype=float), np.asarray(v, dtype=float), _allocating())
+
+    def _ip(self, u, v, s: _Scratch, out=None, tmp=None):
+        """ip into the column s[out], the products formed in s[tmp]."""
+        res = _row_sum(np.multiply, u, v, s[out, 1], s[tmp])
         if self.kind == HYPERBOLIC:
-            s = s - 2.0 * u[..., -1] * v[..., -1]
-        return s
+            lor = np.multiply(2.0, u[..., -1], out=s["lorentz", 1])
+            lor = np.multiply(lor, v[..., -1], out=s["lorentz", 1])
+            res = np.subtract(res, lor, out=s[out, 1])
+        return res
 
     def _on_space(self, c: np.ndarray) -> bool:
         """Whether the ambient coordinates c lie on the space, to within
@@ -160,10 +185,15 @@ class ModelManifold:
         return TangentVector(x, c)
 
     def project_tangent(self, x_coords: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self._project(x_coords, v, _allocating())
+
+    def _project(self, X, V, s: _Scratch, out=None, xx=None):
+        """project_tangent into s[out] (which V may be); xx is ip(X, X) if known."""
         if self.kind == EUCLIDEAN:
-            return v
-        x = x_coords
-        return v - (self.ip(v, x) / self.ip(x, x))[..., None] * x
+            return V
+        xx = self._ip(X, X, s, "xx", "prod") if xx is None else xx
+        q = np.divide(self._ip(V, X, s, "q", "prod"), xx, out=s["q", 1])[..., None]
+        return np.subtract(V, np.multiply(q, X, out=s["prod"]), out=s[out])
 
     def tangent_noise(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """Tangent vectors at X with the standard Gaussian law of the metric,
@@ -208,26 +238,40 @@ class ModelManifold:
     # -- batched kernels (used by the simulator; single-point ops wrap them)
 
     def exp_many(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return self._exp(X, V, _allocating())
+
+    def _exp(self, X, V, s: _Scratch, out=None, tmp=None):
+        """exp_many into s[out], with s[tmp] as scratch rows (V's own when V is s's)."""
         r = self.radius
         if self.kind == EUCLIDEAN:
-            return X + V
-        n = np.sqrt(np.maximum(self.ip(V, V), 0.0))[..., None]
-        t = n / r
-        s, c = _trig(self.kind, t)
-        Y = c * X + (r * _guarded_div(s, n, t < 1e-14, 1.0 / r)) * V  # sinc: sin(t) / n
+            return np.add(X, V, out=s[out])
+        n, t, g, qb, Yb, W = s["n", 1], s["t", 1], s["g", 1], s["q", 1], s[out], s[tmp]
+        n = np.sqrt(np.maximum(self._ip(V, V, s, "n", out), 0.0, out=n), out=n)
+        t = np.divide(n, r, out=t)
+        sn, cs = _trig(self.kind, t, s["sn", 1], s["cs", 1])
+        g = np.multiply(r, _guarded_div(sn, n, t < 1e-14, 1.0 / r, g), out=g)[..., None]  # sinc
+        Y = np.add(np.multiply(cs[..., None], X, out=Yb), np.multiply(g, V, out=W), out=Yb)
         if self.kind == SPHERE:
-            return Y * (r / np.sqrt(_row_sum(np.multiply, Y, Y))[..., None])
-        return Y * (r / np.sqrt(np.maximum(-self.ip(Y, Y), 1e-300))[..., None])
+            q = _row_sum(np.multiply, Y, Y, qb, W)
+        else:
+            q = np.maximum(np.negative(self._ip(Y, Y, s, "q", tmp), out=qb), 1e-300, out=qb)
+        return np.multiply(Y, np.divide(r, np.sqrt(q, out=qb), out=qb)[..., None], out=Yb)
 
     def dist_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return self._dist(X, Y, _allocating())
+
+    def _dist(self, X, Y, s: _Scratch, out=None):
+        """dist_many into the column s[out]."""
         r = self.radius
-        if self.kind == EUCLIDEAN:
-            return np.sqrt(_row_sum(_squared_difference, X, Y))  # = np.linalg.norm(Y - X, axis=-1)
+        d = s[out, 1]
+        if self.kind == EUCLIDEAN:  # = np.linalg.norm(Y - X, axis=-1)
+            return np.sqrt(_row_sum(_squared_difference, X, Y, d, s["prod"]), out=d)
         if self.kind == SPHERE:
-            c = np.clip(self.ip(X, Y) / r**2, -1.0, 1.0)
-            return r * np.arccos(c)
-        c = np.maximum(-self.ip(X, Y) / r**2, 1.0)
-        return r * np.arccosh(c)
+            c = np.divide(self._ip(X, Y, s, out, "prod"), r**2, out=d)
+            c = np.minimum(np.maximum(c, -1.0, out=d), 1.0, out=d)  # = np.clip, unwrapped
+            return np.multiply(r, np.arccos(c, out=d), out=d)
+        c = np.divide(np.negative(self._ip(X, Y, s, out, "prod"), out=d), r**2, out=d)
+        return np.multiply(r, np.arccosh(np.maximum(c, 1.0, out=d), out=d), out=d)
 
     def log_many(self, X: np.ndarray, Y: np.ndarray, d=None) -> np.ndarray:
         """Log map of Y at X (d, when given, is the already-known distance)."""
@@ -429,15 +473,18 @@ class ModelManifold:
             raise InputError("points belong to a different manifold")
 
 
-def _trig(kind: str, th):
-    """(sin, cos) of theta on the sphere, (sinh, cosh) on hyperbolic space."""
-    return (np.sin(th), np.cos(th)) if kind == SPHERE else (np.sinh(th), np.cosh(th))
+def _trig(kind: str, th, sn=None, cs=None):
+    """(sin, cos) of theta on the sphere, (sinh, cosh) on hyperbolic space, into sn, cs."""
+    if kind == SPHERE:
+        return np.sin(th, out=sn), np.cos(th, out=cs)
+    return np.sinh(th, out=sn), np.cosh(th, out=cs)
 
 
-def _guarded_div(a, b, mask, fill):
-    """a / b, and `fill` where mask holds, without dividing by b there."""
+def _guarded_div(a, b, mask, fill, out=None):
+    """a / b, and `fill` where mask holds, without dividing by b there; into
+    out when no row is masked."""
     if not mask.any():
-        return a / b
+        return np.divide(a, b, out=out)
     return np.where(mask, fill, a / np.where(mask, 1.0, b))
 
 

@@ -17,8 +17,11 @@ exponential chart:
   increment dt F.  A Gaussian orthogonal part w would move log d by a
   multiple of the fluctuating |w|^2 and leave a defect of size
   O(sqrt(T dt)); with |w| fixed the pathwise defect is O(dt).
-  A step makes one column-major geometry pass (`_pairs`; sin, cos once);
-  its kappa adds one tan (`_kappa`).
+  A step makes one column-major geometry pass (`_pairs`; sin, cos and
+  ip(X, X) once); its kappa adds one tan (`_kappa`).  Every array a step
+  writes lives in the block's scratch (manifolds._Scratch), reused step
+  after step; the new X, Y and d take whichever of two sets the old ones
+  are not in, and anything kept longer is a new array.
 - The per-pair step (`_step_pair`; fields without constant_inverse_metric,
   such as tensor-constructed or scalar-scaled ones): Gaussian
   Euler-Maruyama.  Each step turns 2n standard normals into one joint
@@ -31,7 +34,8 @@ steps all its clouds as one block (rows capped by curvature._ROW_CAP),
 each row with its own step size.  Both draw the noise by `_noise_steps`,
 from one counter-based stream per trajectory or cloud, a block of steps
 at a time, so the noise in memory does not grow with the steps.  Every
-pair is stepped row by row: no result depends on the split.
+pair is stepped row by row: no result depends on the split.  The loop that
+owns a block makes its scratch, never the module: blocks run on threads.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .curvature import kappa_pair
 from .errors import DivergenceError, InputError
 from .fields import DiffusionSpec, LinearDrift
 from .manifolds import (_INVARIANT_TOL, EUCLIDEAN, HYPERBOLIC, SPHERE, ModelManifold, Point,
-                        _guarded_div, _trig)
+                        _allocating, _guarded_div, _Scratch, _trig)
 
 _NOISE_BLOCK = 256  # time steps of noise drawn at once per trajectory
 
@@ -175,8 +179,8 @@ def _step_pair(spec: DiffusionSpec, x: Point, y: Point, dt: float,
 
 class _Pairs(NamedTuple):
     """Stacked pairs at distances d, column-major: u and uy (u') are the unit
-    velocities of the geodesic X -> Y at X and Y, fx and fy the drift there;
-    None where unneeded."""
+    velocities of the geodesic X -> Y at X and Y, fx and fy the drift there,
+    xx = ip(X, X); None where unneeded.  s is the block's _Scratch, if any."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -185,27 +189,39 @@ class _Pairs(NamedTuple):
     uy: np.ndarray | None = None
     fx: np.ndarray | None = None
     fy: np.ndarray | None = None
+    xx: np.ndarray | None = None
+    s: _Scratch | None = None
 
 
-def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray) -> _Pairs:
+def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray,
+           s: _Scratch | None = None) -> _Pairs:
     """The _Pairs of X, Y at distances d, with u and u' from one sine and
-    cosine of theta.  Flat space with zero or linear drift needs no direction;
-    pairs closer than 1e-15 (the threshold of transport_many) get u = 0."""
+    cosine of theta, in the scratch s if given.  Flat space with zero or
+    linear drift needs no direction; pairs closer than 1e-15 (the threshold
+    of transport_many) get u = 0."""
     m = spec.manifold
     if m.kind == EUCLIDEAN and (spec.drift.is_zero or isinstance(spec.drift, LinearDrift)):
-        return _Pairs(X, Y, d)
-    d1 = d[:, None]
+        return _Pairs(X, Y, d, s=s)
+    s, d1, xx = _allocating() if s is None else s, d[:, None], None
+    U, UY, tmp = s["u"], s["uy"], s["prod"]
     if m.kind == EUCLIDEAN:
-        V = Y - X
+        V = np.subtract(Y, X, out=U)
     else:
-        th = d1 / m.radius
-        sn, cs = _trig(m.kind, th)
-        V = m.project_tangent(X, (Y - cs * X) * _guarded_div(th, sn, sn < 1e-14, 1.0))
-    u = _guarded_div(V, d1, d1 < 1e-15, 0.0)
-    uy = u if m.kind == EUCLIDEAN else (-sn if m.kind == SPHERE else sn) * X / m.radius + cs * u
+        th = np.divide(d, m.radius, out=s["th", 1])
+        sn, cs = _trig(m.kind, th, s["sn", 1], s["cs", 1])
+        g = _guarded_div(th, sn, sn < 1e-14, 1.0, s["g", 1])[:, None]
+        V = np.multiply(np.subtract(Y, np.multiply(cs[:, None], X, out=U), out=U), g, out=U)
+        V = m._project(X, V, s, "u", xx := m._ip(X, X, s, "xx", "prod"))
+    u = _guarded_div(V, d1, d1 < 1e-15, 0.0, U)
+    if m.kind == EUCLIDEAN:
+        uy = u
+    else:
+        uy = np.divide(np.multiply((-sn if m.kind == SPHERE else sn)[:, None], X, out=UY),
+                       m.radius, out=UY)
+        uy = np.add(uy, np.multiply(cs[:, None], u, out=tmp), out=UY)
     f = (None, None) if spec.drift.is_zero else (spec.drift.vector_many(m, X),
                                                   spec.drift.vector_many(m, Y))
-    return _Pairs(X, Y, d, u, uy, *f)
+    return _Pairs(X, Y, d, u, uy, *f, xx, s)
 
 
 class _Step(NamedTuple):
@@ -236,29 +252,34 @@ def _coupled_step(spec: DiffusionSpec, p: _Pairs, z: np.ndarray,
     sqrt(n - 1); X moves by a*u + w, Y by a*u' + w (u = 0: zt at both ends)."""
     m = spec.manifold
     h = dt if isinstance(dt, _Step) else _step(spec, dt)
+    s = _allocating() if p.s is None else p.s
+    nxt = "1" if p.X is s["X0"] else "0"  # the state set that p is not in
+    Xn, Yn, VX, VY = s["X" + nxt], s["Y" + nxt], s["vx"], s["vy"]
     if p.u is None:
         # exact: the common Gaussian increment cancels in Y - X
-        noise = h.sig * z
-        return h.decay * p.X + noise, h.decay * p.Y + noise
+        noise = np.multiply(h.sig, z, out=VX)
+        return (np.add(np.multiply(h.decay, p.X, out=Xn), noise, out=Xn),
+                np.add(np.multiply(h.decay, p.Y, out=Yn), noise, out=Yn))
     if m.kind == EUCLIDEAN:
-        vx = vy = h.sig * z
+        vx, vy = np.multiply(h.sig, z, out=VX), np.multiply(h.sig, z, out=VY)
     else:
-        zt = m.tangent_noise(p.X, z)
-        a = m.ip(zt, p.u)[:, None]
-        vx = a * p.u
-        w = zt - vx
-        nw = np.sqrt(np.maximum(m.ip(w, w), 0.0))[:, None]
-        w *= math.sqrt(m.dim - 1) / np.where(nw > 0.0, nw, 1.0)
-        vx += w
-        vy = a * p.uy + w
+        zt = (m.tangent_noise(p.X, z) if m.kind == HYPERBOLIC  # no ip(X, X): a boost
+              else m._project(p.X, z, s, "zt", p.xx))
+        a, W, NW = m._ip(zt, p.u, s, "a", "prod")[:, None], s["w"], s["nw", 1]
+        vx = np.multiply(a, p.u, out=VX)
+        w = np.subtract(zt, vx, out=W)
+        nw = np.sqrt(np.maximum(m._ip(w, w, s, "nw", "prod"), 0.0, out=NW), out=NW)
+        nw = np.divide(math.sqrt(m.dim - 1), np.where(nw > 0.0, nw, 1.0), out=NW)
+        w = np.multiply(w, nw[:, None], out=W)
+        vx, vy = np.add(vx, w, out=VX), np.add(np.multiply(a, p.uy, out=VY), w, out=VY)
         deg = (p.d < 1e-15)[:, None]
         if deg.any():
             vx, vy = np.where(deg, zt, vx), np.where(deg, zt, vy)
-        vx *= h.sig
-        vy *= h.sig
+        vx, vy = np.multiply(vx, h.sig, out=VX), np.multiply(vy, h.sig, out=VY)
     if p.fx is not None:
-        vx, vy = vx + h.dt * p.fx, vy + h.dt * p.fy
-    return m.exp_many(p.X, vx), m.exp_many(p.Y, vy)
+        vx = np.add(vx, np.multiply(h.dt, p.fx, out=s["prod"]), out=VX)
+        vy = np.add(vy, np.multiply(h.dt, p.fy, out=s["prod"]), out=VY)
+    return m._exp(p.X, vx, s, "X" + nxt, "vx"), m._exp(p.Y, vy, s, "Y" + nxt, "vy")
 
 
 def kappa_fast(spec: DiffusionSpec, d, X=None, Y=None):
@@ -294,7 +315,8 @@ def _kappa(spec: DiffusionSpec, p: _Pairs):
         kap = drift + c * (m.dim - 1) * h / m.radius**2
     if p.fx is None:
         return kap
-    return kap + (m.ip(p.u, p.fx) - m.ip(p.uy, p.fy)) / np.maximum(p.d, 1e-300)
+    fx, fy = m._ip(p.u, p.fx, p.s, "fx", "prod"), m._ip(p.uy, p.fy, p.s, "fy", "prod")
+    return kap + (fx - fy) / np.maximum(p.d, 1e-300)
 
 
 def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> list[CoupledTrajectory]:
@@ -323,7 +345,11 @@ def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> li
             runs = list(pool.map(work, edges[:-1], edges[1:]))
     else:
         runs = [work(0, cfg.trajectories)]
-    return [tr for run in runs for tr in run]
+    return [CoupledTrajectory(  # views of its block's arrays
+        times=times, pair_states=[(m.point(X[i].copy()), m.point(Y[i].copy()))],
+        log_distance=logs[i], kappa_integral=integ[i], aborted=bool(reasons[i]),
+        abort_reason=reasons[i]) for times, logs, integ, reasons, X, Y in runs
+        for i in range(len(reasons))]
 
 
 def _noise_steps(rngs, rows: int, k: int, steps: int, block: int):
@@ -340,13 +366,18 @@ def _noise_steps(rngs, rows: int, k: int, steps: int, block: int):
 
 
 def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
-               steps: int, stride: int, j0: int, count: int) -> list[CoupledTrajectory]:
+               steps: int, stride: int, j0: int, count: int) -> tuple:
     """Trajectories j0 .. j0 + count - 1, stepped together by one step rule:
     the kernel for A = c g^{-1} (k ambient normals a step, column-major), else
     _step_pair and kappa_pair row by row (2n normals a step), each from its
     own stream, _NOISE_BLOCK steps at a time.  A pair stops before it would
     accept d >= cut ('cut-locus') or d <= 0 ('collapse'); the per-row rule
-    neither steps nor re-evaluates a stopped pair."""
+    neither steps nor re-evaluates a stopped pair.  Returns the times, log d
+    and kappa integral (a row a trajectory), abort reasons and final X, Y.
+    The kernel writes into the block's own _Scratch (blocks run on threads),
+    each step's X, Y, d into the set of two the last step's are not in; what
+    is kept past the next step (kappa, integral, records) is a new array, and
+    the final X, Y are the scratch's, written no more once the block ends."""
     m = spec.manifold
     dt = cfg.dt
     cut = m.cut_threshold - cfg.cut_margin * m.radius
@@ -354,6 +385,7 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     kernel = spec.diffusion.constant_inverse_metric is not None
     X, Y = (np.array(np.broadcast_to(v.coords, (count, m.ambient_dim)),
                      order="F" if kernel else "C") for v in (x0, y0))
+    scratch = _Scratch(X) if kernel else _allocating()
     if kernel:
         width = m.ambient_dim
         step = _step(spec, dt)
@@ -362,7 +394,7 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
             return _coupled_step(spec, p, z, step)
 
         def settle(X, Y, d, rows):
-            p = _pairs(spec, X, Y, d)
+            p = _pairs(spec, X, Y, d, scratch)
             return p, _kappa(spec, p)
     else:
         width = 2 * m.dim
@@ -397,7 +429,7 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     for s, z in enumerate(_noise_steps(rngs, 1, width, steps, _NOISE_BLOCK)):
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
             Xn, Yn = advance(p, z, alive)
-            dn = m.dist_many(Xn, Yn)
+            dn = m._dist(Xn, Yn, scratch, "d1" if p.d is scratch["d0", 1] else "d0")
         ok = (dn > 0.0) & (dn < cut)  # NaN and inf fail too, and _check_step rejects them
         halted = not ok.all()
         _check_step(m, not halted or bool(np.isfinite(dn).all()), Xn, Yn)
@@ -417,10 +449,7 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
             logs[:, pos] = np.log(np.maximum(p.d, 1e-300))
             integ[:, pos] = integral
             pos += 1
-    return [CoupledTrajectory(
-        times=times.copy(), pair_states=[(m.point(p.X[i].copy()), m.point(p.Y[i].copy()))],
-        log_distance=logs[i].copy(), kappa_integral=integ[i].copy(), aborted=bool(reasons[i]),
-        abort_reason=reasons[i]) for i in range(count)]
+    return times, logs, integ, reasons, p.X, p.Y
 
 
 # ---------------------------------------------------------------------------

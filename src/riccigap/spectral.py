@@ -307,11 +307,11 @@ def harmonic_mean_bound(kappa_values, weights) -> float:
 
 def _dimensional_bound(values: np.ndarray, weights: np.ndarray,
                        fac: float) -> tuple[float, float]:
-    """(c, value) maximizing fac c + harmonic mean of (values - c) over
-    c in [0, min(values)].  The objective is concave (a weighted harmonic
-    mean is a concave power mean), so golden-section search finds it, to
-    width 1e-10 of the interval (relative, since an absolute width below the
-    ulp of the end is never reached); both ends are evaluated exactly."""
+    """(c, value) maximizing f(c) = fac c + harmonic mean of (values - c) over
+    c in [0, min(values)].  f is concave (a weighted harmonic mean is a concave
+    power mean): Newton steps on f' = fac - S1/S0^2 (Sk the weighted sum of
+    (values - c)^-(k+1)) find its root to a few ulps, each narrowing a bracket
+    and bisecting it instead if they leave it.  Both ends are evaluated exactly."""
     hi = float(values.min())
 
     def val(c):
@@ -320,21 +320,23 @@ def _dimensional_bound(values: np.ndarray, weights: np.ndarray,
             return fac * c
         return fac * c + 1.0 / float(np.sum(weights / gap))
 
-    a, b = 0.0, hi
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = val(x1), val(x2)
-    while b - a > 1e-10 * hi:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = val(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = val(x1)
-    value, c = max([(val(0.0), 0.0), (val(hi), hi), (f1, x1), (f2, x2)], key=lambda p: p[0])
+    a, b, c = 0.0, hi, 0.0
+    with np.errstate(all="ignore"):  # an inf or nan step bisects
+        for _ in range(200):
+            inv = 1.0 / (values - c)
+            r0 = weights * inv
+            r1 = r0 * inv
+            s0, s1, s2 = r0.sum(), r1.sum(), np.dot(r1, inv)
+            g = fac - s1 / s0**2
+            if g == 0:
+                break
+            a, b = (c, b) if g > 0 else (a, c)
+            step = float(c + g * s0**3 / (2.0 * (s2 * s0 - s1 * s1)))
+            step = step if a < step < b else 0.5 * (a + b)
+            c, moved = step, abs(step - c)
+            if moved <= 2.0 * np.finfo(float).eps * step:  # or no float is left to bisect
+                break
+    value, c = max([(val(0.0), 0.0), (val(hi), hi), (val(c), c)], key=lambda p: p[0])
     return c, value
 
 

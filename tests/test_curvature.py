@@ -46,6 +46,7 @@ S2 = parse_manifold("sphere:2:1")
 S3 = parse_manifold("sphere:3:1")
 H2 = parse_manifold("hyperbolic:2:1")
 E1 = parse_manifold("euclidean:1")
+S3R = parse_manifold("sphere:3:0.7")
 
 
 def rng(seed=0):
@@ -545,6 +546,17 @@ ESTIMATE_PINS = [
     ("E1-ou", lambda: ornstein_uhlenbeck(E1), lambda: (E1.point([0.5]), E1.point([-0.5])),
      dict(samples=256, substeps=20, seed=1),
      ("0x1.fffba9de58211p-1", "0x1.fd72d1af6ab46p-1", "0x1.01424106a2c6ep+0")),
+    # the benchmark's Monte Carlo case, and a sphere of radius 0.7 in dimension 3; pinned
+    # while the step still allocated every array it wrote
+    ("S2-brownian", lambda: brownian(S2),
+     lambda: (S2.point([0.0, 0.0, 1.0]), S2.point([0.479425538604203, 0.0, 0.8775825618903728])),
+     dict(samples=256, substeps=20, seed=7),
+     ("0x1.05bebc136b364p-1", "0x1.05117d2b85b12p-1", "0x1.066bfafb50bb6p-1")),
+    ("S3-r0.7-brownian", lambda: brownian(S3R),
+     lambda: (S3R.point([0.0, 0.0, 0.0, 0.7]),
+              S3R.point([0.7 * math.sin(0.5), 0.0, 0.0, 0.7 * math.cos(0.5)])),
+     dict(samples=256, substeps=20, seed=9, batches=8),
+     ("0x1.0ab0844de4cb6p+1", "0x1.07d12451c12dfp+1", "0x1.0d8fe44a0868dp+1")),
 ]
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import signal
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riccigap import simulate
-from riccigap.cli import main, parse_field
+from riccigap.cli import main, parse_field, simulate_rows
 from riccigap.curvature import kappa_dir, kappa_pair
 from riccigap.errors import DivergenceError, InputError
 from riccigap.fields import (
@@ -425,6 +426,71 @@ def test_run_coupled_and_csv_independent_of_workers_and_blocks(manifold, field, 
                 assert np.array_equal(a.pair_states[-1][0].coords, b.pair_states[-1][0].coords)
                 assert np.array_equal(a.pair_states[-1][1].coords, b.pair_states[-1][1].coords)
                 assert (a.aborted, a.abort_reason) == (b.aborted, b.abort_reason)
+
+
+# (name, spec, x0, y0, cut margin, sha256 of run_coupled's trajectories): 5 paths of 300
+# steps, pinned while the step still allocated every array it wrote.  The double well
+# aborts all 5 at the cut guard.
+RUN_PINS = [
+    ("S2-brownian", lambda: brownian(S2), [0.0, 0.0, 1.0],
+     [0.479425538604203, 0.0, 0.8775825618903728], 0.1,
+     "8685617b4d0be1c7d07a8bdbb56ddd8069a8dc3de16c043e235454f08534d820"),
+    ("S2-potential", lambda: reversible_potential(S2, parse_potential("0.3*cos")),
+     [0.0, 0.0, 1.0], [0.479425538604203, 0.0, 0.8775825618903728], 0.1,
+     "17693d0686acc77459e9b6eea9250a097e0d58617b24770d14a192fe152687cb"),
+    ("H2-brownian", lambda: brownian(parse_manifold("hyperbolic:2:1")), [0.0, 0.0, 1.0],
+     [0.52109530549374738, 0.0, 1.1276259652063807], 0.1,
+     "9c2db064ef9e8d9918f355370252439ef89de5ce7d3ef6dd167f246418616d6a"),
+    ("E2-ou", lambda: ornstein_uhlenbeck(E2), [0.4, 0.0], [-0.1, 0.0], 0.1,
+     "d96207160e200b72428f79eb0407d2c23c26b1c36119b55900ad092eaabe2c8f"),
+    ("S2-double-well", lambda: reversible_potential(S2, parse_potential("poly:0,0,-20")),
+     [math.sin(0.35), 0.0, math.cos(0.35)], [math.sin(2.75), 0.0, math.cos(2.75)], 0.5,
+     "09f568339a991ad8379fabfd5f9cd3f3d0cfd0201770353311a3e70977a7982d"),
+]
+
+
+@pytest.mark.parametrize("case", RUN_PINS, ids=[c[0] for c in RUN_PINS])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_coupled_pinned_bits(case, workers):
+    _, spec, x0, y0, margin, want = case
+    spec = spec()
+    m = spec.manifold
+    cfg = SimConfig(dt=1e-3, horizon=0.3, trajectories=5, seed=21, workers=workers,
+                    cut_margin=margin)
+    h = hashlib.sha256()
+    for tr in run_coupled(spec, m.point(x0), m.point(y0), cfg):
+        for a in (tr.times, tr.log_distance, tr.kappa_integral,
+                  *(p.coords for p in tr.pair_states[-1])):
+            h.update(a.tobytes())
+        h.update(tr.abort_reason.encode())
+    assert h.hexdigest() == want
+
+
+@pytest.mark.parametrize("manifold, field, x0, y0", BLOCK_CASES)
+def test_simulate_table_equals_one_built_from_the_trajectories(manifold, field, x0, y0,
+                                                               monkeypatch):
+    # the CLI stacks the trajectories' arrays into its table's columns; the table
+    # must be the one built from run_coupled's trajectory objects, cell for cell
+    runs = []
+
+    def recording(*args):
+        runs.append(run_coupled(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(simulate, "run_coupled", recording)
+    rows, summary = simulate_rows(manifold, field, x0, y0, 1e-3, 0.05, 7, 3, 0.1, 2)
+    trajs = runs[0]
+    logd = np.concatenate([tr.log_distance for tr in trajs])
+    assert np.array_equal(rows["trajectory"],
+                          np.repeat(np.arange(len(trajs)), [tr.times.size for tr in trajs]))
+    assert _same_bits(rows["t"], np.concatenate([tr.times for tr in trajs]))
+    assert _same_bits(rows["distance"], [math.exp(v) for v in logd.tolist()])
+    assert _same_bits(rows["kappa_integral"], np.concatenate([tr.kappa_integral for tr in trajs]))
+    assert _same_bits(rows["defect"], np.concatenate([tr.defect for tr in trajs]))
+    finals = np.array([tr.defect[-1] for tr in trajs])
+    assert summary["mean_abs_defect"] == float(np.abs(finals).mean())
+    assert summary["mean_defect"] == float(finals.mean())
+    assert summary["abort_fraction"] == float(np.mean([tr.aborted for tr in trajs]))
 
 
 def test_noise_drawn_in_time_blocks_is_each_trajectorys_own_stream():

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,6 +301,45 @@ def test_cd_bound_constant_case_and_infty():
     assert v == pytest.approx(0.5, abs=1e-9)  # harmonic mean at c = 0
     with pytest.raises(NonPositiveCurvatureError):
         sp.cd_bound(np.array([0.0, 0.5]), np.array([0.5, 0.5]), 3.0)
+
+
+def _mp_slope_root(values, weights, fac):
+    """The root of fac - S1/S0^2 (Sk the weighted sum of (values - c)^-(k+1)) in
+    40-digit arithmetic on the same doubles, and the objective there."""
+    with mpmath.workdps(40):
+        v = [mpmath.mpf(float(x)) for x in values]
+        w = [mpmath.mpf(float(x)) for x in weights]
+
+        def sums(c):
+            return (mpmath.fsum(wi / (vi - c) for vi, wi in zip(v, w)),
+                    mpmath.fsum(wi / (vi - c) ** 2 for vi, wi in zip(v, w)))
+
+        def slope(c):
+            s0, s1 = sums(c)
+            return fac - s1 / s0**2
+
+        c = mpmath.findroot(slope, (mpmath.mpf(0), min(v) * (1 - mpmath.mpf(10) ** -12)),
+                            solver="anderson")
+        return float(c), float(fac * c + 1 / sums(c)[0])
+
+
+@pytest.mark.parametrize("nprime", [3.0, 10.0])
+def test_dimensional_bound_c_is_the_root_of_its_slope(nprime):
+    # the objective is flat at its maximum, so its values fix c only to ~sqrt(eps); the
+    # root of its slope fixes it to a few ulps.  S^2 under 0.219...*cos (a bounds-workload
+    # potential) on the m = 512 grid
+    pot = parse_potential("0.21906398587083889*cos")
+    spec = reversible_potential(S2, pot)
+    op = sp.discretize_zonal(pot, 512)
+    kap = sp.effective_kappa_grid(spec, op.theta)
+    rho = sp.bakry_emery_rho(spec, nprime)(op.theta)
+    for (c, value), vals, fac in ((sp.interpolated_bound(kap, op.weights, 2), kap, 2.0),
+                                  (sp.cd_bound(rho, op.weights, nprime), rho,
+                                   nprime / (nprime - 1))):
+        c_ref, value_ref = _mp_slope_root(vals, op.weights, fac)
+        assert 0.0 < c_ref < vals.min()
+        assert c == pytest.approx(c_ref, rel=8 * np.finfo(float).eps, abs=0.0)
+        assert value == pytest.approx(value_ref, rel=4 * np.finfo(float).eps, abs=0.0)
 
 
 def test_bakry_emery_rho_values_and_mesh():
