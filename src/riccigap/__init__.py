@@ -9,8 +9,6 @@ from .coupling import (
     extremal_covariances,
     feasibility_check,
     min_coupling_value,
-    psd_sqrt,
-    sample_feasible,
 )
 from .curvature import (
     CurvatureReport,
@@ -59,7 +57,6 @@ from .spectral import (
     bounds_report,
     cd_bound,
     chen_wang_bounds,
-    discretize,
     gamma_operators,
     harmonic_mean_bound,
     interpolated_bound,

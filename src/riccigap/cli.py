@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import click
@@ -456,9 +457,13 @@ _row_command(
 @with_error_codes
 def coupling_cmd(a_csv, d_csv, b_csv, out_c, out):
     """Minimal-rank optimal Gaussian coupling for cost matrices read as CSV."""
-    A = np.atleast_2d(np.loadtxt(a_csv, delimiter=","))
-    D = np.atleast_2d(np.loadtxt(d_csv, delimiter=","))
-    B = np.atleast_2d(np.loadtxt(b_csv, delimiter=","))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy warns on a file with no data
+        A, D, B = (np.loadtxt(path, delimiter=",") for path in (a_csv, d_csv, b_csv))
+    for path, mat in ((a_csv, A), (d_csv, D), (b_csv, B)):
+        if mat.size == 0:
+            raise InputError(f"{path!r} holds no matrix entries")
+    A, D, B = np.atleast_2d(A, D, B)
     res = c0_covariance(A, D, B)
     if out_c:
         _atomic_write(out_c, "\n".join(",".join(f"{v:.17g}" for v in r) for r in res.C) + "\n")

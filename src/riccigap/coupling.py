@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InputError,
-    NegativeSpectrumError,
-    NotDiagonalizableError,
-    SingularDiffusionError,
-)
+from .errors import InputError, NegativeSpectrumError, SingularDiffusionError
 from .manifolds import DistanceJet
 
 _RANK_TOL = 1e-9  # a diffusion tensor that must be invertible is singular when its smallest
@@ -82,38 +77,6 @@ def sym_psd_sqrt(m: np.ndarray) -> np.ndarray:
     one would be noise of size ~sqrt(eps) in a singular direction."""
     w, v = _psd_eigh(m)
     return (v * np.sqrt(w)) @ v.T
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Square root of a diagonalizable matrix with nonnegative eigenvalues
-    (none below -1e-6 max(max|m|, 1)).
-
-    Returns the unique diagonalizable R with nonnegative eigenvalues and
-    R @ R = m.  Symmetric input takes one eigh, as in sym_psd_sqrt;
-    otherwise a general eigendecomposition is used and validated.
-    """
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise InputError("psd_sqrt needs a square matrix")
-    scale = max(float(np.abs(a).max()), 1.0)
-    if np.abs(a - a.T).max() <= 1e-12 * scale:
-        w, v = np.linalg.eigh(0.5 * (a + a.T))
-        if w[0] < -1e-6 * scale:
-            raise NegativeSpectrumError(f"eigenvalue {w[0]:.3e} below tolerance")
-        return (v * np.sqrt(_rounding_cut(w))) @ v.T
-    w, v = np.linalg.eig(a)
-    if np.abs(w.imag).max() > 1e-8 * scale or w.real.min() < -1e-6 * scale:
-        raise NegativeSpectrumError("matrix has eigenvalues off the nonnegative real axis")
-    w = np.clip(w.real, 0.0, None)
-    try:
-        vinv = np.linalg.inv(v)
-    except np.linalg.LinAlgError as exc:
-        raise NotDiagonalizableError("eigenvector matrix is singular") from exc
-    r = (v * np.sqrt(w)) @ vinv
-    r = r.real
-    if np.abs(r @ r - a).max() > 1e-8 * scale:
-        raise NotDiagonalizableError("defective structure beyond tolerance")
-    return r
 
 
 def tr_sqrt_sandwich(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> float:
@@ -213,21 +176,6 @@ def c0_covariance(A, D, B) -> CouplingCovariance:
     return CouplingCovariance(C, -float(s[:r].sum()), *feasibility_check(A, B, C))
 
 
-def sample_feasible(A, B, count: int, seed: int) -> list[CouplingCovariance]:
-    """Deterministic random feasible cross-covariances C = A' C' B'^T with
-    operator norm of C' at most 1 (test oracle for optimality).
-
-    The first min(count, 4) samples are extremal (C' orthogonal-like, all
-    singular values equal to 1).
-    """
-    A = check_sym_psd(A, "A")
-    B = check_sym_psd(B, "B")
-    stack = sample_feasible_array(A, B, count, seed)
-    oks, lams = _feasibility(A, B, stack)
-    return [CouplingCovariance(C=C, value=math.nan, feasible=bool(ok), min_eigenvalue=float(lam))
-            for C, ok, lam in zip(stack, oks.tolist(), lams.tolist())]
-
-
 def _top_gram(R: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of R_k R_k^T for each matrix of a stack R of shape
     (count, r, s) with 1 <= r <= s.
@@ -302,8 +250,8 @@ def _top_gram(R: np.ndarray) -> np.ndarray:
 
 
 def sample_feasible_array(A, B, count: int, seed: int) -> np.ndarray:
-    """Vectorized variant of sample_feasible: (count, n1, n2) array of
-    feasible cross-covariances, feasible by construction.
+    """Deterministic random feasible cross-covariances, a (count, n1, n2)
+    array, feasible by construction (the test oracle for optimality).
 
     Each sample is C = A' C' B'^T, with A' and B' rank factors of A and B
     (A' A'^T = A) and C' = U raw / ||raw||_2: raw has i.i.d. standard normal

@@ -159,10 +159,12 @@ def kappa_dir(spec: DiffusionSpec, x: Point, u: TangentVector) -> CurvatureRepor
 def kappa_dir_by_limit(spec: DiffusionSpec, x: Point, u: TangentVector,
                        deltas=(0.1, 0.05, 0.025)) -> float:
     """Extrapolation of kappa_pair(x, exp_x(delta u)) to delta -> 0 by
-    polynomial (Neville) extrapolation over the given delta ladder."""
+    polynomial (Neville) extrapolation over a ladder of delta in (0, cut threshold)."""
     deltas = sorted(set(float(d) for d in deltas), reverse=True)
     if len(deltas) < 1:
         raise InputError("need at least one delta")
+    if not all(0.0 < d < spec.manifold.cut_threshold for d in deltas):  # NaN, inf fail too
+        raise InputError(f"each delta must lie in (0, {spec.manifold.cut_threshold:.17g})")
     vals = []
     for d in deltas:
         y = spec.manifold.exp_map(x, TangentVector(x, d * u.components))
@@ -181,7 +183,8 @@ def _neville_at_zero(xs: np.ndarray, ys: np.ndarray) -> float:
 
 def kappa_tilde_dir(spec: DiffusionSpec, x: Point, u: TangentVector) -> CurvatureReport:
     """Directional curvature of the variance-cancelling coupling, defined
-    when the diffusion tensor is geodesically invariant in direction u."""
+    when the diffusion tensor is geodesically invariant in direction u.
+    Reproduces the paper's curvature of the coupling that cancels the distance's variance."""
     _check_h(spec, x, u)
     A, dA, drift_term, riemann_term = _dir_terms(spec, x, u)
     a00 = float(A[0, 0])
@@ -207,7 +210,8 @@ def kappa_tilde_dir(spec: DiffusionSpec, x: Point, u: TangentVector) -> Curvatur
 def kappa_tilde_pair(spec: DiffusionSpec, x: Point, y: Point) -> float:
     """Pair curvature of the variance-cancelling coupling: the transport gain
     splits into a rank-one part (fixed by cancelling the distance variance)
-    plus the optimal gain over the reduced tensors."""
+    plus the optimal gain over the reduced tensors.
+    Reproduces the paper's curvature of that coupling at two points (see kappa_tilde_dir)."""
     jet = spec.manifold.distance_jet(x, y)
     _check_h(spec, x, jet.u_xy)
     A_x, A_y, drift_term, quad = _pair_terms(spec, jet)
@@ -221,7 +225,8 @@ def kappa_tilde_pair(spec: DiffusionSpec, x: Point, y: Point) -> float:
 
 def sqrt_perturbation_traces(M, N) -> tuple[float, float]:
     """First- and second-order coefficients of tr sqrt(M^2 + eps N) around
-    eps = 0, for M with positive eigenvalues."""
+    eps = 0, for M with positive eigenvalues.
+    Reproduces the paper's second-order expansion of the trace of a perturbed square root."""
     M = np.asarray(M, dtype=float)
     N = np.asarray(N, dtype=float)
     if M.shape != N.shape or M.ndim != 2 or M.shape[0] != M.shape[1]:

@@ -10,10 +10,6 @@ class CutLocusError(RicciGapError):
     (log map, transport, distance jet, coupling) is not defined."""
 
 
-class NotDiagonalizableError(RicciGapError):
-    """Eigen-decomposition found defective structure beyond tolerance."""
-
-
 class NegativeSpectrumError(RicciGapError):
     """A matrix expected to have nonnegative spectrum has an eigenvalue below
     tolerance."""

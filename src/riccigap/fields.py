@@ -150,7 +150,8 @@ def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> RiemannLikeTensor:
 
 
 def constant_curvature_tensor(ambient_dim: int, scale: float = 1.0) -> RiemannLikeTensor:
-    """T(x,v,x,v) = scale * (|x|^2 |v|^2 - <x,v>^2): the round tensor."""
+    """T(x,v,x,v) = scale * (|x|^2 |v|^2 - <x,v>^2): the round tensor.
+    Reproduces the paper's curvature-like tensor whose invariant field is the metric."""
     return kulkarni_nomizu(0.5 * scale * np.eye(ambient_dim), np.eye(ambient_dim))
 
 

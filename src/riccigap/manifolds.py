@@ -275,25 +275,29 @@ class ModelManifold:
 
     def log_many(self, X: np.ndarray, Y: np.ndarray, d=None) -> np.ndarray:
         """Log map of Y at X (d, when given, is the already-known distance)."""
-        r = self.radius
+        return self._log(X, Y, self.dist_many(X, Y) if d is None else d, _allocating())[0]
+
+    def _log(self, X, Y, d, s: _Scratch, out=None, xx=None):
+        """log_many at the distances d into s[out], and the sin and cos (sinh and
+        cosh on H) of d/r that it formed, None in flat space; xx is ip(X, X) if known."""
         if self.kind == EUCLIDEAN:
-            return Y - X
-        d = (self.dist_many(X, Y) if d is None else d)[..., None]
-        th = d / r
-        s, c = _trig(self.kind, th)
-        return self.project_tangent(X, (Y - c * X) * _guarded_div(th, s, s < 1e-14, 1.0))
+            return np.subtract(Y, X, out=s[out]), None, None
+        th = np.divide(d, self.radius, out=s["th", 1])
+        sn, cs = _trig(self.kind, th, s["sn", 1], s["cs", 1])
+        g = _guarded_div(th, sn, sn < 1e-14, 1.0, s["g", 1])[..., None]  # theta / sin theta
+        V = np.subtract(Y, np.multiply(cs[..., None], X, out=s[out]), out=s[out])
+        return self._project(X, np.multiply(V, g, out=s[out]), s, out, xx), sn, cs
 
     def transport_many(self, X, Y, W) -> np.ndarray:
         """Parallel transport of tangent vectors W at X to Y along the geodesic."""
         if self.kind == EUCLIDEAN:
             return np.array(W, copy=True)
-        dxy = self.dist_many(X, Y)
-        V = self.log_many(X, Y, dxy)
+        V, sn, cs = self._log(X, Y, self.dist_many(X, Y), _allocating())
         d = np.sqrt(np.maximum(self.ip(V, V), 0.0))[..., None]
         deg = d < 1e-15
         u = _guarded_div(V, d, deg, 0.0)
-        s, c = _trig(self.kind, (dxy / self.radius)[..., None])
-        uprime = (-s if self.kind == SPHERE else s) * X / self.radius + c * u  # velocity at Y
+        sn = (-sn if self.kind == SPHERE else sn)[..., None]
+        uprime = sn * X / self.radius + cs[..., None] * u  # velocity at Y
         out = W + self.ip(W, u)[..., None] * (uprime - u)
         return np.where(deg, W, out) if deg.any() else out
 
@@ -323,15 +327,6 @@ class ModelManifold:
         if self.kind == SPHERE and d >= (math.pi - _CUT_EPS_LOG) * self.radius:
             raise CutLocusError("parallel transport undefined at the cut locus")
         return TangentVector(y, self.transport_many(x.coords, y.coords, v.components))
-
-    def riemann_tensor(self, x: "Point", u, v, w, z) -> float:
-        """R(u,v,w,z) = K(<u,w><v,z> - <u,z><v,w>) for constant curvature K."""
-        K = self.sectional_curvature
-        if K == 0.0:
-            return 0.0
-        uu, vv, ww, zz = (t.components if isinstance(t, TangentVector) else np.asarray(t, float)
-                          for t in (u, v, w, z))
-        return K * (self.ip(uu, ww) * self.ip(vv, zz) - self.ip(uu, zz) * self.ip(vv, ww))
 
     # -- frames --------------------------------------------------------------
 

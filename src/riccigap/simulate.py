@@ -17,11 +17,12 @@ exponential chart:
   increment dt F.  A Gaussian orthogonal part w would move log d by a
   multiple of the fluctuating |w|^2 and leave a defect of size
   O(sqrt(T dt)); with |w| fixed the pathwise defect is O(dt).
-  A step makes one column-major geometry pass (`_pairs`; sin, cos and
-  ip(X, X) once); its kappa adds one tan (`_kappa`).  Every array a step
-  writes lives in the block's scratch (manifolds._Scratch), reused step
-  after step; the new X, Y and d take whichever of two sets the old ones
-  are not in, and anything kept longer is a new array.
+  A step makes one column-major geometry pass (`_pairs`: ip(X, X) once,
+  and the log map, with its sin and cos, from ModelManifold._log); its
+  kappa adds one tan (`_kappa`).  Every array a step writes lives in the
+  block's scratch (manifolds._Scratch), reused step after step; the new X,
+  Y and d take whichever of two sets the old ones are not in, and anything
+  kept longer is a new array.
 - The per-pair step (`_step_pair`; fields without constant_inverse_metric,
   such as tensor-constructed or scalar-scaled ones): Gaussian
   Euler-Maruyama.  Each step turns 2n standard normals into one joint
@@ -52,7 +53,7 @@ from .curvature import kappa_pair
 from .errors import DivergenceError, InputError
 from .fields import DiffusionSpec, LinearDrift
 from .manifolds import (_INVARIANT_TOL, EUCLIDEAN, HYPERBOLIC, SPHERE, ModelManifold, Point,
-                        _allocating, _guarded_div, _Scratch, _trig)
+                        _allocating, _guarded_div, _Scratch)
 
 _NOISE_BLOCK = 256  # time steps of noise drawn at once per trajectory
 
@@ -195,30 +196,24 @@ class _Pairs(NamedTuple):
 
 def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray,
            s: _Scratch | None = None) -> _Pairs:
-    """The _Pairs of X, Y at distances d, with u and u' from one sine and
-    cosine of theta, in the scratch s if given.  Flat space with zero or
-    linear drift needs no direction; pairs closer than 1e-15 (the threshold
-    of transport_many) get u = 0."""
+    """The _Pairs of X, Y at distances d, in the scratch s if given: u from
+    ModelManifold._log, u' from the sine and cosine of theta it formed.
+    Flat space with zero or linear drift needs no direction; pairs closer
+    than 1e-15 (the threshold of transport_many) get u = 0."""
     m = spec.manifold
     if m.kind == EUCLIDEAN and (spec.drift.is_zero or isinstance(spec.drift, LinearDrift)):
         return _Pairs(X, Y, d, s=s)
-    s, d1, xx = _allocating() if s is None else s, d[:, None], None
-    U, UY, tmp = s["u"], s["uy"], s["prod"]
-    if m.kind == EUCLIDEAN:
-        V = np.subtract(Y, X, out=U)
-    else:
-        th = np.divide(d, m.radius, out=s["th", 1])
-        sn, cs = _trig(m.kind, th, s["sn", 1], s["cs", 1])
-        g = _guarded_div(th, sn, sn < 1e-14, 1.0, s["g", 1])[:, None]
-        V = np.multiply(np.subtract(Y, np.multiply(cs[:, None], X, out=U), out=U), g, out=U)
-        V = m._project(X, V, s, "u", xx := m._ip(X, X, s, "xx", "prod"))
-    u = _guarded_div(V, d1, d1 < 1e-15, 0.0, U)
+    s, d1 = _allocating() if s is None else s, d[:, None]
+    xx = None if m.kind == EUCLIDEAN else m._ip(X, X, s, "xx", "prod")
+    V, sn, cs = m._log(X, Y, d, s, "u", xx)
+    u = _guarded_div(V, d1, d1 < 1e-15, 0.0, s["u"])
     if m.kind == EUCLIDEAN:
         uy = u
     else:
+        UY = s["uy"]
         uy = np.divide(np.multiply((-sn if m.kind == SPHERE else sn)[:, None], X, out=UY),
                        m.radius, out=UY)
-        uy = np.add(uy, np.multiply(cs[:, None], u, out=tmp), out=UY)
+        uy = np.add(uy, np.multiply(cs[:, None], u, out=s["prod"]), out=UY)
     f = (None, None) if spec.drift.is_zero else (spec.drift.vector_many(m, X),
                                                   spec.drift.vector_many(m, Y))
     return _Pairs(X, Y, d, u, uy, *f, xx, s)
@@ -456,14 +451,6 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
 # variance of Lipschitz functions
 
 
-def uniform_sphere_points(manifold: ModelManifold, count: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    if manifold.kind != SPHERE:
-        raise InputError("uniform sampling implemented on spheres")
-    z = rng.standard_normal((count, manifold.ambient_dim))
-    return z * (manifold.radius / np.linalg.norm(z, axis=1)[:, None])
-
-
 def lipschitz_variance_check(manifold: ModelManifold, f=None, samples: int = 10**6,
                              seed: int = 0) -> tuple[float, float, float]:
     """Monte Carlo variance of a 1-Lipschitz function under the uniform
@@ -481,7 +468,8 @@ def lipschitz_variance_check(manifold: ModelManifold, f=None, samples: int = 10*
         raise InputError("the variance needs at least two samples")
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed & (2**64 - 1), 0x11F], dtype=np.uint64)))
-    pts = uniform_sphere_points(manifold, samples, rng)
+    pts = rng.standard_normal((samples, manifold.ambient_dim))
+    pts *= manifold.radius / np.linalg.norm(pts, axis=1)[:, None]
     if f is None:
         pole = np.zeros(manifold.ambient_dim)
         pole[-1] = manifold.radius

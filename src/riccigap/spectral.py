@@ -163,18 +163,6 @@ def _reversible_potential(spec: DiffusionSpec) -> ZonalPolynomial:
     return pot
 
 
-def discretize(spec: DiffusionSpec, m: int) -> DiscretizedOperator:
-    """Discretize a reversible metric-proportional diffusion on the circle
-    or the zonal 2-sphere."""
-    mf = spec.manifold
-    pot = _reversible_potential(spec)
-    if mf.kind == SPHERE and mf.dim == 1:
-        return discretize_s1(pot, m, mf.radius)
-    if mf.kind == SPHERE and mf.dim == 2:
-        return discretize_zonal(pot, m, mf.radius)
-    raise InputError("discretization is implemented for sphere:1:r and sphere:2:r")
-
-
 def _ground(cond: np.ndarray, w: np.ndarray, v=0.0) -> float:
     """Lowest eigenvalue, by bisection, of the Dirichlet path with node
     weights w, killing rate v and conductances cond (the two end entries tie

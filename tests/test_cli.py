@@ -85,6 +85,17 @@ def test_kappa_at_small_distance_with_drift_exits_0(runner, tmp_path, where):
     assert float(read_csv(str(out))[0]["kappa"]) == pytest.approx(0.35, abs=1e-6)
 
 
+@pytest.mark.parametrize("ladder", ["0.1,0", "0.1,-0.05", "4,2", "0.1,inf"],
+                         ids=["zero", "negative", "past-the-cut", "infinite"])
+def test_kappa_limit_rejects_a_delta_outside_the_cut_threshold(runner, tmp_path, ladder):
+    # each delta is the distance of a pair: 4 > pi would land 2 pi - 4 away;
+    # invoke_bad_input fails on any warning, a RuntimeWarning included
+    out = tmp_path / "k.csv"
+    invoke_bad_input(runner, ["kappa", "--manifold", "sphere:2:1", "--method", "limit",
+                              "--point", "0,0,1", "--delta-ladder", ladder, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_invalid_manifold_exits_2_writes_nothing(runner, tmp_path):
     out = tmp_path / "k.csv"
     res = runner.invoke(main, ["kappa", "--manifold", "banana:2", "--point", "0,0",
@@ -263,6 +274,11 @@ def test_coupling_command_exit_codes(runner, tmp_path):
                                         "--b-csv", eye, "--out", str(out)])
         assert len(res.output.splitlines()) == 1
         assert not out.exists()
+    empty = csv("empty.csv", "")  # numpy reads no data, and warns
+    res = invoke_bad_input(runner, ["coupling", "--a-csv", empty, "--d-csv", eye,
+                                    "--b-csv", eye, "--out", str(out)])
+    assert "empty.csv" in res.output and len(res.output.splitlines()) == 1
+    assert not out.exists()
     res = invoke(runner, ["coupling", "--a-csv", csv("neg.csv", "1,0\n0,-1\n"), "--d-csv", eye,
                           "--b-csv", eye, "--out", str(out)])
     assert res.exit_code == 3

@@ -218,14 +218,6 @@ def test_small_gap_survives_fine_grid():
     assert fine == pytest.approx(coarse, rel=1e-5)
 
 
-def test_discretize_dispatch():
-    spec1 = reversible_potential(parse_manifold("sphere:1:1"), parse_potential("cos"))
-    assert sp.discretize(spec1, 64).kind == "s1"
-    spec2 = reversible_potential(S2, parse_potential("0.1*cos"))
-    assert sp.discretize(spec2, 64).kind == "s2-zonal"
-    assert sp.discretize(brownian(S2), 64).kind == "s2-zonal"
-
-
 def other_specs():
     """Specs on S^2 that are not (1/2)(Laplacian - grad(phi).grad)."""
     pot = parse_potential("0.2*cos")
@@ -237,9 +229,10 @@ def other_specs():
 
 
 def test_discretize_rejects_other_diffusions():
+    # the bounds' curvature grid reads the potential of a reversible spec only
     for spec in other_specs():
         with pytest.raises(InputError):
-            sp.discretize(spec, 64)
+            sp.effective_kappa_grid(spec, np.linspace(0.1, 3.0, 64))
 
 
 # ---------------------------------------------------------------------------
