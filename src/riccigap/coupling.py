@@ -26,7 +26,7 @@ _RANK_TOL = 1e-9  # a diffusion tensor that must be invertible is singular when 
 _EPS = np.finfo(float).eps
 _EPS2 = _EPS ** 2
 _JACOBI_SWEEPS = 30  # a guard per block: every stack tried, random or built to be hard, needed <= 7
-_JACOBI_BLOCK = 8192  # matrices per Jacobi block; 2^12-2^14 time alike, 1.3 MB of rows at r = 5
+_JACOBI_BLOCK = 8192  # matrices per Jacobi block and per sandwich block; 2^12-2^14 time alike
 
 
 def _as_matrix(m, name="matrix") -> np.ndarray:
@@ -259,8 +259,13 @@ def sample_feasible_array(A, B, count: int, seed: int) -> np.ndarray:
     first min(count, 4) samples are replaced by extremal ones, C' with every
     singular value 1.  ||raw||_2 is the square root of the top eigenvalue of
     the smaller Gram matrix of raw (size r, the smaller rank), from Jacobi
-    sweeps (see _top_gram); raw is scaled into C' in place.  With a zero
-    marginal the only feasible cross-covariance is 0, and every sample is 0.
+    sweeps (see _top_gram).  With a zero marginal the only feasible
+    cross-covariance is 0, and every sample is 0.  All draws come first
+    (raw, U, the extremal factors); then each block of _JACOBI_BLOCK samples
+    is scaled into C' in place and sandwiched on the whole stack's einsum
+    path, into one output with the axis order of the first block's result:
+    the bits and layout of one einsum call.  The last block takes the tail
+    (BLAS may round a tiny product otherwise).
     """
     if count < 0:
         raise InputError("count must be nonnegative")
@@ -276,12 +281,21 @@ def sample_feasible_array(A, B, count: int, seed: int) -> np.ndarray:
                                                             dtype=np.uint64)))
     raw = rng.standard_normal((count, ra, rb))
     top = np.sqrt(_top_gram(raw if ra <= rb else raw.transpose(0, 2, 1)))
-    radii = rng.uniform(0.0, 1.0, size=count)
-    raw *= np.where(top > 0, radii / np.where(top > 0, top, 1.0), 0.0)[:, None, None]
+    scale = np.where(top > 0, rng.uniform(0.0, 1.0, size=count) / np.where(top > 0, top, 1.0), 0.0)
     for i in range(min(count, 4)):
         q, _ = np.linalg.qr(rng.standard_normal((max(ra, rb),) * 2))
-        raw[i] = q[:ra, :rb]
-    return np.einsum("ia,kab,jb->kij", Af, raw, Bf, optimize=True)
+        raw[i], scale[i] = q[:ra, :rb], 1.0  # an extremal sample: scaling by 1 keeps its bits
+    path = np.einsum_path("ia,kab,jb->kij", Af, raw, Bf, optimize=True)[0]
+    edges = [i * _JACOBI_BLOCK for i in range(max(count // _JACOBI_BLOCK, 1))] + [count]
+    for lo, hi in zip(edges, edges[1:]):
+        raw[lo:hi] *= scale[lo:hi, None, None]
+        part = np.einsum("ia,kab,jb->kij", Af, raw[lo:hi], Bf, optimize=path)
+        if hi - lo == count:
+            return part
+        if lo == 0:
+            out = np.empty_like(part, shape=(count, n1, n2))
+        out[lo:hi] = part
+    return out
 
 
 def extremal_covariances(A_x, A_y, jet: DistanceJet) -> tuple[CouplingCovariance, CouplingCovariance]:

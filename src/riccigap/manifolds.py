@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -68,7 +66,7 @@ def _squared_difference(x, y, out=None):
 
 class _Scratch(dict):
     """Named arrays of one block, made on first use: s[name] laid out like its
-    (N, k) rows `like`, s[name, 1] an (N,) column.  In _allocating() every
+    (N, k) rows `like`, s[name, 1] an (N,) column.  In _ALLOCATING every
     s[...] is None, so out=s[...] allocates: the kernels' in-place forms are
     then their public forms."""
 
@@ -81,7 +79,15 @@ class _Scratch(dict):
         return buf
 
 
-_allocating = partial(defaultdict, type(None))  # a new scratch whose every s[...] is None
+class _Allocating:
+    """The scratch whose every s[...] is None; it holds nothing, so all threads share one."""
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        return None
+
+
+_ALLOCATING = _Allocating()
 
 
 def _frame_fallback(k: int):
@@ -151,7 +157,7 @@ class ModelManifold:
 
     def ip(self, u, v):
         """Ambient pairing inducing the metric (Lorentz form if hyperbolic)."""
-        return self._ip(np.asarray(u, dtype=float), np.asarray(v, dtype=float), _allocating())
+        return self._ip(np.asarray(u, dtype=float), np.asarray(v, dtype=float), _ALLOCATING)
 
     def _ip(self, u, v, s: _Scratch, out=None, tmp=None):
         """ip into the column s[out], the products formed in s[tmp]."""
@@ -185,7 +191,7 @@ class ModelManifold:
         return TangentVector(x, c)
 
     def project_tangent(self, x_coords: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self._project(x_coords, v, _allocating())
+        return self._project(x_coords, v, _ALLOCATING)
 
     def _project(self, X, V, s: _Scratch, out=None, xx=None):
         """project_tangent into s[out] (which V may be); xx is ip(X, X) if known."""
@@ -238,7 +244,7 @@ class ModelManifold:
     # -- batched kernels (used by the simulator; single-point ops wrap them)
 
     def exp_many(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return self._exp(X, V, _allocating())
+        return self._exp(X, V, _ALLOCATING)
 
     def _exp(self, X, V, s: _Scratch, out=None, tmp=None):
         """exp_many into s[out], with s[tmp] as scratch rows (V's own when V is s's)."""
@@ -258,7 +264,7 @@ class ModelManifold:
         return np.multiply(Y, np.divide(r, np.sqrt(q, out=qb), out=qb)[..., None], out=Yb)
 
     def dist_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return self._dist(X, Y, _allocating())
+        return self._dist(X, Y, _ALLOCATING)
 
     def _dist(self, X, Y, s: _Scratch, out=None):
         """dist_many into the column s[out]."""
@@ -275,7 +281,7 @@ class ModelManifold:
 
     def log_many(self, X: np.ndarray, Y: np.ndarray, d=None) -> np.ndarray:
         """Log map of Y at X (d, when given, is the already-known distance)."""
-        return self._log(X, Y, self.dist_many(X, Y) if d is None else d, _allocating())[0]
+        return self._log(X, Y, self.dist_many(X, Y) if d is None else d, _ALLOCATING)[0]
 
     def _log(self, X, Y, d, s: _Scratch, out=None, xx=None):
         """log_many at the distances d into s[out], and the sin and cos (sinh and
@@ -292,7 +298,7 @@ class ModelManifold:
         """Parallel transport of tangent vectors W at X to Y along the geodesic."""
         if self.kind == EUCLIDEAN:
             return np.array(W, copy=True)
-        V, sn, cs = self._log(X, Y, self.dist_many(X, Y), _allocating())
+        V, sn, cs = self._log(X, Y, self.dist_many(X, Y), _ALLOCATING)
         d = np.sqrt(np.maximum(self.ip(V, V), 0.0))[..., None]
         deg = d < 1e-15
         u = _guarded_div(V, d, deg, 0.0)

@@ -53,7 +53,7 @@ from .curvature import kappa_pair
 from .errors import DivergenceError, InputError
 from .fields import DiffusionSpec, LinearDrift
 from .manifolds import (_INVARIANT_TOL, EUCLIDEAN, HYPERBOLIC, SPHERE, ModelManifold, Point,
-                        _allocating, _guarded_div, _Scratch)
+                        _ALLOCATING, _guarded_div, _Scratch)
 
 _NOISE_BLOCK = 256  # time steps of noise drawn at once per trajectory
 
@@ -135,17 +135,17 @@ def _advance_ambient(spec: DiffusionSpec, x: Point, noise_inc: np.ndarray, dt: f
     return Point(m, y)
 
 
-def _check_step(m: ModelManifold, ok: bool, X: np.ndarray, Y: np.ndarray):
-    """Raise DivergenceError unless a step came out `ok` (its coordinates or
-    distances finite) and, on the hyperboloid, every time coordinate of the
-    points X and Y is below sqrt((1/_INVARIANT_TOL + 1)/2) r: beyond it
-    |x|^2 = 2 x_t^2 - r^2 exceeds r^2/_INVARIANT_TOL, and the Lorentz form
-    <x, x>_L = -r^2 has no digits left."""
+def _check_step(m: ModelManifold, ok: bool, X: np.ndarray, Y: np.ndarray, error=None):
+    """Raise error (by default a DivergenceError) unless a step came out `ok`
+    (its coordinates or distances finite) and, on the hyperboloid, every time
+    coordinate of the points X and Y is below sqrt((1/_INVARIANT_TOL + 1)/2) r:
+    beyond it |x|^2 = 2 x_t^2 - r^2 exceeds r^2/_INVARIANT_TOL, and the
+    Lorentz form <x, x>_L = -r^2 has no digits left."""
     if not ok or (m.kind == HYPERBOLIC and np.maximum(X[..., -1], Y[..., -1]).max()
                   >= math.sqrt((1.0 / _INVARIANT_TOL + 1.0) / 2.0) * m.radius):
-        raise DivergenceError("a step overflowed, drifted off the model space by more than "
-                              "rounding, or ran so far out on the hyperboloid that its Lorentz "
-                              "form has no digits left")
+        raise error or DivergenceError("a step overflowed, drifted off the model space by more "
+                                       "than rounding, or ran so far out on the hyperboloid "
+                                       "that its Lorentz form has no digits left")
 
 
 def step_coupled(spec: DiffusionSpec, x: Point, y: Point, dt: float,
@@ -203,7 +203,7 @@ def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray,
     m = spec.manifold
     if m.kind == EUCLIDEAN and (spec.drift.is_zero or isinstance(spec.drift, LinearDrift)):
         return _Pairs(X, Y, d, s=s)
-    s, d1 = _allocating() if s is None else s, d[:, None]
+    s, d1 = _ALLOCATING if s is None else s, d[:, None]
     xx = None if m.kind == EUCLIDEAN else m._ip(X, X, s, "xx", "prod")
     V, sn, cs = m._log(X, Y, d, s, "u", xx)
     u = _guarded_div(V, d1, d1 < 1e-15, 0.0, s["u"])
@@ -247,7 +247,7 @@ def _coupled_step(spec: DiffusionSpec, p: _Pairs, z: np.ndarray,
     sqrt(n - 1); X moves by a*u + w, Y by a*u' + w (u = 0: zt at both ends)."""
     m = spec.manifold
     h = dt if isinstance(dt, _Step) else _step(spec, dt)
-    s = _allocating() if p.s is None else p.s
+    s = _ALLOCATING if p.s is None else p.s
     nxt = "1" if p.X is s["X0"] else "0"  # the state set that p is not in
     Xn, Yn, VX, VY = s["X" + nxt], s["Y" + nxt], s["vx"], s["vy"]
     if p.u is None:
@@ -380,7 +380,7 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     kernel = spec.diffusion.constant_inverse_metric is not None
     X, Y = (np.array(np.broadcast_to(v.coords, (count, m.ambient_dim)),
                      order="F" if kernel else "C") for v in (x0, y0))
-    scratch = _Scratch(X) if kernel else _allocating()
+    scratch = _Scratch(X) if kernel else _ALLOCATING
     if kernel:
         width = m.ambient_dim
         step = _step(spec, dt)

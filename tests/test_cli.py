@@ -85,14 +85,25 @@ def test_kappa_at_small_distance_with_drift_exits_0(runner, tmp_path, where):
     assert float(read_csv(str(out))[0]["kappa"]) == pytest.approx(0.35, abs=1e-6)
 
 
-@pytest.mark.parametrize("ladder", ["0.1,0", "0.1,-0.05", "4,2", "0.1,inf"],
-                         ids=["zero", "negative", "past-the-cut", "infinite"])
-def test_kappa_limit_rejects_a_delta_outside_the_cut_threshold(runner, tmp_path, ladder):
+@pytest.mark.parametrize("space,ladder", [
+    (["sphere:2:1", "--point", "0,0,1"], "0.1,0"),
+    (["sphere:2:1", "--point", "0,0,1"], "0.1,-0.05"),
+    (["sphere:2:1", "--point", "0,0,1"], "4,2"),
+    (["sphere:2:1", "--point", "0,0,1"], "0.1,inf"),
+    (["hyperbolic:2:1", "--point", "0,0,1"], "30,20"),
+    (["hyperbolic:2:1", "--point", "0,0,1"], "1000,500"),
+    (["euclidean:2", "--field", "ou", "--point", "0,0"], "1e300,1e299"),
+], ids=["zero", "negative", "past-the-cut", "infinite", "hyperbolic-no-digits-left",
+        "hyperbolic-overflow", "euclidean-overflow"])
+def test_kappa_limit_rejects_a_delta_outside_the_cut_threshold(runner, tmp_path, space, ladder):
     # each delta is the distance of a pair: 4 > pi would land 2 pi - 4 away;
+    # with no cut locus, a delta whose exp map overflows, or runs so far out
+    # on the hyperboloid that its Lorentz form has no digits left, is as bad;
     # invoke_bad_input fails on any warning, a RuntimeWarning included
     out = tmp_path / "k.csv"
-    invoke_bad_input(runner, ["kappa", "--manifold", "sphere:2:1", "--method", "limit",
-                              "--point", "0,0,1", "--delta-ladder", ladder, "--out", str(out)])
+    res = invoke_bad_input(runner, ["kappa", "--manifold", *space, "--method", "limit",
+                                    "--delta-ladder", ladder, "--out", str(out)])
+    assert "delta" in res.output
     assert not out.exists()
 
 

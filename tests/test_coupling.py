@@ -1,5 +1,6 @@
 
 import hashlib
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -226,9 +227,11 @@ def sha256(a):
     return hashlib.sha256(a.tobytes()).hexdigest()
 
 
-# (stack, costs) digests of 20,000 samples, which follow the BLAS that einsum's
-# products run on; the costs also pin the stack's memory layout, which moves
-# contracted costs by a few ulps where the samples agree
+# (stack, costs) digests of 20,000 samples, or of (n1, n2, count, rank of A), which
+# follow the BLAS that einsum's products run on; the costs also pin the stack's
+# memory layout, which moves contracted costs by a few ulps where the samples agree.
+# 100,000 is the benchmark's count; at 8,193 rank-1 samples, a 1-sample tail block
+# of its own would round differently
 SAMPLER_PINS = {
     (5, 5): ("4b8f527d5698b89744e0261659553e2093a6b082c20bab6b1827a135f2d6ba3c",
              "5ef7844b067e6e1379ce66118acdf8da3850d2c1f753718275e06494db53de03"),
@@ -238,17 +241,36 @@ SAMPLER_PINS = {
              "d92438caa441dba2574eb20a6990c3ca9fc3325eabdb84496933ab190045e50c"),
     (3, 3): ("15933ff75c2efc43984528d572ebcb904d53eea116b93e6f5a3274ac3917a77f",
              "104219dff1b0a3d70c28e1128d8492403040c2a906cba68c628c50b8760d4f7f"),
+    (5, 5, 8_193, 1): ("82f37ed32a8d1676884cd036b51dcad2bcfd3dd42dc867b0cc7a1c833eb06d27",
+                       "e930fcbc4bba5df36bf4250f8692858e2dac176902f93f52f13c78b57228c623"),
+    (5, 5, 100_000, 5): ("59d7ac958d14e639345bed101e185e457e4231d37d6b60eb1d1d8b342021d177",
+                         "861aa24068bb396ea9a56a54cc445349d0a7d098dfcc359b038a7bfade1bef99"),
 }
 
 
 @pytest.mark.parametrize("dims", sorted(SAMPLER_PINS))
 def test_sample_feasible_array_pinned_bits(dims):
-    n1, n2 = dims
+    n1, n2, count, rank = dims if len(dims) == 4 else (*dims, 20_000, dims[0])
     g = rng(10 * n1 + n2)
-    A, B = random_spd(g, n1), random_spd(g, n2)
+    A = random_spd(g, n1) if rank == n1 else psd_of_rank(g, n1, rank)
+    B = random_spd(g, n2)
     D = g.standard_normal((n1, n2))
-    stack = sample_feasible_array(A, B, 20_000, 10 * n1 + n2)
+    stack = sample_feasible_array(A, B, count, 10 * n1 + n2)
     assert (sha256(stack), sha256(np.einsum("kij,ij->k", stack, D))) == SAMPLER_PINS[dims]
+
+
+def test_sample_feasible_array_peak_memory():
+    # the sandwich runs one block at a time into one output: the peak is the
+    # normal draws, the output and block-sized scratch, under 3 stacks
+    g = rng(55)
+    A, B = random_spd(g, 5), random_spd(g, 5)
+    tracemalloc.start()
+    try:
+        stack = sample_feasible_array(A, B, 100_000, 55)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * stack.nbytes, peak / stack.nbytes
 
 
 def psd_of_rank(g, n, rank):

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import math
 import signal
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -449,10 +451,8 @@ RUN_PINS = [
 ]
 
 
-@pytest.mark.parametrize("case", RUN_PINS, ids=[c[0] for c in RUN_PINS])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_coupled_pinned_bits(case, workers):
-    _, spec, x0, y0, margin, want = case
+def run_pin_digest(case, workers):
+    _, spec, x0, y0, margin, _ = case
     spec = spec()
     m = spec.manifold
     cfg = SimConfig(dt=1e-3, horizon=0.3, trajectories=5, seed=21, workers=workers,
@@ -463,7 +463,45 @@ def test_run_coupled_pinned_bits(case, workers):
                   *(p.coords for p in tr.pair_states[-1])):
             h.update(a.tobytes())
         h.update(tr.abort_reason.encode())
-    assert h.hexdigest() == want
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", RUN_PINS, ids=[c[0] for c in RUN_PINS])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_coupled_pinned_bits(case, workers):
+    assert run_pin_digest(case, workers) == case[-1]
+
+
+@pytest.mark.parametrize("case", RUN_PINS, ids=[c[0] for c in RUN_PINS])
+def test_run_coupled_pinned_bits_beside_a_thread_on_the_public_kernels(case):
+    # the public kernels all share one stateless all-None scratch: a third
+    # thread calling them in a loop, with the interpreter switching threads
+    # every 10 us, moves neither the run's bits nor its own
+    X = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]])
+    V = np.array([[0.3, -0.2, 0.1], [0.1, 0.5, 0.2]])
+    want = (S2.exp_many(X, S2.project_tangent(X, V)), S2.project_tangent(X, V))
+    stop, calls, bad = threading.Event(), [], []
+
+    def loop():
+        while not stop.is_set():
+            got = (S2.exp_many(X, S2.project_tangent(X, V)), S2.project_tangent(X, V))
+            calls.append(1)
+            if not all(np.array_equal(a, b) for a, b in zip(got, want)):
+                bad.append(got)
+
+    other = threading.Thread(target=loop, daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    other.start()
+    try:
+        digest = run_pin_digest(case, 2)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not other.is_alive()
+    assert digest == case[-1]
+    assert calls and bad == []
 
 
 @pytest.mark.parametrize("manifold, field, x0, y0", BLOCK_CASES)
