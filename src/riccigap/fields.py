@@ -48,10 +48,8 @@ class TensorField:
         out = []
         for s in (_FD_STEP, -_FD_STEP):
             y = m.exp_map(x, TangentVector(x, s * u.components))
-            fy = m.transport_many(
-                np.broadcast_to(x.coords, (m.dim, m.ambient_dim)),
-                np.broadcast_to(y.coords, (m.dim, m.ambient_dim)),
-                frame.T).T
+            fy = frame.copy()  # transport along u fixes the columns orthogonal to it
+            fy[:, 0] = m.transport_many(x.coords, y.coords, u.components)
             out.append(self.matrix(y, fy))
         return (out[0] - out[1]) / (2.0 * _FD_STEP)
 

@@ -4,7 +4,7 @@ Points live in ambient embedding coordinates: R^n for Euclidean space,
 R^{n+1} for the sphere <x,x> = r^2 and for the upper hyperboloid
 q(x,x) = -r^2 (q the Lorentz form with signature (n, 1), last coordinate
 timelike).  All maps (exp, log, transport, distance and its second-order
-jet) are closed form.
+jet) are closed form, and so are tangent frames (frame).
 
 The second-order jet of the distance function is stored in the normalized
 form d(exp_x(eps v), exp_y(eps w)) = d * [1 + eps*(l1.v + l2.w)
@@ -16,13 +16,12 @@ connecting geodesic, second frame obtained by parallel transport).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutLocusError, DivergenceError, InputError
+from .errors import CutLocusError, InputError
 
 EUCLIDEAN = "euclidean"
 SPHERE = "sphere"
@@ -32,7 +31,6 @@ _KINDS = (EUCLIDEAN, SPHERE, HYPERBOLIC)
 
 # Tolerances: point/tangency invariants; log-map and jet cut guards, as angles.
 _INVARIANT_TOL = 1e-12
-_FRAME_TRIES = 64  # random candidates frame() tries after the coordinate axes
 _CUT_EPS_LOG = 1e-9
 _CUT_EPS_JET = 1e-6
 # numpy sums a C-ordered row of up to 7 numbers left to right from +0, and
@@ -90,13 +88,6 @@ class _Allocating:
 _ALLOCATING = _Allocating()
 
 
-def _frame_fallback(k: int):
-    """frame()'s candidates after the axes, drawn only when needed."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([7, 7], dtype=np.uint64)))
-    for _ in range(_FRAME_TRIES):
-        yield rng.standard_normal(k)
-
-
 def _as_vec(a) -> np.ndarray:
     v = np.asarray(a, dtype=float)
     if v.ndim != 1:
@@ -145,8 +136,12 @@ class ModelManifold:
         return 0.0
 
     @property
-    def diameter(self) -> float:
-        return math.pi * self.radius if self.kind == SPHERE else math.inf
+    def reach(self) -> float:
+        """The bound on a hyperboloid point's time coordinate, sqrt((1/_INVARIANT_TOL
+        + 1)/2) r: beyond it |x|^2 > r^2/_INVARIANT_TOL, and <x, x>_L = -r^2 has
+        no digits left.  Infinite on the other spaces."""
+        top = math.sqrt((1.0 / _INVARIANT_TOL + 1.0) / 2.0)
+        return top * self.radius if self.kind == HYPERBOLIC else math.inf
 
     @property
     def cut_threshold(self) -> float:
@@ -169,15 +164,16 @@ class ModelManifold:
         return res
 
     def _on_space(self, c: np.ndarray) -> bool:
-        """Whether the ambient coordinates c lie on the space, to within
-        _INVARIANT_TOL relative (NaN does not)."""
+        """Whether the ambient coordinates c are finite and lie on the space,
+        to within _INVARIANT_TOL relative and, on the hyperboloid, below reach."""
         r2 = self.radius**2
-        if self.kind == SPHERE:
-            return abs(self.ip(c, c) - r2) <= _INVARIANT_TOL * r2
-        if self.kind == HYPERBOLIC:
-            scale = max(float(np.sum(c * c)), r2)
-            return abs(self.ip(c, c) + r2) <= _INVARIANT_TOL * scale and c[-1] > 0
-        return True
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN compare false
+            if self.kind == SPHERE:
+                return abs(self.ip(c, c) - r2) <= _INVARIANT_TOL * r2
+            if self.kind == HYPERBOLIC:  # on the space |c|^2 = 2 c_t^2 - r^2
+                return 0 < c[-1] < self.reach and (
+                    abs(self.ip(c, c) + r2) <= _INVARIANT_TOL * max(2.0 * c[-1] ** 2, r2))
+        return bool(np.isfinite(c).all())
 
     # -- points and tangent vectors ----------------------------------------
 
@@ -208,11 +204,18 @@ class ModelManifold:
         the base point) are carried to X by the boost between them."""
         if self.kind != HYPERBOLIC:
             return self.project_tangent(X, Z)
+        return self._carry(X, Z[..., :-1])
+
+    def _carry(self, X, W):
+        """Vectors W at the pole (0, .., 0, +-r) nearer to X (spatial parts) carried
+        to X by the isometry of the plane through the two, with s = <Xs, W>/r: the
+        boost (W + Xs s/(r + x_t), s), or the rotation (W - Xs s/(r + |x_t|), -+s)."""
         r = self.radius
-        W = Z[..., :-1]
         Xs, Xt = X[..., :-1], X[..., -1:]
         s = _row_sum(np.multiply, Xs, W)[..., None] / r
-        return np.concatenate([W + Xs * (s / (r + Xt)), s], axis=-1)
+        if self.kind == HYPERBOLIC:
+            return np.concatenate([W + Xs * (s / (r + Xt)), s], axis=-1)
+        return np.concatenate([W - Xs * (s / (r + np.abs(Xt))), np.where(Xt < 0, s, -s)], axis=-1)
 
     def norm(self, v: "TangentVector") -> float:
         return math.sqrt(max(self.ip(v.components, v.components), 0.0))
@@ -337,27 +340,23 @@ class ModelManifold:
     # -- frames --------------------------------------------------------------
 
     def frame(self, x: "Point", first: np.ndarray | None = None) -> np.ndarray:
-        """Deterministic orthonormal tangent frame at x, columns = frame vectors.
-
-        If `first` is given (a unit tangent vector in ambient coordinates) it
-        becomes column 0.  The coordinate axes, then _FRAME_TRIES fixed random
-        vectors, are projected and orthogonalised for the rest; if they fall
-        short (x has no digits left), DivergenceError.
+        """Orthonormal tangent frame at x, columns = frame vectors: the axes at
+        the pole nearer to x carried to x (_carry), or the axes in flat space.
+        Given `first` (a unit tangent vector, ambient), the Householder reflection
+        v = e1 + sign(c1) c swaps e1 and -+c, first's components in that frame
+        (Golub & Van Loan, Matrix Computations, 5.1), and column 0 is `first`.
         """
-        cols = [] if first is None else [np.asarray(first, dtype=float)]
-        cands = itertools.chain(np.eye(self.ambient_dim), _frame_fallback(self.ambient_dim))
-        while len(cols) < self.dim:
-            cand = next(cands, None)
-            if cand is None:
-                raise DivergenceError("no tangent frame at a point whose coordinates have no "
-                                      "digits left")
-            cand = self.project_tangent(x.coords, cand)
-            for c in cols:
-                cand = cand - self.ip(cand, c) * c
-            n2 = self.ip(cand, cand)
-            if n2 > 1e-10:
-                cols.append(cand / math.sqrt(n2))
-        return np.stack(cols, axis=1)
+        n = self.dim
+        E = np.eye(n) if self.kind == EUCLIDEAN else self._carry(x.coords, np.eye(n)).T
+        if first is None:
+            return E
+        first = np.asarray(first, dtype=float)
+        c = self.to_frame(E, first)
+        v = math.copysign(1.0, c[0]) * c
+        v[0] += 1.0
+        E = E - np.outer(E @ v, v * (2.0 / (v @ v)))
+        E[:, 0] = first
+        return E
 
     def adapted_frames(self, x: "Point", y: "Point") -> tuple[np.ndarray, np.ndarray]:
         """Orthonormal frames at x and y adapted to the connecting geodesic.
@@ -365,6 +364,8 @@ class ModelManifold:
         Column 0 at x is the unit vector toward y; the frame at y is the
         parallel transport of the frame at x (so column 0 at y is the forward
         geodesic velocity, i.e. minus the unit vector from y toward x).
+        Transport along the geodesic fixes the vectors orthogonal to its
+        plane, so only column 0 moves.
         """
         v = self.log_map(x, y)
         d = self.norm(v)
@@ -372,9 +373,8 @@ class ModelManifold:
             raise CutLocusError("adapted frames need two distinct points")
         e1 = v.components / d
         E = self.frame(x, first=e1)
-        F = self.transport_many(np.broadcast_to(x.coords, (self.dim, self.ambient_dim)),
-                                np.broadcast_to(y.coords, (self.dim, self.ambient_dim)),
-                                E.T).T
+        F = E.copy()
+        F[:, 0] = self.transport_many(x.coords, y.coords, e1)
         return E, F
 
     def to_frame(self, E: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -52,7 +52,7 @@ from .coupling import extremal_covariances, sym_psd_sqrt
 from .curvature import kappa_pair
 from .errors import DivergenceError, InputError
 from .fields import DiffusionSpec, LinearDrift
-from .manifolds import (_INVARIANT_TOL, EUCLIDEAN, HYPERBOLIC, SPHERE, ModelManifold, Point,
+from .manifolds import (EUCLIDEAN, HYPERBOLIC, SPHERE, ModelManifold, Point,
                         _ALLOCATING, _guarded_div, _Scratch)
 
 _NOISE_BLOCK = 256  # time steps of noise drawn at once per trajectory
@@ -130,22 +130,18 @@ def _advance_ambient(spec: DiffusionSpec, x: Point, noise_inc: np.ndarray, dt: f
         inc = inc + dt * drift.vector(x)
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
         y = m.exp_many(x.coords, m.project_tangent(x.coords, inc))
-        ok = bool(np.isfinite(y).all()) and m._on_space(y)
-    _check_step(m, ok, y, y)
+    _check_step(m, m._on_space(y), y, y)
     return Point(m, y)
 
 
-def _check_step(m: ModelManifold, ok: bool, X: np.ndarray, Y: np.ndarray, error=None):
-    """Raise error (by default a DivergenceError) unless a step came out `ok`
-    (its coordinates or distances finite) and, on the hyperboloid, every time
-    coordinate of the points X and Y is below sqrt((1/_INVARIANT_TOL + 1)/2) r:
-    beyond it |x|^2 = 2 x_t^2 - r^2 exceeds r^2/_INVARIANT_TOL, and the
-    Lorentz form <x, x>_L = -r^2 has no digits left."""
-    if not ok or (m.kind == HYPERBOLIC and np.maximum(X[..., -1], Y[..., -1]).max()
-                  >= math.sqrt((1.0 / _INVARIANT_TOL + 1.0) / 2.0) * m.radius):
-        raise error or DivergenceError("a step overflowed, drifted off the model space by more "
-                                       "than rounding, or ran so far out on the hyperboloid "
-                                       "that its Lorentz form has no digits left")
+def _check_step(m: ModelManifold, ok: bool, X: np.ndarray, Y: np.ndarray):
+    """Raise DivergenceError unless a step came out `ok` (its coordinates or
+    distances finite) and, on the hyperboloid, every time coordinate of the
+    points X and Y is below the manifold's reach."""
+    if not ok or (m.kind == HYPERBOLIC and np.maximum(X[..., -1], Y[..., -1]).max() >= m.reach):
+        raise DivergenceError("a step overflowed, drifted off the model space by more "
+                              "than rounding, or ran so far out on the hyperboloid "
+                              "that its Lorentz form has no digits left")
 
 
 def step_coupled(spec: DiffusionSpec, x: Point, y: Point, dt: float,

@@ -890,6 +890,62 @@ def test_vectorised_route_exits_0_2_or_3_in_time_with_no_warning(args):
                                 for k in list(row)[-3:]), args
 
 
+def _with_kn_tensor(args, tmp):
+    """args with the field "kn" replaced by the identity Kulkarni-Nomizu
+    tensor of the manifold's ambient dimension, written to a file in tmp."""
+    if "kn" not in args:
+        return args
+    n = int(args[args.index("--manifold") + 1].split(":")[1])
+    tensor = os.path.join(tmp, "t.json")
+    with open(tensor, "w") as fh:
+        json.dump({"kn_pairs": [[np.eye(n + 1).tolist(), np.eye(n + 1).tolist()]]}, fh)
+    return [f"example-t:{tensor}" if a == "kn" else a for a in args]
+
+
+@st.composite
+def _single_point_args(draw):
+    """kappa --method formula or limit at one point of S2, H2 or H3 (scale
+    1e-3-1e3): on the sphere anywhere, on the hyperboloid out to distance 20,
+    past the reach (about 14.2); along "any", a drawn direction, the point
+    itself or zero (no tangent part); Brownian, a potential or the identity
+    Kulkarni-Nomizu field ("kn", written by the test)."""
+    space = draw(st.sampled_from(["sphere:2", "hyperbolic:2", "hyperbolic:3"]))
+    r = 10.0 ** draw(st.floats(-3.0, 3.0))
+    n = int(space[-1])
+    omega = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    omega = np.array(omega) / max(np.linalg.norm(omega), 1e-300)
+    top = math.pi if space == "sphere:2" else 20.0
+    t = draw(st.floats(0.0, top) | st.just(top))
+    sin, cos = (math.sin, math.cos) if space == "sphere:2" else (math.sinh, math.cosh)
+    x = r * np.append(sin(t) * omega, cos(t))
+    direction = draw(st.sampled_from(["any", "x", "0"]) | st.lists(
+        st.floats(-1e3, 1e3), min_size=n + 1, max_size=n + 1).map(
+        lambda v: ",".join(map(repr, v))))
+    direction = {"x": ",".join(map(repr, x.tolist())),
+                 "0": ",".join(["0.0"] * (n + 1))}.get(direction, direction)
+    field = draw(st.sampled_from(["brownian", "kn", "potential:0.3*cos"]))
+    method = draw(st.sampled_from(["formula", "limit"]))
+    return ["kappa", "--method", method, "--manifold", f"{space}:{r!r}", "--field", field,
+            "--point", ",".join(map(repr, x.tolist())), "--direction", direction]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(args=_single_point_args())
+def test_single_point_kappa_exits_0_2_or_3_in_time_with_no_warning(args):
+    # every point and direction ends in a finite row or a typed error, never
+    # in a traceback, a hang or a floating-point warning
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        args = _with_kn_tensor(args, tmp)
+        with warnings.catch_warnings(record=True) as caught, _time_budget(5.0):
+            warnings.simplefilter("always")
+            res = CliRunner().invoke(main, [*args, "--out", out], catch_exceptions=False)
+        assert res.exit_code in (0, 2, 3), (args, res.output)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], args
+        if res.exit_code == 0:
+            assert math.isfinite(float(read_csv(out)[0]["kappa"])), args
+
+
 @st.composite
 def _report_args(draw):
     """spectrum, bounds, check-h or variance on scales 1e-75-1e75: zonal
@@ -927,12 +983,7 @@ def test_report_commands_exit_0_2_or_3_in_time_with_no_warning(args):
     # continuum gap, so 2 m^-4 is allowed besides 1e-6
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out.csv")
-        if "kn" in args:
-            n = int(args[args.index("--manifold") + 1].split(":")[1])
-            tensor = os.path.join(tmp, "t.json")
-            with open(tensor, "w") as fh:
-                json.dump({"kn_pairs": [[np.eye(n + 1).tolist(), np.eye(n + 1).tolist()]]}, fh)
-            args = [f"example-t:{tensor}" if a == "kn" else a for a in args]
+        args = _with_kn_tensor(args, tmp)
         with warnings.catch_warnings(record=True) as caught, _time_budget(5.0):
             warnings.simplefilter("always")
             res = CliRunner().invoke(main, [*args, "--out", out], catch_exceptions=False)

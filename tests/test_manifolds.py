@@ -288,6 +288,72 @@ def test_adapted_frames_orthonormal_and_transported():
         assert np.abs(moved - F).max() < 1e-12
 
 
+@st.composite
+def _frame_cases(draw):
+    """A point of S^n, H^n or E^n (n = 1-3, scale 1e-3-1e3): on the sphere
+    anywhere from the north to the south pole, the equator among them; on the
+    hyperboloid out to 0.9 of the reach distance; and the frame
+    coefficients of a unit vector there."""
+    kind = draw(st.sampled_from(["sphere", "hyperbolic", "euclidean"]))
+    n = draw(st.integers(1, 3))
+    m = ModelManifold(kind, n, 10.0 ** draw(st.floats(-3.0, 3.0)))
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array).filter(
+        lambda w: np.linalg.norm(w) > 1e-3).map(lambda w: w / np.linalg.norm(w))
+    omega, c = draw(unit), draw(unit)
+    if kind == "sphere":
+        theta = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+        sin, cos = {0.0: (0.0, 1.0), 0.5: (1.0, 0.0), 1.0: (0.0, -1.0)}.get(
+            theta, (math.sin(math.pi * theta), math.cos(math.pi * theta)))
+    elif kind == "hyperbolic":
+        top = 0.9 * math.acosh(m.reach / m.radius)
+        rho = draw(st.just(top) | st.floats(0.0, top))
+        sin, cos = math.sinh(rho), math.cosh(rho)
+    else:
+        return m, m.point(m.radius * draw(st.floats(0.0, 10.0)) * omega), c
+    return m, m.point(m.radius * np.append(sin * omega, cos)), c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_frame_cases())
+def test_frames_are_orthonormal_and_tangent_to_rounding(case):
+    # the carried axes are orthonormal and tangent up to the rounding of the
+    # point's coordinates, which grows as x_t^2 on the hyperboloid; C = 16
+    m, x, c = case
+    J = np.eye(m.ambient_dim)
+    if m.kind == "hyperbolic":
+        J[-1, -1] = -1.0
+    t = x.coords[-1] / m.radius if m.kind != "euclidean" else 0.0
+    tol = 16.0 * np.finfo(float).eps * max(1.0, t * t)
+    E = m.frame(x)
+    u = E @ c
+    F = m.frame(x, first=u)
+    assert np.array_equal(F[:, 0], u)
+    for frame, built in ((E, E), (F, F[:, 1:])):
+        assert np.abs(frame.T @ J @ frame - np.eye(m.dim)).max() <= tol
+        if m.kind != "euclidean":
+            assert np.abs(x.coords @ J @ built).max(initial=0.0) <= tol * m.radius
+    y = m.exp_map(x, TangentVector(x, 0.5 * m.radius * u))
+    Ex, Fy = m.adapted_frames(x, y)
+    assert np.array_equal(Fy[:, 1:], Ex[:, 1:])
+
+
+def test_a_hyperboloid_point_past_the_reach_is_invalid_input():
+    # <p, p>_L rounds to 0, within the 1e-12 relative tolerance of -1, but p
+    # lies beyond the reach, where the Lorentz form has no digits left
+    H3 = parse_manifold("hyperbolic:3:1")
+    assert H3.reach < 1e8
+    with pytest.raises(InputError):
+        H3.point([1e8, 0.0, 0.0, 1e8])
+
+
+@pytest.mark.parametrize("m", [S2, H2], ids=lambda m: m.kind)
+def test_point_rejects_coordinates_whose_square_overflows(m):
+    # |c|^2 overflows to inf: no floating-point warning, and the tolerance,
+    # scaled by the coordinates, must not become inf and pass them
+    with pytest.raises(InputError):
+        m.point([1e200, 0.0, 1.0])
+
+
 @pytest.mark.parametrize("m, coords", [(S2, [np.nan, 0.0, 1.0]), (H2, [np.nan, 0.0, 1.0]),
                                        (H2, [np.inf, 0.0, np.inf])])
 def test_point_rejects_non_finite_coordinates(m, coords):
