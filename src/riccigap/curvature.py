@@ -25,9 +25,11 @@ from .errors import (
     TermMismatchError,
 )
 from .fields import DiffusionSpec, h_residual
-from .manifolds import EUCLIDEAN, ModelManifold, Point, TangentVector
+from .manifolds import EUCLIDEAN, HYPERBOLIC, ModelManifold, Point, TangentVector
 
 _EPS = float(np.finfo(float).eps)
+_UNIT_TOL = 1e-9  # relative miss allowed in a direction's norm near the pole,
+_UNIT_ULPS = 64  # and in eps per (x_t/r)^2 far out on the hyperboloid
 _H_TOL = 1e-8  # admissibility residual allowed, relative to |A(x)|, before
                # the constrained curvature is considered undefined
 _ROW_CAP = 1 << 14  # rows the direct estimator steps together
@@ -123,10 +125,12 @@ def _dir_terms(spec: DiffusionSpec, x: Point,
                u: TangentVector) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Check that u is a unit vector; then A and its derivative along u in the
     frame led by u, the drift term and the Riemann term of the directional
-    curvatures."""
+    curvatures.  On the hyperboloid u's Lorentz norm sums terms of size
+    (x_t/r)^2 |u|^2, so the check allows that many times _UNIT_ULPS eps."""
     m = spec.manifold
     nu = m.norm(u)
-    if not math.isclose(nu, 1.0, rel_tol=1e-9):
+    scale = (x.coords[-1] / m.radius) ** 2 if m.kind == HYPERBOLIC else 1.0
+    if not math.isclose(nu, 1.0, rel_tol=max(_UNIT_TOL, _UNIT_ULPS * _EPS * scale)):
         raise InputError("direction must be a unit tangent vector")
     E = m.frame(x, first=u.components / nu)
     A = spec.diffusion.matrix(x, E)

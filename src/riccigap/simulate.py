@@ -30,19 +30,18 @@ exponential chart:
   from the parallel extremal coupling.  `step_coupled` is one such step
   with its own draws, and `step_single` the Gaussian step for one point.
 
-`run_coupled` runs one block of trajectories per worker; the estimator
+`run_coupled` steps all its trajectories as one block; the estimator
 steps all its clouds as one block (rows capped by curvature._ROW_CAP),
 each row with its own step size.  Both draw the noise by `_noise_steps`,
 from one counter-based stream per trajectory or cloud, a block of steps
 at a time, so the noise in memory does not grow with the steps.  Every
 pair is stepped row by row: no result depends on the split.  The loop that
-owns a block makes its scratch, never the module: blocks run on threads.
+owns a block makes its scratch, never the module.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,6 +66,7 @@ class SimConfig:
     cut_margin: float = 0.1
     """Distance a pair keeps from the cut threshold, in units of the radius."""
     workers: int = 1
+    """Validated (at least 1) and otherwise unused: every run is on the calling thread."""
 
     def __post_init__(self):
         if not (0 < self.dt <= self.horizon):
@@ -311,10 +311,11 @@ def _kappa(spec: DiffusionSpec, p: _Pairs):
 
 
 def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> list[CoupledTrajectory]:
-    """Simulate coupled pairs from (x0, y0); reproducible per seed and
-    independent of the worker count (per-trajectory counter-based streams,
-    one block of trajectories per worker).  A step that overflows or
-    leaves the space raises DivergenceError (_check_step)."""
+    """Simulate coupled pairs from (x0, y0) on the calling thread;
+    reproducible per seed (a counter-based stream per trajectory), so
+    independent of cfg.workers, which is validated and otherwise unused.
+    A step that overflows or leaves the space raises DivergenceError
+    (_check_step)."""
     m = spec.manifold
     if m.kind == SPHERE and cfg.cut_margin >= math.pi / 2:
         raise InputError("cut_margin must be below pi/2, a quarter circumference in radii")
@@ -324,23 +325,12 @@ def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> li
     steps = int(round(cfg.horizon / cfg.dt))
     if abs(steps * cfg.dt - cfg.horizon) > 1e-9 * cfg.horizon:
         steps = math.ceil(cfg.horizon / cfg.dt)
-    stride = max(1, steps // 512)
-    blocks = min(cfg.workers, cfg.trajectories)
-    edges = [cfg.trajectories * b // blocks for b in range(blocks + 1)]
-
-    def work(j0, j1):
-        return _run_block(spec, x0, y0, cfg, steps, stride, j0, j1 - j0)
-
-    if blocks > 1:
-        with ThreadPoolExecutor(max_workers=blocks) as pool:
-            runs = list(pool.map(work, edges[:-1], edges[1:]))
-    else:
-        runs = [work(0, cfg.trajectories)]
-    return [CoupledTrajectory(  # views of its block's arrays
+    times, logs, integ, reasons, X, Y = _run_block(spec, x0, y0, cfg, steps,
+                                                   max(1, steps // 512))
+    return [CoupledTrajectory(  # views of the block's arrays
         times=times, pair_states=[(m.point(X[i].copy()), m.point(Y[i].copy()))],
         log_distance=logs[i], kappa_integral=integ[i], aborted=bool(reasons[i]),
-        abort_reason=reasons[i]) for times, logs, integ, reasons, X, Y in runs
-        for i in range(len(reasons))]
+        abort_reason=reasons[i]) for i in range(len(reasons))]
 
 
 def _noise_steps(rngs, rows: int, k: int, steps: int, block: int):
@@ -357,22 +347,23 @@ def _noise_steps(rngs, rows: int, k: int, steps: int, block: int):
 
 
 def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
-               steps: int, stride: int, j0: int, count: int) -> tuple:
-    """Trajectories j0 .. j0 + count - 1, stepped together by one step rule:
+               steps: int, stride: int) -> tuple:
+    """All cfg.trajectories trajectories, stepped together by one step rule:
     the kernel for A = c g^{-1} (k ambient normals a step, column-major), else
     _step_pair and kappa_pair row by row (2n normals a step), each from its
     own stream, _NOISE_BLOCK steps at a time.  A pair stops before it would
     accept d >= cut ('cut-locus') or d <= 0 ('collapse'); the per-row rule
     neither steps nor re-evaluates a stopped pair.  Returns the times, log d
     and kappa integral (a row a trajectory), abort reasons and final X, Y.
-    The kernel writes into the block's own _Scratch (blocks run on threads),
-    each step's X, Y, d into the set of two the last step's are not in; what
-    is kept past the next step (kappa, integral, records) is a new array, and
-    the final X, Y are the scratch's, written no more once the block ends."""
+    The kernel writes into the block's own _Scratch, each step's X, Y, d
+    into the set of two the last step's are not in; what is kept past the
+    next step (kappa, integral, records) is a new array, and the final X, Y
+    are the scratch's, written no more once the block ends."""
     m = spec.manifold
     dt = cfg.dt
     cut = m.cut_threshold - cfg.cut_margin * m.radius
-    rngs = [_traj_rng(cfg.seed, j0 + i) for i in range(count)]
+    count = cfg.trajectories
+    rngs = [_traj_rng(cfg.seed, i) for i in range(count)]
     kernel = spec.diffusion.constant_inverse_metric is not None
     X, Y = (np.array(np.broadcast_to(v.coords, (count, m.ambient_dim)),
                      order="F" if kernel else "C") for v in (x0, y0))

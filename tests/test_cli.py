@@ -6,6 +6,7 @@ import os
 import pathlib
 import struct
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ import riccigap
 from riccigap import cli, simulate
 from riccigap.cli import main
 from riccigap.errors import NonPSDWarning
-from test_simulate import _time_budget
+from test_simulate import _time_budget, record_manifold_threads
 
 
 @pytest.fixture()
@@ -162,6 +163,22 @@ def test_kappa_normal_direction_exits_2(runner, tmp_path):
     invoke_bad_input(runner, ["kappa", "--manifold", "sphere:2:1", "--point", "0,0,1",
                               "--direction", "0,0,1", "--out", str(out)])
     assert not out.exists()
+
+
+def test_kappa_direction_normalised_far_out_on_the_hyperboloid_is_unit(runner):
+    # at rho = 10 on H^2 the Lorentz norm of a unit direction carries eps cosh^2 rho
+    # ~ 3e-8 of rounding, which a fixed 1e-9 unit check rejected at 14 of 20 angles
+    ch, sh = math.cosh(10.0), math.sinh(10.0)
+    for i in range(20):
+        a = 0.37 * i
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = invoke(runner, ["kappa", "--manifold", "hyperbolic:2:1", "--method", "formula",
+                                  "--point", f"{sh * math.cos(a)!r},{sh * math.sin(a)!r},{ch!r}",
+                                  "--direction", f"{math.cos(2 * a)!r},{math.sin(2 * a)!r},0"])
+        assert res.exit_code == 0, (i, res.output)
+        row = list(csv.DictReader(io.StringIO(res.output.split("\n", 1)[1])))[0]
+        assert abs(float(row["kappa"]) + 0.5) <= 1e-9, (i, row["kappa"])
 
 
 def test_workers_below_one_exit_2(runner, tmp_path):
@@ -651,6 +668,21 @@ def test_outputs_byte_identical_across_runs_and_workers(runner, tmp_path):
         assert res.exit_code == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_sweep_calls_the_package_on_the_calling_thread_only(runner, tmp_path, monkeypatch):
+    # rows run in input order on the calling thread at any --workers
+    items = [{"command": "kappa", "manifold": "sphere:2:1", "method": "formula",
+              "point": f"{math.sin(a)},0,{math.cos(a)}", "direction": "0,1,0"}
+             for a in (0.1, 0.2, 0.3, 0.4)]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(items))
+    idents = record_manifold_threads(monkeypatch)
+    out = tmp_path / "sweep.csv"
+    res = invoke(runner, ["sweep", "--configs", str(cfg), "--workers", "4", "--out", str(out)])
+    assert res.exit_code == 0
+    assert [row["status"] for row in read_csv(str(out))] == ["ok"] * 4
+    assert idents and set(idents) == {threading.get_ident()}
 
 
 def reference_csv(rows, columns=None):

@@ -247,6 +247,17 @@ def test_kappa_dir_homogeneous_on_model_spaces():
     assert np.ptp(vals) < 1e-10
 
 
+@pytest.mark.parametrize("rho", [0.0, 3.0])
+def test_kappa_dir_rejects_a_direction_off_unit_norm_by_1e_6(rho):
+    # the unit check scales with (x_t/r)^2 on H^n but keeps its 1e-9 floor
+    # near the pole; InputError is the CLI's exit 2
+    x = H2.point([math.sinh(rho), 0.0, math.cosh(rho)])
+    u = H2.tangent(x, [0.0, 1.0, 0.0])
+    kappa_dir(brownian(H2), x, u)
+    with pytest.raises(InputError, match="unit tangent vector"):
+        kappa_dir(brownian(H2), x, TangentVector(x, (1 + 1e-6) * u.components))
+
+
 def test_kappa_dir_rejects_singular():
     fld = ConstantFrameField(np.diag([1.0, 0.0]))
     spec = DiffusionSpec(E2, fld, ZeroDrift())

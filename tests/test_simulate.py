@@ -1,5 +1,7 @@
 import contextlib
+import functools
 import hashlib
+import inspect
 import math
 import signal
 import sys
@@ -32,7 +34,7 @@ from riccigap.fields import (
     random_riemann_like,
     reversible_potential,
 )
-from riccigap.manifolds import TangentVector, parse_manifold
+from riccigap.manifolds import ModelManifold, TangentVector, parse_manifold
 from riccigap.simulate import (
     SimConfig,
     kappa_fast,
@@ -494,6 +496,38 @@ def test_run_coupled_pinned_bits_beside_a_thread_on_the_public_kernels(case):
     assert not other.is_alive()
     assert digest == case[-1]
     assert calls and bad == []
+
+
+def record_manifold_threads(monkeypatch) -> list:
+    """Patch every public ModelManifold method to log the ident of the thread
+    that calls it; returns the log."""
+    idents = []
+
+    def record(fn):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return recorded
+
+    for name, fn in list(vars(ModelManifold).items()):
+        if inspect.isfunction(fn) and not name.startswith("_"):
+            monkeypatch.setattr(ModelManifold, name, record(fn))
+    return idents
+
+
+@pytest.mark.parametrize("case", RUN_PINS[:3], ids=[c[0] for c in RUN_PINS[:3]])
+def test_run_coupled_calls_the_package_on_the_calling_thread_only(case, monkeypatch):
+    # perfbench's layer tracer keeps one span stack per process, so a public
+    # call on another thread would corrupt it; no worker count may start one
+    _, spec, x0, y0, margin, _ = case
+    spec = spec()
+    m = spec.manifold
+    idents = record_manifold_threads(monkeypatch)
+    cfg = SimConfig(dt=1e-3, horizon=0.02, trajectories=8, seed=21, workers=4,
+                    cut_margin=margin)
+    run_coupled(spec, m.point(x0), m.point(y0), cfg)
+    assert idents and set(idents) == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("manifold, field, x0, y0", BLOCK_CASES)
