@@ -43,7 +43,7 @@ from .fields import (
     RiemannLikeTensor,
     tensor_diffusion,
 )
-from .manifolds import ModelManifold, TangentVector, parse_manifold
+from .manifolds import ModelManifold, TangentVector, _philox, parse_manifold
 
 SCHEMA_VERSION = "riccigap-report-1"
 _WORKERS_HELP = ("checked to be at least 1; everything runs on one thread, so it changes "
@@ -301,14 +301,17 @@ def load_tensor(path: str) -> RiemannLikeTensor:
             data = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read tensor file {path!r}: {exc}") from exc
-    if "entries" in data:
-        return RiemannLikeTensor(np.asarray(data["entries"], dtype=float))
-    if "kn_pairs" in data:
-        total = None
-        for h, k in data["kn_pairs"]:
-            term = kulkarni_nomizu(np.asarray(h, dtype=float), np.asarray(k, dtype=float)).entries
-            total = term if total is None else total + term
-        return RiemannLikeTensor(total)
+    try:  # a JSON value of the wrong type, such as 5 or "kn_pairs": 5, raises TypeError
+        if "entries" in data:
+            return RiemannLikeTensor(np.asarray(data["entries"], dtype=float))
+        if "kn_pairs" in data:
+            total = None
+            for h, k in data["kn_pairs"]:
+                term = kulkarni_nomizu(np.asarray(h, dtype=float), np.asarray(k, dtype=float)).entries
+                total = term if total is None else total + term
+            return RiemannLikeTensor(total)
+    except TypeError as exc:
+        raise InputError(f"malformed tensor file {path!r}: {exc}") from exc
     raise InputError("tensor file needs an 'entries' or 'kn_pairs' key")
 
 
@@ -613,8 +616,7 @@ def check_h_row(manifold: str, field: str, geodesics: int, seed: int) -> dict:
         raise InputError("need at least one geodesic")
     mfd = parse_manifold(manifold)
     spec = parse_field(mfd, field)
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed & (2**64 - 1), 0xC4EC], dtype=np.uint64)))
+    rng = _philox(seed, 0xC4EC)
     worst, drift, admissible = 0.0, 0.0, True
     for _ in range(geodesics):
         x = mfd.random_point(rng)

@@ -3,7 +3,10 @@
 The minimized quantity is E[D_ij X^i Y^j] over joint laws of X ~ N(0, A)
 and Y ~ N(0, B); the minimum is -tr sqrt(A D B D^T) and is achieved by an
 explicit cross-covariance.  Feasibility of a cross-covariance C means the
-block matrix [[A, C], [C^T, B]] is positive semidefinite.
+block matrix [[A, C], [C^T, B]] is positive semidefinite.  The minimal-rank
+optimizer C0 is built once (_c0), from the SVD of the cost reduced by rank
+factors of A and B, and the extremal optimizers of the distance cost are
+C+- = C0 +- a rank-one term (Olkin & Pukelsheim, Linear Algebra Appl. 48, 1982).
 
 One rule says what is rounding noise: of n eigenvalues (or C0's n singular
 values), those negative or at most 100 n eps of the largest are zero
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NegativeSpectrumError, SingularDiffusionError
-from .manifolds import DistanceJet
+from .manifolds import DistanceJet, _philox
 
 _RANK_TOL = 1e-9  # a diffusion tensor that must be invertible is singular when its smallest
                   # eigenvalue is at most _RANK_TOL max(largest, 1) (_check_invertible)
@@ -38,9 +41,15 @@ def _as_matrix(m, name="matrix") -> np.ndarray:
     return a
 
 
-def check_sym_psd(m, name="matrix") -> np.ndarray:
+def _rounding_cut(w: np.ndarray) -> np.ndarray:
+    """The n values w with those at most 100 n eps of the largest set to zero."""
+    return np.where(w > 100 * len(w) * _EPS * max(w.max(), 0.0), w, 0.0)
+
+
+def _sym_psd(m, name="matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate a symmetric PSD matrix (asymmetry <= 1e-12 and eigenvalues >=
-    -1e-10, relative to max(max|m|, 1)); returns the symmetrized copy."""
+    -1e-10, relative to max(max|m|, 1)); returns the symmetrized copy and
+    its eigenvalues (ascending, after _rounding_cut) and eigenvectors."""
     a = _as_matrix(m, name)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"{name} must be square")
@@ -48,21 +57,10 @@ def check_sym_psd(m, name="matrix") -> np.ndarray:
     if np.abs(a - a.T).max() > 1e-12 * scale:
         raise InputError(f"{name} is not symmetric within tolerance")
     a = 0.5 * (a + a.T)
-    w = np.linalg.eigvalsh(a)
+    w, v = np.linalg.eigh(a)
     if w.min() < -1e-10 * scale:
         raise NegativeSpectrumError(f"{name} has eigenvalue {w.min():.3e} below -1e-10")
-    return a
-
-
-def _rounding_cut(w: np.ndarray) -> np.ndarray:
-    """The n values w with those at most 100 n eps of the largest set to zero."""
-    return np.where(w > 100 * len(w) * _EPS * max(w.max(), 0.0), w, 0.0)
-
-
-def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, after _rounding_cut) and eigenvectors of m's symmetric part."""
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    return _rounding_cut(w), v
+    return a, _rounding_cut(w), v
 
 
 def _check_invertible(w: np.ndarray):
@@ -75,8 +73,8 @@ def sym_psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root of the symmetric part of m, with the
     eigenvalues at rounding level set to zero (_rounding_cut): the root of
     one would be noise of size ~sqrt(eps) in a singular direction."""
-    w, v = _psd_eigh(m)
-    return (v * np.sqrt(w)) @ v.T
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    return (v * np.sqrt(_rounding_cut(w))) @ v.T
 
 
 def tr_sqrt_sandwich(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> float:
@@ -138,42 +136,46 @@ def _feasibility(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple[np.ndarra
 def min_coupling_value(A, D, B) -> float:
     """Minimum of E[D_ij X^i Y^j] over couplings of N(0,A) and N(0,B):
     -tr sqrt(A D B D^T)."""
-    A = check_sym_psd(A, "A")
-    B = check_sym_psd(B, "B")
+    A = _sym_psd(A, "A")[0]
+    B = _sym_psd(B, "B")[0]
     D = _as_matrix(D, "D")
     if D.shape != (A.shape[0], B.shape[0]):
         raise InputError("D has inconsistent shape")
     return -tr_sqrt_sandwich(A, D, B)
 
 
-def _psd_factor(mat: np.ndarray) -> np.ndarray:
-    """Rank-revealing factor F with F F^T = mat: one column sqrt(w) v for
-    each eigenpair of mat left nonzero by the rounding cut (_psd_eigh), in
-    decreasing order of w.  Its column count is the numerical rank."""
-    w, v = _psd_eigh(mat)
+def _psd_factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rank-revealing factor F with F F^T = v diag(w) v^T from _sym_psd's
+    eigenpairs: one column sqrt(w) v for each nonzero w, in decreasing
+    order of w.  Its column count is the numerical rank."""
     return (v[:, ::-1] * np.sqrt(w[::-1]))[:, :np.count_nonzero(w)]
 
 
-def c0_covariance(A, D, B) -> CouplingCovariance:
-    """The minimal-rank optimal cross-covariance C0.
+def _c0(Af: np.ndarray, D: np.ndarray, Bf: np.ndarray) -> tuple[np.ndarray, float]:
+    """C0 for rank factors Af, Bf of nonzero marginals, and its cost: with
+    U s V^T the SVD of the cost Af^T D Bf reduced to identity marginals,
+    C0 = -Af U_r V_r^T Bf^T puts -1 on the r singular directions the
+    rounding cut keeps (zero elsewhere), and <D, C0> = -(s_1 + ... + s_r)."""
+    U, s, Vt = np.linalg.svd(Af.T @ D @ Bf)
+    r = np.count_nonzero(_rounding_cut(s))
+    return Af @ (-U[:, :r] @ Vt[:r, :]) @ Bf.T, -float(s[:r].sum())
 
-    Constructed by reducing to identity marginals with rank factors of A and
-    B, diagonalizing the reduced cost by SVD, and putting -1 on the singular
-    directions the rounding cut keeps (zero elsewhere).
-    """
-    A = check_sym_psd(A, "A")
-    B = check_sym_psd(B, "B")
+
+def c0_covariance(A, D, B) -> CouplingCovariance:
+    """The minimal-rank optimal cross-covariance C0, with its cost and its
+    feasibility certificate: the SVD construction of _c0, which also gives
+    extremal_covariances its C0."""
+    A, wa, va = _sym_psd(A, "A")
+    B, wb, vb = _sym_psd(B, "B")
     D = _as_matrix(D, "D")
     if D.shape != (A.shape[0], B.shape[0]):
         raise InputError("D has inconsistent shape")
-    Af = _psd_factor(A)
-    Bf = _psd_factor(B)
+    Af = _psd_factor(wa, va)
+    Bf = _psd_factor(wb, vb)
     if Af.shape[1] == 0 or Bf.shape[1] == 0:
         return CouplingCovariance(np.zeros((A.shape[0], B.shape[0])), 0.0, True, 0.0)
-    U, s, Vt = np.linalg.svd(Af.T @ D @ Bf)
-    r = np.count_nonzero(_rounding_cut(s))
-    C = Af @ (-U[:, :r] @ Vt[:r, :]) @ Bf.T
-    return CouplingCovariance(C, -float(s[:r].sum()), *feasibility_check(A, B, C))
+    C, value = _c0(Af, D, Bf)
+    return CouplingCovariance(C, value, *feasibility_check(A, B, C))
 
 
 def _top_gram(R: np.ndarray) -> np.ndarray:
@@ -269,16 +271,15 @@ def sample_feasible_array(A, B, count: int, seed: int) -> np.ndarray:
     """
     if count < 0:
         raise InputError("count must be nonnegative")
-    A = check_sym_psd(A, "A")
-    B = check_sym_psd(B, "B")
+    A, wa, va = _sym_psd(A, "A")
+    B, wb, vb = _sym_psd(B, "B")
     n1, n2 = A.shape[0], B.shape[0]
-    Af = _psd_factor(A)
-    Bf = _psd_factor(B)
+    Af = _psd_factor(wa, va)
+    Bf = _psd_factor(wb, vb)
     ra, rb = Af.shape[1], Bf.shape[1]
     if ra == 0 or rb == 0:
         return np.zeros((count, n1, n2))
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed & (2**64 - 1), 0x5EED],
-                                                            dtype=np.uint64)))
+    rng = _philox(seed, 0x5EED)
     raw = rng.standard_normal((count, ra, rb))
     top = np.sqrt(_top_gram(raw if ra <= rb else raw.transpose(0, 2, 1)))
     scale = np.where(top > 0, rng.uniform(0.0, 1.0, size=count) / np.where(top > 0, top, 1.0), 0.0)
@@ -305,23 +306,17 @@ def extremal_covariances(A_x, A_y, jet: DistanceJet) -> tuple[CouplingCovariance
     A_x and A_y are matrices in the jet's adapted frames and must be
     invertible.  C+ extends parallel-transport coupling, C- reflection
     coupling: C+- = C0 +- e1 e1^T / sqrt((A_x^{-1})_11 (A_y^{-1})_11), where
-    C0 = -F pinv(sqrt(S)) F^T q12 A_y with F = eigenvectors * sqrt(eigenvalues)
-    of A_x and S = F^T q12 A_y q12^T F, so C0 q12^T = -sqrt(A_x q12 A_y q12^T).
+    C0 is c0_covariance's for the cost q12, from the same SVD (_c0).
     """
-    A_x = check_sym_psd(A_x, "A_x")
-    A_y = check_sym_psd(A_y, "A_y")
+    A_x, wx, vx = _sym_psd(A_x, "A_x")
+    A_y, wy, vy = _sym_psd(A_y, "A_y")
     n = jet.manifold.dim
     if A_x.shape[0] != n or A_y.shape[0] != n:
         raise InputError("covariances must match the manifold dimension")
-    wx, vx = _psd_eigh(A_x)
-    wy, vy = _psd_eigh(A_y)
     _check_invertible(wx)
     _check_invertible(wy)
     q12 = jet.q12
-    F = vx * np.sqrt(wx)
-    ws, vs = _psd_eigh(F.T @ q12 @ A_y @ q12.T @ F)
-    inv_root = np.divide(1.0, np.sqrt(ws), out=np.zeros_like(ws), where=ws > 0)
-    c0 = -(F @ (vs * inv_root)) @ (vs.T @ F.T @ q12 @ A_y)
+    c0, _ = _c0(_psd_factor(wx, vx), q12, _psd_factor(wy, vy))
     rank_one = np.zeros((n, n))
     rank_one[0, 0] = 1.0 / math.sqrt((vx[0] ** 2 @ (1.0 / wx)) * (vy[0] ** 2 @ (1.0 / wy)))
     return tuple(CouplingCovariance(C, coupling_cost(C, q12), *feasibility_check(A_x, A_y, C))

@@ -25,7 +25,7 @@ from .errors import (
     TermMismatchError,
 )
 from .fields import DiffusionSpec, h_residual
-from .manifolds import EUCLIDEAN, HYPERBOLIC, ModelManifold, Point, TangentVector
+from .manifolds import EUCLIDEAN, HYPERBOLIC, ModelManifold, Point, TangentVector, _philox
 
 _EPS = float(np.finfo(float).eps)
 _UNIT_TOL = 1e-9  # relative miss allowed in a direction's norm near the pole,
@@ -291,7 +291,7 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
     conservative gauge of the remaining O(t^2) truncation).
     """
     from .simulate import (  # import cycle
-        _check_step, _coupled_step, _noise_steps, _pairs, _Scratch, _step, _traj_rng)
+        _check_step, _coupled_step, _noise_steps, _pairs, _Scratch, _step)
 
     m = spec.manifold
     t_ladder = sorted(set(float(t) for t in t_ladder), reverse=True)
@@ -316,7 +316,7 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
         size = max(1, _ROW_CAP // per)
         for g0 in range(0, len(clouds), size):
             group = clouds[g0:g0 + size]
-            rngs = [_traj_rng(seed, (it << 32) | b) for it, b in group]
+            rngs = [_philox(seed, (it << 32) | b) for it, b in group]
             h = _step(spec, np.repeat([t_ladder[it] / substeps for it, _ in group], per)[:, None])
             X, Y = (np.asfortranarray(np.broadcast_to(v.coords, (len(h.dt), k))) for v in (x, y))
             s = _Scratch(X)  # the group's own; after a step X, Y and d are its arrays

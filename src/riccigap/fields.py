@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NonPSDWarning
-from .manifolds import EUCLIDEAN, SPHERE, ModelManifold, Point, TangentVector
+from .manifolds import EUCLIDEAN, SPHERE, ModelManifold, Point, TangentVector, _philox
 
 _FD_STEP = 1e-5  # central-difference step along geodesics for black-box fields
 
@@ -158,8 +158,7 @@ def random_riemann_like(ambient_dim: int, seed: int, terms: int = 3,
     """Random curvature-like tensor as a combination of Kulkarni-Nomizu
     squares.  With psd=True all coefficients are positive and the factors
     are SPD, which makes the induced tensor field nonnegative."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed & (2**64 - 1), 0x7E45],
-                                                            dtype=np.uint64)))
+    rng = _philox(seed, 0x7E45)
     k = ambient_dim
     total = np.zeros((k, k, k, k))
     for _ in range(terms):
@@ -225,7 +224,7 @@ def h_admissible_field(manifold: ModelManifold, tensor: RiemannLikeTensor) -> Te
     curvature-like tensor, warning if it fails positive semidefiniteness at
     32 sampled points (a fixed stream)."""
     fld = TensorConstructedField(manifold, tensor)
-    rng = np.random.Generator(np.random.Philox(key=np.array([0, 0xAD31], dtype=np.uint64)))
+    rng = _philox(0, 0xAD31)
     worst = math.inf
     for _ in range(32):
         x = manifold.random_point(rng)

@@ -88,6 +88,12 @@ class _Allocating:
 _ALLOCATING = _Allocating()
 
 
+def _philox(seed: int, word: int) -> np.random.Generator:
+    """The Philox stream keyed by the two 64-bit words seed and word (each mod 2^64)."""
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed & (2**64 - 1), word & (2**64 - 1)], dtype=np.uint64)))
+
+
 def _as_vec(a) -> np.ndarray:
     v = np.asarray(a, dtype=float)
     if v.ndim != 1:

@@ -52,7 +52,7 @@ from .curvature import kappa_pair
 from .errors import DivergenceError, InputError
 from .fields import DiffusionSpec, LinearDrift
 from .manifolds import (EUCLIDEAN, HYPERBOLIC, SPHERE, ModelManifold, Point,
-                        _ALLOCATING, _guarded_div, _Scratch)
+                        _ALLOCATING, _guarded_div, _philox, _Scratch)
 
 _NOISE_BLOCK = 256  # time steps of noise drawn at once per trajectory
 
@@ -71,6 +71,8 @@ class SimConfig:
     def __post_init__(self):
         if not (0 < self.dt <= self.horizon):
             raise InputError("need 0 < dt <= horizon")
+        if not math.isfinite(self.horizon / self.dt):
+            raise InputError(f"horizon / dt is {self.horizon / self.dt}, not a finite step count")
         if self.trajectories < 1:
             raise InputError("need at least one trajectory")
         if self.cut_margin <= 0:
@@ -98,11 +100,6 @@ class CoupledTrajectory:
     @property
     def defect(self) -> np.ndarray:
         return self.log_distance - self.log_distance[0] + self.kappa_integral
-
-
-def _traj_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & (2**64 - 1), index & (2**64 - 1)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def step_single(spec: DiffusionSpec, x: Point, dt: float, noise) -> Point:
@@ -363,7 +360,7 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     dt = cfg.dt
     cut = m.cut_threshold - cfg.cut_margin * m.radius
     count = cfg.trajectories
-    rngs = [_traj_rng(cfg.seed, i) for i in range(count)]
+    rngs = [_philox(cfg.seed, i) for i in range(count)]
     kernel = spec.diffusion.constant_inverse_metric is not None
     X, Y = (np.array(np.broadcast_to(v.coords, (count, m.ambient_dim)),
                      order="F" if kernel else "C") for v in (x0, y0))
@@ -453,8 +450,7 @@ def lipschitz_variance_check(manifold: ModelManifold, f=None, samples: int = 10*
         raise InputError("Ricci curvature vanishes on the circle")
     if samples < 2:
         raise InputError("the variance needs at least two samples")
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed & (2**64 - 1), 0x11F], dtype=np.uint64)))
+    rng = _philox(seed, 0x11F)
     pts = rng.standard_normal((samples, manifold.ambient_dim))
     pts *= manifold.radius / np.linalg.norm(pts, axis=1)[:, None]
     if f is None:

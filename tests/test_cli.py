@@ -165,6 +165,26 @@ def test_kappa_normal_direction_exits_2(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("body", ["5", "null", '{"kn_pairs": 5}', '{"kn_pairs": [5]}'])
+def test_malformed_tensor_file_exits_2(runner, tmp_path, body):
+    tensor = tmp_path / "t.json"
+    tensor.write_text(body)
+    out = tmp_path / "k.csv"
+    invoke_bad_input(runner, ["kappa", "--manifold", "sphere:2:1", "--field",
+                              f"example-t:{tensor}", "--point", "0,0,1", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt, horizon", [("1e-3", "inf"), ("1e-3", "1e308"), ("inf", "inf")])
+def test_simulate_without_a_finite_step_count_exits_2(runner, tmp_path, dt, horizon):
+    out = tmp_path / "s.csv"
+    res = invoke_bad_input(runner, ["simulate", "--manifold", "euclidean:2", "--x0", "0.5,0",
+                                    "--y0", "-0.5,0", "--dt", dt, "--horizon", horizon,
+                                    "--paths", "2", "--out", str(out)])
+    assert "not a finite step count" in res.output
+    assert not out.exists()
+
+
 def test_kappa_direction_normalised_far_out_on_the_hyperboloid_is_unit(runner):
     # at rho = 10 on H^2 the Lorentz norm of a unit direction carries eps cosh^2 rho
     # ~ 3e-8 of rounding, which a fixed 1e-9 unit check rejected at 14 of 20 angles
@@ -875,7 +895,8 @@ def _vectorised_route_args(draw):
     """kappa --method mc or simulate on E, S or H of dimension 1-3 and scale
     1e-75-1e75, with a Brownian (c in 1e-6-1e6), OU (rate +-1e6, on E) or
     potential (|a| <= 50, on S) field, from the base point to a point
-    1e-9 r away up to near the cut locus (3 r on H)."""
+    1e-9 r away up to near the cut locus (3 r on H); simulate's horizon is
+    0.05 or, for a step count that is not finite, inf or 1e308."""
     kind = draw(st.sampled_from(["euclidean", "sphere", "hyperbolic"]))
     n = draw(st.integers(1, 3))
     r = 10.0 ** draw(st.floats(-75.0, 75.0))
@@ -901,7 +922,8 @@ def _vectorised_route_args(draw):
         return ["kappa", "--method", "mc", "--manifold", space, "--field", field,
                 "--pair", f"{x};{y}", "--samples", str(draw(st.integers(16, 64)))]
     return ["simulate", "--manifold", space, "--field", field, "--x0", x, "--y0", y,
-            "--dt", "1e-3", "--horizon", "0.05", "--paths", "2"]
+            "--dt", "1e-3", "--horizon", draw(st.just("0.05") | st.sampled_from(["inf", "1e308"])),
+            "--paths", "2"]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -922,16 +944,27 @@ def test_vectorised_route_exits_0_2_or_3_in_time_with_no_warning(args):
                                 for k in list(row)[-3:]), args
 
 
+# the field "kn" of the fuzzes below: the identity Kulkarni-Nomizu tensor, or
+# "kn=TEXT", a malformed tensor file holding TEXT
+_KN_FIELDS = st.just("kn") | st.sampled_from(
+    ["5", "null", '{"kn_pairs": 5}', '{"kn_pairs": [5]}', "[]", '"x"']).map("kn={}".format)
+
+
 def _with_kn_tensor(args, tmp):
-    """args with the field "kn" replaced by the identity Kulkarni-Nomizu
-    tensor of the manifold's ambient dimension, written to a file in tmp."""
-    if "kn" not in args:
+    """args with a field drawn from _KN_FIELDS replaced by a tensor file in
+    tmp: for "kn" the identity Kulkarni-Nomizu tensor of the manifold's
+    ambient dimension, for "kn=TEXT" the text TEXT."""
+    field = next((a for a in args if a == "kn" or a.startswith("kn=")), None)
+    if field is None:
         return args
     n = int(args[args.index("--manifold") + 1].split(":")[1])
     tensor = os.path.join(tmp, "t.json")
     with open(tensor, "w") as fh:
-        json.dump({"kn_pairs": [[np.eye(n + 1).tolist(), np.eye(n + 1).tolist()]]}, fh)
-    return [f"example-t:{tensor}" if a == "kn" else a for a in args]
+        if field == "kn":
+            json.dump({"kn_pairs": [[np.eye(n + 1).tolist(), np.eye(n + 1).tolist()]]}, fh)
+        else:
+            fh.write(field[3:])
+    return [f"example-t:{tensor}" if a == field else a for a in args]
 
 
 @st.composite
@@ -939,8 +972,8 @@ def _single_point_args(draw):
     """kappa --method formula or limit at one point of S2, H2 or H3 (scale
     1e-3-1e3): on the sphere anywhere, on the hyperboloid out to distance 20,
     past the reach (about 14.2); along "any", a drawn direction, the point
-    itself or zero (no tangent part); Brownian, a potential or the identity
-    Kulkarni-Nomizu field ("kn", written by the test)."""
+    itself or zero (no tangent part); Brownian, a potential or a
+    Kulkarni-Nomizu field, well formed or not (_KN_FIELDS)."""
     space = draw(st.sampled_from(["sphere:2", "hyperbolic:2", "hyperbolic:3"]))
     r = 10.0 ** draw(st.floats(-3.0, 3.0))
     n = int(space[-1])
@@ -956,6 +989,7 @@ def _single_point_args(draw):
     direction = {"x": ",".join(map(repr, x.tolist())),
                  "0": ",".join(["0.0"] * (n + 1))}.get(direction, direction)
     field = draw(st.sampled_from(["brownian", "kn", "potential:0.3*cos"]))
+    field = draw(_KN_FIELDS) if field == "kn" else field
     method = draw(st.sampled_from(["formula", "limit"]))
     return ["kappa", "--method", method, "--manifold", f"{space}:{r!r}", "--field", field,
             "--point", ",".join(map(repr, x.tolist())), "--direction", direction]
@@ -983,8 +1017,8 @@ def _report_args(draw):
     """spectrum, bounds, check-h or variance on scales 1e-75-1e75: zonal
     potentials a cos^k up to the overflow edge of exp(phi), grids 16-1024,
     --nprime below, at and above n, check-h on the brownian, a potential or
-    the identity Kulkarni-Nomizu field ("kn", written by the test), and
-    variance with 2-1,000 samples."""
+    a Kulkarni-Nomizu field, well formed or not (_KN_FIELDS), and variance
+    with 2-1,000 samples."""
     command = draw(st.sampled_from(["spectrum", "bounds", "check-h", "variance"]))
     r = 10.0 ** draw(st.floats(-75.0, 75.0))
     n = draw(st.integers(1, 3))
@@ -1000,6 +1034,7 @@ def _report_args(draw):
     if command == "variance":
         return ["variance", "--manifold", space, "--samples", str(draw(st.integers(2, 1000)))]
     field = draw(st.sampled_from(["brownian", "kn", f"potential:{potential}"]))
+    field = draw(_KN_FIELDS) if field == "kn" else field
     return ["check-h", "--manifold", space, "--field", field,
             "--geodesics", str(draw(st.integers(1, 4)))]
 

@@ -467,6 +467,31 @@ def test_extremal_optimal_value():
     assert cm.value == pytest.approx(v, abs=1e-10)
 
 
+def test_extremal_optimal_and_deterministic_for_ill_conditioned_marginals():
+    # 400 S3 jets at d = 0.4 with eigenvalues of A_x and A_y down to 1e-8:
+    # C0 from the SVD of the reduced cost keeps the optimum to rounding
+    # level, where the eigenvalues of its Gram matrix lost ~1e-7 of it
+    m = parse_manifold("sphere:3:1")
+    g = np.random.Generator(np.random.Philox(key=np.array([2, 1], dtype=np.uint64)))
+
+    def ill_conditioned():
+        w = 10.0 ** g.uniform(-8.0, 0.0, 3)
+        w[g.integers(3)] = 1.0
+        q, _ = np.linalg.qr(g.standard_normal((3, 3)))
+        return (q * w) @ q.T
+
+    for _ in range(400):
+        x = m.random_point(g)
+        u = m.random_tangent(g, x)
+        jet = m.distance_jet(x, m.exp_map(x, TangentVector(x, 0.4 * u.components)))
+        A_x, A_y = ill_conditioned(), ill_conditioned()
+        v = min_coupling_value(A_x, jet.q12, A_y)
+        for cov in extremal_covariances(A_x, A_y, jet):
+            assert abs(cov.value - v) <= 1e-12 * abs(v)
+            assert (np.abs(cov.C.T @ np.linalg.solve(A_x, cov.C) - A_y).max()
+                    <= 1e-7 * np.abs(A_y).max())
+
+
 def test_extremal_rejects_singular():
     m = parse_manifold("sphere:2:1")
     jet = jet_at(m, 0.5, seed=14)

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riccigap import simulate
+from riccigap import manifolds, simulate
 from riccigap.cli import main, parse_field, simulate_rows
 from riccigap.curvature import kappa_dir, kappa_pair
 from riccigap.errors import DivergenceError, InputError
@@ -59,6 +59,9 @@ def test_sim_config_validation():
         SimConfig(dt=0.1, horizon=0.2, trajectories=0)
     with pytest.raises(InputError):
         SimConfig(dt=0.1, horizon=0.2, trajectories=1, cut_margin=-1.0)
+    for dt, horizon in ((1e-3, math.inf), (1e-3, 1e308), (math.inf, math.inf)):
+        with pytest.raises(InputError, match="not a finite step count"):
+            SimConfig(dt=dt, horizon=horizon, trajectories=1)
 
 
 def test_step_single_zero_noise_zero_drift():
@@ -566,7 +569,7 @@ def test_noise_drawn_in_time_blocks_is_each_trajectorys_own_stream():
     cfg = SimConfig(dt=dt, horizon=steps * dt, trajectories=5, seed=seed, workers=2)
     for j, tr in enumerate(run_coupled(brownian(E2), x0, y0, cfg)):
         x = x0.coords
-        for z in simulate._traj_rng(seed, j).standard_normal((steps, 2)):
+        for z in manifolds._philox(seed, j).standard_normal((steps, 2)):
             x = 1.0 * x + math.sqrt(dt) * z
         assert np.array_equal(tr.pair_states[-1][0].coords, x), j
 
