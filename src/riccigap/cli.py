@@ -397,12 +397,16 @@ def kappa_row(manifold: str, field: str, method: str, point: str | None,
     spec = parse_field(mfd, field)
     row = {"manifold": manifold, "field": field, "method": method, "seed": seed}
     if pair:
+        if point is not None or direction is not None or method == "limit":
+            raise InputError("--pair takes --method formula or mc, and no --point or --direction")
         try:
             xs, ys = pair.split(";")
         except ValueError as exc:
             raise InputError("pair must be 'x1,..;y1,..'") from exc
         x = parse_coords(mfd, xs)
         y = parse_coords(mfd, ys)
+        if x == y:
+            raise InputError("the pair's two points must be distinct")
         row.update(pair=pair)
         if method == "mc":
             est, (lo, hi) = curvature.estimate_kappa_direct(spec, x, y, seed=seed,
@@ -442,7 +446,7 @@ _row_command(
     click.option("--method", type=click.Choice(["formula", "limit", "mc"]), default="formula"),
     click.option("--point", default=None, help="comma-separated ambient coordinates"),
     click.option("--direction", default=None, help="ambient components or 'any'"),
-    click.option("--pair", default=None, help="two points 'x1,..;y1,..'"),
+    click.option("--pair", default=None, help="two distinct points 'x1,..;y1,..' (formula or mc)"),
     click.option("--delta-ladder", default="0.1,0.05,0.025", show_default=True),
     click.option("--seed", default=0, show_default=True),
     click.option("--samples", default=4096, show_default=True))

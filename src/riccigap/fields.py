@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NonPSDWarning
-from .manifolds import EUCLIDEAN, SPHERE, ModelManifold, Point, TangentVector, _philox
+from .manifolds import (EUCLIDEAN, SPHERE, ModelManifold, Point, TangentVector, _ALLOCATING,
+                        _philox, _trig)
 
 _FD_STEP = 1e-5  # central-difference step along geodesics for black-box fields
+_ENTRY_MAX = math.sqrt(np.finfo(float).max)  # a tensor entry whose square is finite
 
 
 # ---------------------------------------------------------------------------
@@ -44,12 +46,12 @@ class TensorField:
 
     def derivative(self, x: Point, frame: np.ndarray) -> np.ndarray:
         m = x.manifold
-        u = TangentVector(x, frame[:, 0].copy())
+        u = frame[:, 0].copy()
         out = []
         for s in (_FD_STEP, -_FD_STEP):
-            y = m.exp_map(x, TangentVector(x, s * u.components))
+            y = m.exp_map(x, TangentVector(x, s * u))
             fy = frame.copy()  # transport along u fixes the columns orthogonal to it
-            fy[:, 0] = m.transport_many(x.coords, y.coords, u.components)
+            fy[:, 0] = m._velocity(x.coords, u, *_trig(m.kind, s / m.radius), _ALLOCATING)
             out.append(self.matrix(y, fy))
         return (out[0] - out[1]) / (2.0 * _FD_STEP)
 
@@ -129,6 +131,8 @@ class RiemannLikeTensor:
         T = np.asarray(self.entries, dtype=float)
         if T.ndim != 4 or len(set(T.shape)) != 1:
             raise InputError("expected a 4-index array with equal axis lengths")
+        if not np.abs(T).max() <= _ENTRY_MAX:  # NaN compares false
+            raise InputError(f"tensor entries must be finite and at most {_ENTRY_MAX:.4g} in size")
         _check_riemann_symmetries(T)
         object.__setattr__(self, "entries", T)
 
@@ -140,10 +144,11 @@ class RiemannLikeTensor:
 def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> RiemannLikeTensor:
     """Kulkarni-Nomizu product of two symmetric matrices: always satisfies
     the curvature symmetries, exactly in floating point."""
-    h = 0.5 * (np.asarray(h, float) + np.asarray(h, float).T)
-    k = 0.5 * (np.asarray(k, float) + np.asarray(k, float).T)
-    T = (np.einsum("ik,jl->ijkl", h, k) + np.einsum("jl,ik->ijkl", h, k)
-         - np.einsum("il,jk->ijkl", h, k) - np.einsum("jk,il->ijkl", h, k))
+    with np.errstate(over="ignore", invalid="ignore"):  # RiemannLikeTensor rejects inf, NaN
+        h = 0.5 * (np.asarray(h, float) + np.asarray(h, float).T)
+        k = 0.5 * (np.asarray(k, float) + np.asarray(k, float).T)
+        T = (np.einsum("ik,jl->ijkl", h, k) + np.einsum("jl,ik->ijkl", h, k)
+             - np.einsum("il,jk->ijkl", h, k) - np.einsum("jk,il->ijkl", h, k))
     return RiemannLikeTensor(T)
 
 

@@ -10,8 +10,10 @@ The second-order jet of the distance function is stored in the normalized
 form d(exp_x(eps v), exp_y(eps w)) = d * [1 + eps*(l1.v + l2.w)
 + eps^2/2*(q1(v,v) + q2(w,w) + 2*q12(v,w))], so l1, l2 carry a 1/d factor
 and q1, q2, q12 carry a 1/d^2-ish scale.  Components are expressed in a
-pair of geodesic-adapted orthonormal frames (first frame vector along the
-connecting geodesic, second frame obtained by parallel transport).
+pair of geodesic-adapted orthonormal frames: the frame at y is the parallel
+transport of the frame at x, whose column 0 is the unit log map.  Column 0
+at y is the geodesic's velocity there (_velocity), and the other columns,
+orthogonal to the geodesic's plane, are carried over unchanged.
 """
 
 from __future__ import annotations
@@ -304,17 +306,25 @@ class ModelManifold:
         return self._project(X, np.multiply(V, g, out=s[out]), s, out, xx), sn, cs
 
     def transport_many(self, X, Y, W) -> np.ndarray:
-        """Parallel transport of tangent vectors W at X to Y along the geodesic."""
+        """Parallel transport of tangent vectors W at X to Y along the geodesic: the
+        part along its unit velocity u at X moves onto its velocity at Y, the rest stays."""
         if self.kind == EUCLIDEAN:
             return np.array(W, copy=True)
         V, sn, cs = self._log(X, Y, self.dist_many(X, Y), _ALLOCATING)
         d = np.sqrt(np.maximum(self.ip(V, V), 0.0))[..., None]
         deg = d < 1e-15
         u = _guarded_div(V, d, deg, 0.0)
-        sn = (-sn if self.kind == SPHERE else sn)[..., None]
-        uprime = sn * X / self.radius + cs[..., None] * u  # velocity at Y
-        out = W + self.ip(W, u)[..., None] * (uprime - u)
+        out = W + self.ip(W, u)[..., None] * (self._velocity(X, u, sn, cs, _ALLOCATING) - u)
         return np.where(deg, W, out) if deg.any() else out
+
+    def _velocity(self, X, u, sn, cs, s: _Scratch, out=None):
+        """The velocity at theta r along the geodesic from X at unit velocity u, from
+        theta's sin and cos: -+sin theta X/r + cos theta u (sinh, cosh on H) into s[out]."""
+        if self.kind == EUCLIDEAN:
+            return u
+        V = np.multiply((-sn if self.kind == SPHERE else sn)[..., None], X, out=s[out])
+        V = np.divide(V, self.radius, out=V)
+        return np.add(V, np.multiply(cs[..., None], u, out=s["prod"]), out=V)
 
     # -- public single-pair operations --------------------------------------
 
@@ -329,7 +339,7 @@ class ModelManifold:
             raise CutLocusError(
                 f"log map undefined: d = {d:.17g} is at the cut locus (pi*r = {math.pi*self.radius:.17g})"
             )
-        return TangentVector(x, self.log_many(x.coords, y.coords))
+        return TangentVector(x, self.log_many(x.coords, y.coords, d))
 
     def distance(self, x: "Point", y: "Point") -> float:
         self._check_pair(x, y)
@@ -364,25 +374,6 @@ class ModelManifold:
         E[:, 0] = first
         return E
 
-    def adapted_frames(self, x: "Point", y: "Point") -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal frames at x and y adapted to the connecting geodesic.
-
-        Column 0 at x is the unit vector toward y; the frame at y is the
-        parallel transport of the frame at x (so column 0 at y is the forward
-        geodesic velocity, i.e. minus the unit vector from y toward x).
-        Transport along the geodesic fixes the vectors orthogonal to its
-        plane, so only column 0 moves.
-        """
-        v = self.log_map(x, y)
-        d = self.norm(v)
-        if d <= 0:
-            raise CutLocusError("adapted frames need two distinct points")
-        e1 = v.components / d
-        E = self.frame(x, first=e1)
-        F = E.copy()
-        F[:, 0] = self.transport_many(x.coords, y.coords, e1)
-        return E, F
-
     def to_frame(self, E: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Components of ambient tangent vector v w.r.t. orthonormal frame E."""
         if self.kind == HYPERBOLIC:
@@ -397,17 +388,24 @@ class ModelManifold:
     # -- distance jet ----------------------------------------------------------
 
     def distance_jet(self, x: "Point", y: "Point") -> "DistanceJet":
-        """Closed-form second-order jet of the distance at (x, y)."""
+        """Closed-form second-order jet of the distance at (x, y), from one distance
+        and one log map, in the frames of the module docstring."""
         self._check_pair(x, y)
         d = float(self.dist_many(x.coords, y.coords))
         if not 0.0 < d < self.cut_threshold:
             raise CutLocusError(f"distance jet needs 0 < d < {self.cut_threshold:.17g}, got {d:.17g}")
-        E, F = self.adapted_frames(x, y)
+        V, sn, cs = self._log(x.coords, y.coords, d, _ALLOCATING)
+        norm = math.sqrt(max(self.ip(V, V), 0.0))
+        if norm <= 0:
+            raise CutLocusError("the distance jet needs two distinct points")
+        u = V / norm
+        E = self.frame(x, first=u)
+        F = E.copy()
+        F[:, 0] = self._velocity(x.coords, u, sn, cs, _ALLOCATING)
         if self.kind == EUCLIDEAN:
             qa = qb = 1.0
         else:  # the q1 and -q12 scales: theta cot theta and theta / sin theta (coth, sinh on H)
             th = d / self.radius
-            sn, cs = _trig(self.kind, th)
             qa, qb = th * cs / sn, th / sn
         qa, qb = qa / d**2, qb / d**2
         n = self.dim
@@ -424,14 +422,11 @@ class ModelManifold:
 
     def distance_jet_numeric(self, x: "Point", y: "Point", step: float) -> "DistanceJet":
         """Finite-difference jet (test oracle): central second differences of
-        d(exp_x(eps v), exp_y(eps w)) over the adapted frames."""
-        self._check_pair(x, y)
-        d = float(self.dist_many(x.coords, y.coords))
-        if not 0.0 < d < self.cut_threshold:
-            raise CutLocusError("finite-difference jet undefined at/beyond the cut locus")
+        d(exp_x(eps v), exp_y(eps w)) over distance_jet's frames."""
+        jet = self.distance_jet(x, y)  # raises CutLocusError unless 0 < d < cut threshold
+        d, E, F = jet.d, jet.frame_x, jet.frame_y
         if not 0.0 < step < d / 10.0:
             raise InputError("step must lie in (0, d/10)")
-        E, F = self.adapted_frames(x, y)
         n = self.dim
         h = step
 

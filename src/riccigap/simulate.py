@@ -190,7 +190,7 @@ class _Pairs(NamedTuple):
 def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray,
            s: _Scratch | None = None) -> _Pairs:
     """The _Pairs of X, Y at distances d, in the scratch s if given: u from
-    ModelManifold._log, u' from the sine and cosine of theta it formed.
+    ModelManifold._log, u' from _velocity with the sin and cos _log formed.
     Flat space with zero or linear drift needs no direction; pairs closer
     than 1e-15 (the threshold of transport_many) get u = 0."""
     m = spec.manifold
@@ -200,13 +200,7 @@ def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray,
     xx = None if m.kind == EUCLIDEAN else m._ip(X, X, s, "xx", "prod")
     V, sn, cs = m._log(X, Y, d, s, "u", xx)
     u = _guarded_div(V, d1, d1 < 1e-15, 0.0, s["u"])
-    if m.kind == EUCLIDEAN:
-        uy = u
-    else:
-        UY = s["uy"]
-        uy = np.divide(np.multiply((-sn if m.kind == SPHERE else sn)[:, None], X, out=UY),
-                       m.radius, out=UY)
-        uy = np.add(uy, np.multiply(cs[:, None], u, out=s["prod"]), out=UY)
+    uy = m._velocity(X, u, sn, cs, s, "uy")
     f = (None, None) if spec.drift.is_zero else (spec.drift.vector_many(m, X),
                                                   spec.drift.vector_many(m, Y))
     return _Pairs(X, Y, d, u, uy, *f, xx, s)

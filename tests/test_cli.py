@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riccigap
-from riccigap import cli, simulate
+from riccigap import cli, curvature, simulate
 from riccigap.cli import main
 from riccigap.errors import NonPSDWarning
 from test_simulate import _time_budget, record_manifold_threads
@@ -165,7 +165,15 @@ def test_kappa_normal_direction_exits_2(runner, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("body", ["5", "null", '{"kn_pairs": 5}', '{"kn_pairs": [5]}'])
+# identity Kulkarni-Nomizu files on S^2 with one entry infinite, NaN, or so
+# large (1e200) that its square overflows
+_OUT_OF_RANGE_TENSORS = [json.dumps({"kn_pairs": [[[[v, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                                     np.eye(3).tolist()]]})
+                         for v in (math.inf, math.nan, 1e200)]
+
+
+@pytest.mark.parametrize("body", ["5", "null", '{"kn_pairs": 5}', '{"kn_pairs": [5]}',
+                                  *_OUT_OF_RANGE_TENSORS])
 def test_malformed_tensor_file_exits_2(runner, tmp_path, body):
     tensor = tmp_path / "t.json"
     tensor.write_text(body)
@@ -473,6 +481,30 @@ def test_kappa_mc_cloud_over_cap_exits_2(runner, tmp_path, monkeypatch):
     assert not out.exists()
 
 
+_PAIR = "0,0,1;0.479425538604203,0,0.8775825618903728"
+
+
+@pytest.mark.parametrize("args", [
+    ["--method", "limit", "--pair", _PAIR],
+    ["--pair", _PAIR, "--point", "0,0,1"],
+    ["--pair", _PAIR, "--direction", "any"],
+    ["--method", "formula", "--pair", "0,0,1;0,0,1"],
+    ["--method", "mc", "--pair", "0,0,1;0,0,1"],
+], ids=["limit", "point", "direction", "coincident-formula", "coincident-mc"])
+def test_kappa_pair_rejects_what_it_cannot_honour_before_computing(runner, tmp_path,
+                                                                   monkeypatch, args):
+    # the limit is taken along a direction at one point; identical points
+    # have no pair curvature by any method
+    def computed(*args, **kwargs):
+        raise AssertionError("kappa computed before the options were checked")
+
+    for name in ("kappa_pair", "estimate_kappa_direct", "kappa_dir", "kappa_dir_by_limit"):
+        monkeypatch.setattr(curvature, name, computed)
+    out = tmp_path / "k.csv"
+    invoke_bad_input(runner, ["kappa", "--manifold", "sphere:2:1", *args, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_simulate_command_and_summary(runner, tmp_path):
     out = tmp_path / "t.csv"
     summ = tmp_path / "s.json"
@@ -568,11 +600,12 @@ def test_sweep_empty_and_rows(runner, tmp_path):
     assert rows[3]["status"] == "error" and rows[3]["error"]
 
 
-# (command, the required keys (kappa: and a point), every option set)
+# (command, the required keys (kappa: and a point), every option that can be
+# set together: kappa's --pair takes no --point or --direction)
 SWEEP_ROW_CASES = [
     ("kappa", {"manifold": "sphere:2:1", "point": "0,0,1"},
-     {"manifold": "sphere:2:1", "field": "potential:0.3*cos", "method": "mc", "point": "0,0,1",
-      "direction": "1,0,0", "pair": "0,0,1;0.479425538604203,0,0.8775825618903728",
+     {"manifold": "sphere:2:1", "field": "potential:0.3*cos", "method": "mc",
+      "pair": "0,0,1;0.479425538604203,0,0.8775825618903728",
       "delta_ladder": "0.2,0.1", "seed": 3, "samples": 256}),
     ("spectrum", {"manifold": "sphere:1:1"},
      {"manifold": "sphere:2:1", "potential": "0.3*cos", "grid": 64}),
@@ -944,26 +977,31 @@ def test_vectorised_route_exits_0_2_or_3_in_time_with_no_warning(args):
                                 for k in list(row)[-3:]), args
 
 
-# the field "kn" of the fuzzes below: the identity Kulkarni-Nomizu tensor, or
-# "kn=TEXT", a malformed tensor file holding TEXT
-_KN_FIELDS = st.just("kn") | st.sampled_from(
-    ["5", "null", '{"kn_pairs": 5}', '{"kn_pairs": [5]}', "[]", '"x"']).map("kn={}".format)
+# the field "kn" of the fuzzes below: the identity Kulkarni-Nomizu tensor,
+# "kn*V", the same with one entry V (inf, nan or 1e200, whose square
+# overflows), or "kn=TEXT", a malformed tensor file holding TEXT
+_KN_FIELDS = st.just("kn") | st.sampled_from(["inf", "nan", "1e200"]).map("kn*{}".format) | (
+    st.sampled_from(["5", "null", '{"kn_pairs": 5}', '{"kn_pairs": [5]}', "[]", '"x"']).map(
+        "kn={}".format))
 
 
 def _with_kn_tensor(args, tmp):
     """args with a field drawn from _KN_FIELDS replaced by a tensor file in
     tmp: for "kn" the identity Kulkarni-Nomizu tensor of the manifold's
-    ambient dimension, for "kn=TEXT" the text TEXT."""
-    field = next((a for a in args if a == "kn" or a.startswith("kn=")), None)
+    ambient dimension, for "kn*V" the same with V in its first entry, for
+    "kn=TEXT" the text TEXT."""
+    field = next((a for a in args if a == "kn" or a.startswith(("kn*", "kn="))), None)
     if field is None:
         return args
     n = int(args[args.index("--manifold") + 1].split(":")[1])
     tensor = os.path.join(tmp, "t.json")
     with open(tensor, "w") as fh:
-        if field == "kn":
-            json.dump({"kn_pairs": [[np.eye(n + 1).tolist(), np.eye(n + 1).tolist()]]}, fh)
-        else:
+        if field.startswith("kn="):
             fh.write(field[3:])
+        else:
+            h = np.eye(n + 1)
+            h[0, 0] = float(field[3:] or 1.0)
+            json.dump({"kn_pairs": [[h.tolist(), np.eye(n + 1).tolist()]]}, fh)
     return [f"example-t:{tensor}" if a == field else a for a in args]
 
 
@@ -1007,6 +1045,59 @@ def test_single_point_kappa_exits_0_2_or_3_in_time_with_no_warning(args):
             warnings.simplefilter("always")
             res = CliRunner().invoke(main, [*args, "--out", out], catch_exceptions=False)
         assert res.exit_code in (0, 2, 3), (args, res.output)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], args
+        if res.exit_code == 0:
+            assert math.isfinite(float(read_csv(out)[0]["kappa"])), args
+
+
+@st.composite
+def _pair_args(draw):
+    """kappa --pair --method formula|limit|mc (mc with 16-64 samples) on S^2,
+    H^2 and H^3 at scales 1e-3-1e3: the first point anywhere on the sphere or
+    out to rho = 12 on the hyperboloid, the second 1e-6 r to past the cut
+    threshold (10 r on H) away along a drawn direction, or the first again;
+    the brownian field, potential:0.3*cos on S^2, or a Kulkarni-Nomizu field,
+    well formed or not (_KN_FIELDS)."""
+    space = draw(st.sampled_from(["sphere:2", "hyperbolic:2", "hyperbolic:3"]))
+    m = cli.parse_manifold(f"{space}:{10.0 ** draw(st.floats(-3.0, 3.0))!r}")
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=m.dim, max_size=m.dim).map(np.array).filter(
+        lambda w: np.linalg.norm(w) > 1e-3).map(lambda w: w / np.linalg.norm(w))
+    omega, c = draw(unit), draw(unit)
+    if m.kind == "sphere":
+        a, top = draw(st.floats(0.0, math.pi)), math.pi
+        sin, cos = math.sin(a), math.cos(a)
+    else:
+        rho, top = draw(st.floats(0.0, 12.0)), 10.0
+        sin, cos = math.sinh(rho), math.cosh(rho)
+    x = m.radius * np.append(sin * omega, cos)
+    t = draw(st.floats(-6.0, math.log10(top)).map(lambda e: 10.0**e)
+             | st.floats(-12.0, -6.0).map(lambda e: top * (1.0 - 10.0**e)) | st.just(0.0))
+    y = m.exp_many(x, t * m.radius * (m.frame(m.point(x)) @ c)) if t else x
+    fields = [st.just("brownian"), _KN_FIELDS]
+    if m.kind == "sphere":
+        fields.append(st.just("potential:0.3*cos"))
+    method = draw(st.sampled_from(["formula", "limit", "mc"]))
+    args = ["kappa", "--method", method, "--manifold", f"{space}:{m.radius!r}",
+            "--field", draw(st.one_of(fields)),
+            "--pair", ";".join(",".join(map(repr, p.tolist())) for p in (x, y))]
+    return args + ["--samples", str(draw(st.integers(16, 64)))] if method == "mc" else args
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(args=_pair_args())
+def test_pair_kappa_exits_0_2_or_3_in_time_with_no_warning(args):
+    # every pair ends in a finite row or a typed error, never in a traceback,
+    # a hang or a floating-point warning; the limit needs --point, and
+    # identical points have no pair curvature
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        args = _with_kn_tensor(args, tmp)
+        with warnings.catch_warnings(record=True) as caught, _time_budget(5.0):
+            warnings.simplefilter("always")
+            res = CliRunner().invoke(main, [*args, "--out", out], catch_exceptions=False)
+        x, y = args[args.index("--pair") + 1].split(";")
+        allowed = (2,) if "limit" in args or x == y else (0, 2, 3)
+        assert res.exit_code in allowed, (args, res.output)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], args
         if res.exit_code == 0:
             assert math.isfinite(float(read_csv(out)[0]["kappa"])), args

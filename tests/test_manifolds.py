@@ -277,7 +277,8 @@ def test_adapted_frames_orthonormal_and_transported():
         x = m.random_point(g)
         u = m.random_tangent(g, x)
         y = m.exp_map(x, TangentVector(x, 0.8 * u.components))
-        E, F = m.adapted_frames(x, y)
+        jet = m.distance_jet(x, y)
+        E, F = jet.frame_x, jet.frame_y
         for cols, base in ((E, x), (F, y)):
             gram = np.array([[m.ip(cols[:, a], cols[:, b]) for b in range(m.dim)]
                              for a in range(m.dim)])
@@ -333,8 +334,68 @@ def test_frames_are_orthonormal_and_tangent_to_rounding(case):
         if m.kind != "euclidean":
             assert np.abs(x.coords @ J @ built).max(initial=0.0) <= tol * m.radius
     y = m.exp_map(x, TangentVector(x, 0.5 * m.radius * u))
-    Ex, Fy = m.adapted_frames(x, y)
+    jet = m.distance_jet(x, y)
+    Ex, Fy = jet.frame_x, jet.frame_y
     assert np.array_equal(Fy[:, 1:], Ex[:, 1:])
+
+
+@st.composite
+def _jet_cases(draw):
+    """A pair on S^2, S^3 (r 0.7), H^2 or H^3 at distance d in [0.05, 1] r: the
+    point anywhere on the sphere or out to rho = 8 on the hyperboloid, and a
+    drawn direction there."""
+    m = draw(st.sampled_from([S2, parse_manifold("sphere:3:0.7"), H2, parse_manifold("hyperbolic:3")]))
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=m.dim, max_size=m.dim).map(np.array).filter(
+        lambda w: np.linalg.norm(w) > 1e-3).map(lambda w: w / np.linalg.norm(w))
+    omega, c = draw(unit), draw(unit)
+    if m.kind == "sphere":
+        a = draw(st.floats(0.0, math.pi))
+        sin, cos = math.sin(a), math.cos(a)
+    else:
+        rho = draw(st.floats(0.0, 8.0) | st.just(8.0))
+        sin, cos = math.sinh(rho), math.cosh(rho)
+    x = m.point(m.radius * np.append(sin * omega, cos))
+    d = m.radius * draw(st.floats(0.05, 1.0) | st.sampled_from([0.05, 1.0]))
+    return m, x, m.exp_map(x, TangentVector(x, d * (m.frame(x) @ c)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_jet_cases())
+def test_jet_matches_finite_differences_and_its_frames_are_transported(case):
+    m, x, y = case
+    jet = m.distance_jet(x, y)
+    eps = np.finfo(float).eps
+    # c03's 1e-4, plus the oracle's own rounding: its distances carry
+    # eps |x| |y| / (r^2 sin theta) (sinh on H), which its second differences
+    # divide by (h/d)^2 theta
+    th = jet.d / m.radius
+    noise = 16.0 * eps * 200.0**2 * np.linalg.norm(x.coords) * np.linalg.norm(y.coords) / (
+        m.radius**2 * th * (math.sin(th) if m.kind == "sphere" else math.sinh(th)))
+    num = m.distance_jet_numeric(x, y, step=jet.d / 200)
+    for name in ("l1", "l2", "q1", "q2", "q12"):
+        a, b = getattr(jet, name), getattr(num, name)
+        assert np.abs(a - b).max() <= (1e-4 + noise) * np.abs(a).max(), name
+    J = np.eye(m.ambient_dim)
+    if m.kind == "hyperbolic":
+        J[-1, -1] = -1.0
+    t = max(abs(x.coords[-1]), abs(y.coords[-1])) / m.radius
+    tol = 16.0 * eps * max(1.0, t * t)
+    for frame in (jet.frame_x, jet.frame_y):
+        assert np.abs(frame.T @ J @ frame - np.eye(m.dim)).max() <= tol
+    assert np.array_equal(jet.frame_y[:, 1:], jet.frame_x[:, 1:])
+
+
+@pytest.mark.parametrize("m", [S2, parse_manifold("hyperbolic:3:1.3")], ids=["sphere", "hyperbolic"])
+def test_distance_jet_takes_one_distance_one_log_map_and_no_transport(m):
+    x = m.random_point(rng(53))
+    y = m.exp_map(x, TangentVector(x, 0.4 * m.radius * m.frame(x)[:, 0]))
+    counted = {name: mock.patch.object(ModelManifold, name, autospec=True,
+                                       side_effect=getattr(ModelManifold, name))
+               for name in ("_dist", "_log", "transport_many")}
+    with counted["_dist"] as dist, counted["_log"] as log, counted["transport_many"] as moved, \
+            mock.patch.object(manifolds, "_trig", side_effect=manifolds._trig) as trig:
+        m.distance_jet(x, y)
+    assert (dist.call_count, log.call_count, moved.call_count, trig.call_count) == (1, 1, 0, 1)
 
 
 def test_a_hyperboloid_point_past_the_reach_is_invalid_input():
