@@ -509,8 +509,10 @@ def simulate_rows(manifold: str, field: str, x0: str, y0: str, dt: float,
     np.stack([tr.log_distance for tr in trajs], out=logs)
     np.stack([tr.kappa_integral for tr in trajs], out=integ)
     np.add(np.subtract(logs, logs[:, :1], out=defect), integ, out=defect)  # CoupledTrajectory.defect
-    # math.exp, not np.exp: the two can differ in the last bit
-    rows["distance"] = np.fromiter(map(math.exp, rows["distance"].tolist()), float, len(rows))
+    dist = rows["distance"]  # math.exp, not np.exp: the two can differ in the last bit
+    for i in range(0, len(rows), _BLOCK_ROWS):  # _BLOCK_ROWS Python floats at a time
+        block = dist[i:i + _BLOCK_ROWS]
+        block[:] = np.fromiter(map(math.exp, block.tolist()), float, len(block))
     finals = defect[:, -1].copy()
     summary = {
         "manifold": manifold, "field": field, "dt": dt, "horizon": horizon,

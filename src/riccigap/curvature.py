@@ -318,18 +318,19 @@ def estimate_kappa_direct(spec: DiffusionSpec, x: Point, y: Point,
             group = clouds[g0:g0 + size]
             rngs = [_philox(seed, (it << 32) | b) for it, b in group]
             h = _step(spec, np.repeat([t_ladder[it] / substeps for it, _ in group], per)[:, None])
-            X, Y = (np.asfortranarray(np.broadcast_to(v.coords, (len(h.dt), k))) for v in (x, y))
-            s = _Scratch(X)  # the group's own; after a step X, Y and d are its arrays
-            d = m.dist_many(X, Y)
+            s = _Scratch(np.empty((len(h.dt), k), order="F"))  # the group's own
+            XY = s.both["X0"]  # X over Y; after a step XY and d are arrays of s
+            XY[0], XY[1] = x.coords, y.coords
+            d = m.dist_many(*XY)
             for z in _noise_steps(rngs, per, k, substeps, max(1, _NOISE_FLOATS // (len(d) * k))):
                 with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
-                    X, Y = _coupled_step(spec, _pairs(spec, X, Y, d, s), z, h)
-                    d = m._dist(X, Y, s, "d")
+                    XY = _coupled_step(spec, _pairs(spec, *XY, d, s, XY), z, h)
+                    d = m._dist(*XY, s, "d")
                 top = float(d.max())
-                _check_step(m, math.isfinite(top), X, Y)
+                _check_step(m, math.isfinite(top), XY)
                 crossed = crossed or top > m.cut_threshold
             for j in range(len(group)):
-                yield X[j * per:(j + 1) * per], Y[j * per:(j + 1) * per]
+                yield XY[0, j * per:(j + 1) * per], XY[1, j * per:(j + 1) * per]
 
     w1 = _cloud_w1s(m, stepped())
     kap = np.array([(d0 - w) / (t_ladder[it] * d0) for (it, _), w in zip(clouds, w1)])

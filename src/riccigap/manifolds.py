@@ -18,6 +18,7 @@ orthogonal to the geodesic's plane, are carried over unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,13 +47,14 @@ def _row_sum(f, u: np.ndarray, v: np.ndarray, out=None, tmp=None):
     elementwise f, into out (f(u, v) into tmp where it is formed whole).  On
     C-ordered rows a sum of columns, as ufunc.reduce costs ~6x as much at
     (8192, 3) and on rows broadcast to (N, N) needs an (N, N, k) array; on
-    column-major rows of one shape ufunc.reduce is that sum.  The +0 seed
-    makes a sum of -0 terms +0, as numpy's is."""
+    rows of one shape laid out column by column (column-major, or the halves
+    of a _Scratch stack) ufunc.reduce is that sum.  The +0 seed makes a sum
+    of -0 terms +0, as numpy's is."""
     k = u.shape[-1]
     if k > _SEQUENTIAL_SUM_MAX or v.shape[-1] != k:
         return np.add.reduce(np.ascontiguousarray(f(u, v)), axis=-1, out=out)  # np.sum, unwrapped
     if (max(u.size, v.size) < _COLUMN_SUM_MIN_SIZE
-            or (u.shape == v.shape and u.flags.f_contiguous and v.flags.f_contiguous)):
+            or (u.shape == v.shape and u.strides[-2] == v.strides[-2] == u.itemsize)):
         return np.add.reduce(f(u, v, out=tmp), axis=-1, out=out)
     s = np.add(f(u[..., 0], v[..., 0]), 0.0, out=out)
     for j in range(1, k):
@@ -65,18 +67,24 @@ def _squared_difference(x, y, out=None):
 
 
 class _Scratch(dict):
-    """Named arrays of one block, made on first use: s[name] laid out like its
-    (N, k) rows `like`, s[name, 1] an (N,) column.  In _ALLOCATING every
-    s[...] is None, so out=s[...] allocates: the kernels' in-place forms are
-    then their public forms."""
+    """Named arrays of one block of N pairs, made on first use: s[name] laid
+    out like its column-major (N, k) rows `like`, s[name, 1] an (N,) column;
+    s.both holds the block's stacks of both ends, (2, N, k), each half laid
+    out like `like`.  In _ALLOCATING every s[...] is None, so out=s[...]
+    allocates: the kernels' in-place forms are then their public forms."""
 
     def __init__(self, like):
         super().__init__()
         self.like = like
 
     def __missing__(self, key):
-        buf = self[key] = np.empty_like(self.like[:, 0] if isinstance(key, tuple) else self.like)
+        buf = self[key] = np.empty_like(self.like[..., 0] if isinstance(key, tuple) else self.like)
         return buf
+
+    @functools.cached_property
+    def both(self) -> "_Scratch":
+        n, k = self.like.shape
+        return _Scratch(np.empty((2, k, n)).transpose(0, 2, 1))
 
 
 class _Allocating:
@@ -321,7 +329,7 @@ class ModelManifold:
         """The velocity at theta r along the geodesic from X at unit velocity u, from
         theta's sin and cos: -+sin theta X/r + cos theta u (sinh, cosh on H) into s[out]."""
         if self.kind == EUCLIDEAN:
-            return u
+            return np.positive(u, out=s[out])
         V = np.multiply((-sn if self.kind == SPHERE else sn)[..., None], X, out=s[out])
         V = np.divide(V, self.radius, out=V)
         return np.add(V, np.multiply(cs[..., None], u, out=s["prod"]), out=V)
@@ -483,11 +491,14 @@ def _trig(kind: str, th, sn=None, cs=None):
 
 
 def _guarded_div(a, b, mask, fill, out=None):
-    """a / b, and `fill` where mask holds, without dividing by b there; into
-    out when no row is masked."""
+    """a / b into out, and `fill` where mask holds, without dividing by b there."""
     if not mask.any():
         return np.divide(a, b, out=out)
-    return np.where(mask, fill, a / np.where(mask, 1.0, b))
+    q = np.where(mask, fill, a / np.where(mask, 1.0, b))
+    if out is None:
+        return q
+    out[...] = q
+    return out
 
 
 @dataclass(frozen=True, eq=False)

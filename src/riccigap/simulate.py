@@ -17,12 +17,16 @@ exponential chart:
   increment dt F.  A Gaussian orthogonal part w would move log d by a
   multiple of the fluctuating |w|^2 and leave a defect of size
   O(sqrt(T dt)); with |w| fixed the pathwise defect is O(dt).
-  A step makes one column-major geometry pass (`_pairs`: ip(X, X) once,
-  and the log map, with its sin and cos, from ModelManifold._log); its
-  kappa adds one tan (`_kappa`).  Every array a step writes lives in the
-  block's scratch (manifolds._Scratch), reused step after step; the new X,
-  Y and d take whichever of two sets the old ones are not in, and anything
-  kept longer is a new array.
+  Both ends of all pairs are one stacked state, X over Y: a (2, N, k) block
+  whose halves are the column-major (N, k) rows of X and of Y, with no copy
+  (manifolds._Scratch.both).  A step makes one exp map and one drift
+  evaluation on the stack, and its per-pair work on the halves (`_pairs`:
+  ip(X, X) once and the log map, with its sin and cos, from
+  ModelManifold._log; the split of the noise in `_coupled_step`); its kappa
+  adds one tan and, with a drift, one stacked inner product (`_kappa`).
+  Every array a step writes lives in the block's scratch, reused step after
+  step; the new stack and d take whichever of two the old ones are not in,
+  and anything kept longer is a new array.
 - The per-pair step (`_step_pair`; fields without constant_inverse_metric,
   such as tensor-constructed or scalar-scaled ones): Gaussian
   Euler-Maruyama.  Each step turns 2n standard normals into one joint
@@ -127,15 +131,15 @@ def _advance_ambient(spec: DiffusionSpec, x: Point, noise_inc: np.ndarray, dt: f
         inc = inc + dt * drift.vector(x)
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
         y = m.exp_many(x.coords, m.project_tangent(x.coords, inc))
-    _check_step(m, m._on_space(y), y, y)
+    _check_step(m, m._on_space(y), y)
     return Point(m, y)
 
 
-def _check_step(m: ModelManifold, ok: bool, X: np.ndarray, Y: np.ndarray):
+def _check_step(m: ModelManifold, ok: bool, XY: np.ndarray):
     """Raise DivergenceError unless a step came out `ok` (its coordinates or
     distances finite) and, on the hyperboloid, every time coordinate of the
-    points X and Y is below the manifold's reach."""
-    if not ok or (m.kind == HYPERBOLIC and np.maximum(X[..., -1], Y[..., -1]).max() >= m.reach):
+    points XY (a point, or pairs stacked) is below the manifold's reach."""
+    if not ok or (m.kind == HYPERBOLIC and XY[..., -1].max() >= m.reach):
         raise DivergenceError("a step overflowed, drifted off the model space by more "
                               "than rounding, or ran so far out on the hyperboloid "
                               "that its Lorentz form has no digits left")
@@ -172,38 +176,42 @@ def _step_pair(spec: DiffusionSpec, x: Point, y: Point, dt: float,
 
 
 class _Pairs(NamedTuple):
-    """Stacked pairs at distances d, column-major: u and uy (u') are the unit
-    velocities of the geodesic X -> Y at X and Y, fx and fy the drift there,
-    xx = ip(X, X); None where unneeded.  s is the block's _Scratch, if any."""
+    """Pairs at distances d: XY holds both ends, X over Y, as a (2, N, k) stack
+    of s, the block's _Scratch (manifolds); u and uy (u') are the unit
+    velocities of the geodesic X -> Y at X and Y, the halves of the stack
+    s.both["u"], F the drift at XY, stacked, and xx = ip(X, X); None where
+    unneeded."""
 
-    X: np.ndarray
-    Y: np.ndarray
+    XY: np.ndarray
     d: np.ndarray
     u: np.ndarray | None = None
     uy: np.ndarray | None = None
-    fx: np.ndarray | None = None
-    fy: np.ndarray | None = None
+    F: np.ndarray | None = None
     xx: np.ndarray | None = None
     s: _Scratch | None = None
 
 
 def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray,
-           s: _Scratch | None = None) -> _Pairs:
-    """The _Pairs of X, Y at distances d, in the scratch s if given: u from
-    ModelManifold._log, u' from _velocity with the sin and cos _log formed.
-    Flat space with zero or linear drift needs no direction; pairs closer
-    than 1e-15 (the threshold of transport_many) get u = 0."""
+           s: _Scratch | None = None, XY: np.ndarray | None = None) -> _Pairs:
+    """The _Pairs of X, Y at distances d in the block's scratch s, given XY, the
+    stack whose halves they are (else a new scratch, and they are copied into
+    its stack): u from ModelManifold._log and u' from _velocity, with the sin
+    and cos _log formed, on the (N, k) halves, and the drift evaluated once,
+    on XY.  Flat space with zero or linear drift needs no direction; pairs
+    closer than 1e-15 (the threshold of transport_many) get u = 0."""
     m = spec.manifold
+    s = _Scratch(np.empty(np.shape(X), order="F")) if s is None else s
+    if XY is None:
+        X, Y = XY = np.stack((X, Y), out=s.both["X0"])
     if m.kind == EUCLIDEAN and (spec.drift.is_zero or isinstance(spec.drift, LinearDrift)):
-        return _Pairs(X, Y, d, s=s)
-    s, d1 = _ALLOCATING if s is None else s, d[:, None]
+        return _Pairs(XY, d, s=s)
     xx = None if m.kind == EUCLIDEAN else m._ip(X, X, s, "xx", "prod")
+    s["u"], s["uy"] = s.both["u"]  # u over u': one stack for _kappa's drift term
     V, sn, cs = m._log(X, Y, d, s, "u", xx)
-    u = _guarded_div(V, d1, d1 < 1e-15, 0.0, s["u"])
+    u = _guarded_div(V, d[:, None], (d < 1e-15)[:, None], 0.0, s["u"])
     uy = m._velocity(X, u, sn, cs, s, "uy")
-    f = (None, None) if spec.drift.is_zero else (spec.drift.vector_many(m, X),
-                                                  spec.drift.vector_many(m, Y))
-    return _Pairs(X, Y, d, u, uy, *f, xx, s)
+    F = None if spec.drift.is_zero else spec.drift.vector_many(m, XY)
+    return _Pairs(XY, d, u, uy, F, xx, s)
 
 
 class _Step(NamedTuple):
@@ -224,44 +232,45 @@ def _step(spec: DiffusionSpec, dt) -> _Step:
     return _Step(dt, np.sqrt(spec.diffusion.constant_inverse_metric * dt), decay)  # = math.sqrt
 
 
-def _coupled_step(spec: DiffusionSpec, p: _Pairs, z: np.ndarray,
-                  dt) -> tuple[np.ndarray, np.ndarray]:
+def _coupled_step(spec: DiffusionSpec, p: _Pairs, z: np.ndarray, dt) -> np.ndarray:
     """One parallel-transport coupled step of every pair in p from ambient
     standard normals z, one row per pair, plus the Euler drift increment (in
     flat space with a zero or linear drift, the common increment and the exact
     flow); dt is a scalar, a column, or their _Step.  The tangent noise zt
     splits into a*u along the geodesic and w across it, of fixed norm
-    sqrt(n - 1); X moves by a*u + w, Y by a*u' + w (u = 0: zt at both ends)."""
+    sqrt(n - 1); X moves by a*u + w, Y by a*u' + w (u = 0: zt at both ends).
+    The velocities are the halves of one stack, which takes the step size,
+    the drift and one _exp, into the state stack of p.s that p is not in."""
     m = spec.manifold
     h = dt if isinstance(dt, _Step) else _step(spec, dt)
-    s = _ALLOCATING if p.s is None else p.s
-    nxt = "1" if p.X is s["X0"] else "0"  # the state set that p is not in
-    Xn, Yn, VX, VY = s["X" + nxt], s["Y" + nxt], s["vx"], s["vy"]
+    s, b = p.s, p.s.both
+    nxt = "X1" if p.XY is b["X0"] else "X0"
+    VX, VY = V = b["v"]
     if p.u is None:
         # exact: the common Gaussian increment cancels in Y - X
         noise = np.multiply(h.sig, z, out=VX)
-        return (np.add(np.multiply(h.decay, p.X, out=Xn), noise, out=Xn),
-                np.add(np.multiply(h.decay, p.Y, out=Yn), noise, out=Yn))
+        return np.add(np.multiply(h.decay, p.XY, out=b[nxt]), noise, out=b[nxt])
     if m.kind == EUCLIDEAN:
-        vx, vy = np.multiply(h.sig, z, out=VX), np.multiply(h.sig, z, out=VY)
+        np.copyto(V, z)
     else:
-        zt = (m.tangent_noise(p.X, z) if m.kind == HYPERBOLIC  # no ip(X, X): a boost
-              else m._project(p.X, z, s, "zt", p.xx))
+        X = p.XY[0]
+        zt = (m.tangent_noise(X, z) if m.kind == HYPERBOLIC  # no ip(X, X): a boost
+              else m._project(X, z, s, "zt", p.xx))
         a, W, NW = m._ip(zt, p.u, s, "a", "prod")[:, None], s["w"], s["nw", 1]
         vx = np.multiply(a, p.u, out=VX)
         w = np.subtract(zt, vx, out=W)
         nw = np.sqrt(np.maximum(m._ip(w, w, s, "nw", "prod"), 0.0, out=NW), out=NW)
         nw = np.divide(math.sqrt(m.dim - 1), np.where(nw > 0.0, nw, 1.0), out=NW)
         w = np.multiply(w, nw[:, None], out=W)
-        vx, vy = np.add(vx, w, out=VX), np.add(np.multiply(a, p.uy, out=VY), w, out=VY)
+        np.add(vx, w, out=VX)
+        np.add(np.multiply(a, p.uy, out=VY), w, out=VY)
         deg = (p.d < 1e-15)[:, None]
         if deg.any():
-            vx, vy = np.where(deg, zt, vx), np.where(deg, zt, vy)
-        vx, vy = np.multiply(vx, h.sig, out=VX), np.multiply(vy, h.sig, out=VY)
-    if p.fx is not None:
-        vx = np.add(vx, np.multiply(h.dt, p.fx, out=s["prod"]), out=VX)
-        vy = np.add(vy, np.multiply(h.dt, p.fy, out=s["prod"]), out=VY)
-    return m._exp(p.X, vx, s, "X" + nxt, "vx"), m._exp(p.Y, vy, s, "Y" + nxt, "vy")
+            np.copyto(V, zt, where=deg)
+    V = np.multiply(V, h.sig, out=V)
+    if p.F is not None:
+        V = np.add(V, np.multiply(h.dt, p.F, out=b["prod"]), out=V)
+    return m._exp(p.XY, V, b, nxt, "v")
 
 
 def kappa_fast(spec: DiffusionSpec, d, X=None, Y=None):
@@ -275,7 +284,7 @@ def kappa_fast(spec: DiffusionSpec, d, X=None, Y=None):
     if isinstance(spec.drift, LinearDrift) and spec.manifold.kind != EUCLIDEAN:
         raise InputError("linear drift is defined on Euclidean space")
     if spec.drift.is_zero or isinstance(spec.drift, LinearDrift):
-        return _kappa(spec, _Pairs(X, Y, d))
+        return _kappa(spec, _Pairs(None, d))
     if X is None or Y is None:
         raise InputError("kappa_fast needs the points for a drift other than zero or linear")
     return _kappa(spec, _pairs(spec, np.atleast_2d(X), np.atleast_2d(Y), np.atleast_1d(d)))
@@ -295,10 +304,10 @@ def _kappa(spec: DiffusionSpec, p: _Pairs):
         half = np.tan(th / 2) if m.kind == SPHERE else -np.tanh(th / 2)
         h = _guarded_div(half, th, th < 1e-8, 0.5 if m.kind == SPHERE else -0.5)
         kap = drift + c * (m.dim - 1) * h / m.radius**2
-    if p.fx is None:
+    if p.F is None:
         return kap
-    fx, fy = m._ip(p.u, p.fx, p.s, "fx", "prod"), m._ip(p.uy, p.fy, p.s, "fy", "prod")
-    return kap + (fx - fy) / np.maximum(p.d, 1e-300)
+    f = m._ip(p.s.both["u"], p.F, p.s.both, "f", "prod")  # <u, F(x)> over <u', F(y)>
+    return kap + (f[0] - f[1]) / np.maximum(p.d, 1e-300)
 
 
 def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> list[CoupledTrajectory]:
@@ -346,19 +355,19 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     accept d >= cut ('cut-locus') or d <= 0 ('collapse'); the per-row rule
     neither steps nor re-evaluates a stopped pair.  Returns the times, log d
     and kappa integral (a row a trajectory), abort reasons and final X, Y.
-    The kernel writes into the block's own _Scratch, each step's X, Y, d
-    into the set of two the last step's are not in; what is kept past the
-    next step (kappa, integral, records) is a new array, and the final X, Y
-    are the scratch's, written no more once the block ends."""
+    The kernel writes into the block's own _Scratch, each step's stack X over
+    Y and its d into the one of two the last step's are not in; what is kept
+    past the next step (kappa, integral, records) is a new array, and the
+    final X, Y are the scratch's, written no more once the block ends."""
     m = spec.manifold
     dt = cfg.dt
     cut = m.cut_threshold - cfg.cut_margin * m.radius
     count = cfg.trajectories
     rngs = [_philox(cfg.seed, i) for i in range(count)]
     kernel = spec.diffusion.constant_inverse_metric is not None
-    X, Y = (np.array(np.broadcast_to(v.coords, (count, m.ambient_dim)),
-                     order="F" if kernel else "C") for v in (x0, y0))
-    scratch = _Scratch(X) if kernel else _ALLOCATING
+    scratch = _Scratch(np.empty((count, m.ambient_dim), order="F")) if kernel else _ALLOCATING
+    XY = scratch.both["X0"] if kernel else np.empty((2, count, m.ambient_dim))
+    XY[0], XY[1] = x0.coords, y0.coords
     if kernel:
         width = m.ambient_dim
         step = _step(spec, dt)
@@ -366,27 +375,27 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
         def advance(p, z, alive):
             return _coupled_step(spec, p, z, step)
 
-        def settle(X, Y, d, rows):
-            p = _pairs(spec, X, Y, d, scratch)
+        def settle(XY, d, rows):
+            p = _pairs(spec, *XY, d, scratch, XY)
             return p, _kappa(spec, p)
     else:
         width = 2 * m.dim
 
         def advance(p, z, alive):
-            Xn, Yn = p.X.copy(), p.Y.copy()
+            XY = p.XY.copy()
             for i in np.flatnonzero(alive).tolist():  # contiguous z rows for the matmuls
-                xn, yn = _step_pair(spec, m.point(p.X[i]), m.point(p.Y[i]), dt, z[i].copy())
-                Xn[i], Yn[i] = xn.coords, yn.coords
-            return Xn, Yn
+                xn, yn = _step_pair(spec, m.point(p.XY[0, i]), m.point(p.XY[1, i]), dt, z[i].copy())
+                XY[0, i], XY[1, i] = xn.coords, yn.coords
+            return XY
 
-        def settle(X, Y, d, rows):
+        def settle(XY, d, rows):
             kap = np.zeros(count)
             for i in np.flatnonzero(rows).tolist():
-                kap[i] = kappa_pair(spec, m.point(X[i]), m.point(Y[i])).kappa
-            return _Pairs(X, Y, d), kap
+                kap[i] = kappa_pair(spec, m.point(XY[0, i]), m.point(XY[1, i])).kappa
+            return _Pairs(XY, d), kap
 
     alive = np.ones(count, dtype=bool)
-    p, kap = settle(X, Y, m.dist_many(X, Y), alive)
+    p, kap = settle(XY, m.dist_many(*XY), alive)
     integral = np.zeros(count)
     reasons = [""] * count
     rec_idx = list(range(0, steps + 1, stride))
@@ -401,28 +410,27 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     pos = 1
     for s, z in enumerate(_noise_steps(rngs, 1, width, steps, _NOISE_BLOCK)):
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
-            Xn, Yn = advance(p, z, alive)
+            Xn, Yn = XYn = np.asarray(advance(p, z, alive))  # an (X, Y) pair is stacked
             dn = m._dist(Xn, Yn, scratch, "d1" if p.d is scratch["d0", 1] else "d0")
         ok = (dn > 0.0) & (dn < cut)  # NaN and inf fail too, and _check_step rejects them
         halted = not ok.all()
-        _check_step(m, not halted or bool(np.isfinite(dn).all()), Xn, Yn)
+        _check_step(m, not halted or bool(np.isfinite(dn).all()), XYn)
         if halted:  # rare: alive is rebuilt only on such steps
             for i in np.flatnonzero(alive & ~ok).tolist():
                 reasons[i] = "cut-locus" if dn[i] >= cut else "collapse"
             alive = alive & ok
         if alive.all():  # no pair has stopped: nothing to merge
-            p, kn = settle(Xn, Yn, dn, alive)
+            p, kn = settle(XYn, dn, alive)
             integral, kap = integral + 0.5 * dt * (kap + kn), kn
         else:
-            p, kn = settle(np.where(alive[:, None], Xn, p.X), np.where(alive[:, None], Yn, p.Y),
-                           np.where(alive, dn, p.d), alive)
+            p, kn = settle(np.where(alive[:, None], XYn, p.XY), np.where(alive, dn, p.d), alive)
             integral = np.where(alive, integral + 0.5 * dt * (kap + kn), integral)
             kap = np.where(alive, kn, kap)
         if (s + 1) in rec_set:
             logs[:, pos] = np.log(np.maximum(p.d, 1e-300))
             integ[:, pos] = integral
             pos += 1
-    return times, logs, integ, reasons, p.X, p.Y
+    return times, logs, integ, reasons, *p.XY
 
 
 # ---------------------------------------------------------------------------

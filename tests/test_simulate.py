@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from riccigap import manifolds, simulate
 from riccigap.cli import main, parse_field, simulate_rows
-from riccigap.curvature import kappa_dir, kappa_pair
+from riccigap.curvature import estimate_kappa_direct, kappa_dir, kappa_pair
 from riccigap.errors import DivergenceError, InputError
 from riccigap.fields import (
     ConstantFrameField,
@@ -775,6 +776,84 @@ def test_fused_kernel_matches_composed_kernels_bitwise(case, n, seed, tiny, clos
     # a step size given once for many steps keeps the bits
     got = simulate._coupled_step(spec, p, layout(z), simulate._step(spec, dt))
     assert _same_bits(got[0], Xn) and _same_bits(got[1], Yn)
+
+
+def _kernel_block(spec, X, Y, z, dt):
+    """The kappas and the final pairs of len(z) kernel steps of the pairs X, Y
+    (one row each), stepped as one block in its own scratch, the way
+    run_coupled and the estimator step theirs."""
+    m = spec.manifold
+    s = manifolds._Scratch(np.empty(X.shape, order="F"))
+    XY = s.both["X0"]
+    XY[0], XY[1] = X, Y
+    d, kaps = m.dist_many(X, Y), []
+    for zi in z:
+        p = simulate._pairs(spec, *XY, d, s, XY)
+        kaps.append(simulate._kappa(spec, p).copy())
+        XY = simulate._coupled_step(spec, p, np.asfortranarray(zi), dt)
+        d = m._dist(*XY, s, "d")
+    return np.array(kaps), XY.copy()
+
+
+@pytest.mark.parametrize("manifold, field", [("sphere:2:1", "potential:0.3*cos"),
+                                             ("hyperbolic:2:1", "brownian"), ("euclidean:2", "ou")])
+def test_kernel_rows_do_not_depend_on_the_block_size(manifold, field):
+    # N pairs stepped as one block have the bits of each pair stepped alone,
+    # over two steps (both state stacks of the scratch); both ends share one
+    # stack, so the exp map sees 2N rows, and _COLUMN_SUM_MIN_SIZE (512
+    # numbers) is crossed by the stacks at N = 86 and by each end at N = 171.
+    # Pair 7 is coincident, so that its theta is below _kappa's 1e-8 limit
+    m = parse_manifold(manifold)
+    spec = parse_field(m, field)
+    g = rng(29)
+    top = 1000
+    X = np.array([m.random_point(g).coords for _ in range(top)])
+    V = m.project_tangent(X, g.standard_normal(X.shape))
+    V *= (g.uniform(0.05, 1.5, top) / np.sqrt(m.ip(V, V)))[:, None]
+    Y = m.exp_many(X, V)
+    Y[7] = X[7]
+    z = g.standard_normal((2,) + X.shape)
+    alone = [_kernel_block(spec, X[i:i + 1], Y[i:i + 1], z[:, i:i + 1], 1e-3) for i in range(top)]
+    for n in (1, 2, 3, 85, 86, 170, 171, 1000):
+        kap, XY = _kernel_block(spec, X[:n], Y[:n], z[:, :n], 1e-3)
+        assert _same_bits(kap, np.concatenate([k for k, _ in alone[:n]], axis=1)), n
+        assert _same_bits(XY, np.concatenate([xy for _, xy in alone[:n]], axis=1)), n
+
+
+@pytest.mark.parametrize("manifold, field", [("sphere:2:1", "potential:0.3*cos"),
+                                             ("hyperbolic:2:1", "brownian")])
+def test_each_kernel_step_takes_one_exp_map_and_one_drift_evaluation(manifold, field):
+    # both ends of every pair go through one ModelManifold._exp call a step,
+    # and the drift is evaluated once a step (and once at the start of a run)
+    m = parse_manifold(manifold)
+    spec = parse_field(m, field)
+    x = m.point(np.eye(m.ambient_dim)[-1])
+    y = m.exp_map(x, TangentVector(x, 0.5 * np.eye(m.ambient_dim)[0]))
+    drift = type(spec.drift)
+    evaluations = 0 if spec.drift.is_zero else 1
+    with mock.patch.object(ModelManifold, "_exp", autospec=True,
+                           side_effect=ModelManifold._exp) as exp, \
+            mock.patch.object(drift, "vector_many", autospec=True,
+                              side_effect=drift.vector_many) as vec:
+        run_coupled(spec, x, y, SimConfig(dt=1e-2, horizon=0.2, trajectories=3, seed=1))
+        assert (exp.call_count, vec.call_count) == (20, 21 * evaluations)
+        exp.reset_mock()
+        vec.reset_mock()
+        # 2 t values x 4 batches of 16 points: one group of 128 rows, 10 substeps
+        estimate_kappa_direct(spec, x, y, samples=64, batches=4, substeps=10)
+        assert (exp.call_count, vec.call_count) == (10, 10 * evaluations)
+
+
+def test_distance_column_does_not_depend_on_the_csv_block(monkeypatch):
+    # simulate_rows exponentiates the distance column _BLOCK_ROWS rows at a
+    # time; 8 splits the 3 x 21 rows into blocks that cut through the paths
+    args = ("sphere:2:1", "potential:0.3*cos", "0,0,1", "0.479425538604203,0,0.8775825618903728",
+            1e-2, 0.2, 3, 5, 0.1, 1)
+    rows, summary = simulate_rows(*args)
+    monkeypatch.setattr("riccigap.cli._BLOCK_ROWS", 8)
+    blocked, blocked_summary = simulate_rows(*args)
+    assert rows.size == 63 and rows.tobytes() == blocked.tobytes()
+    assert summary == blocked_summary
 
 
 def test_kappa_fast_matches_kappa_pair():
