@@ -93,12 +93,17 @@ def _pair_terms(spec: DiffusionSpec, jet) -> tuple[np.ndarray, np.ndarray, float
     return A_x, A_y, drift_term, quad
 
 
+def _pair_kappa(jet, A_x, A_y, drift_term: float, quad: float) -> tuple[float, float]:
+    """kappa_pair's value from the jet and its _pair_terms, and the transport gain."""
+    gain = tr_sqrt_sandwich(A_x, jet.q12, A_y)
+    return drift_term + quad + gain, gain
+
+
 def kappa_pair(spec: DiffusionSpec, x: Point, y: Point) -> CurvatureReport:
     """Coarse Ricci curvature between two distinct points."""
     jet = spec.manifold.distance_jet(x, y)
     A_x, A_y, drift_term, quad = _pair_terms(spec, jet)
-    gain = tr_sqrt_sandwich(A_x, jet.q12, A_y)
-    kappa = drift_term + quad + gain
+    kappa, gain = _pair_kappa(jet, A_x, A_y, drift_term, quad)
     return CurvatureReport(
         kappa=kappa,
         terms={"drift_term": drift_term, "riemann_term": quad + gain, "gradient_A_penalty": 0.0},

@@ -36,6 +36,7 @@ _KINDS = (EUCLIDEAN, SPHERE, HYPERBOLIC)
 _INVARIANT_TOL = 1e-12
 _CUT_EPS_LOG = 1e-9
 _CUT_EPS_JET = 1e-6
+_COINCIDENT = 1e-15  # pairs closer than this have no direction: transport and steps take u = 0
 # numpy sums a C-ordered row of up to 7 numbers left to right from +0, and
 # pairwise from 8 on; _row_sum repeats the first order column by column.
 _SEQUENTIAL_SUM_MAX = 7
@@ -320,7 +321,7 @@ class ModelManifold:
             return np.array(W, copy=True)
         V, sn, cs = self._log(X, Y, self.dist_many(X, Y), _ALLOCATING)
         d = np.sqrt(np.maximum(self.ip(V, V), 0.0))[..., None]
-        deg = d < 1e-15
+        deg = d < _COINCIDENT
         u = _guarded_div(V, d, deg, 0.0)
         out = W + self.ip(W, u)[..., None] * (self._velocity(X, u, sn, cs, _ALLOCATING) - u)
         return np.where(deg, W, out) if deg.any() else out

@@ -1,46 +1,39 @@
 """Single and coupled diffusion paths, the pathwise contraction identity,
 and the Lipschitz variance check.
 
-One trajectory driver (`_run_block`) with two step rules, both in the
-exponential chart:
+One coupled step, in the exponential chart, drives every diffusion field:
+`_pairs` evaluates the pairs, `_kappa` gives their curvature and
+`_coupled_step` moves them.  Both ends of all N pairs are one stacked state,
+X over Y: a (2, N, k) block whose halves are the column-major (N, k) rows of
+X and of Y, with no copy (manifolds._Scratch.both).  A noise map turns each
+pair's standard normals into the velocities of both ends; one tail ends
+every step (`_advance`): sqrt(dt) times them plus the Euler drift increment
+dt F, the drift evaluated once on the stack, through one exp map, or in flat
+space with a zero or linear drift the noise plus the drift's exact flow.
 
-- The coupled-step kernel (`_coupled_step`; every A = c g^{-1} on the
-  sphere, hyperbolic or Euclidean space, with any drift): the
-  parallel-transport coupling, vectorised over pairs.  `run_coupled` and
-  the Monte Carlo curvature estimator both step through it.  In flat space
-  both points take the same Gaussian increment, and a linear drift its
-  exact flow, so the contraction identity holds to machine precision.  On
-  curved spaces each noise increment is Gaussian along the geodesic
-  direction and of fixed norm sqrt((n - 1) c dt) orthogonal to it, with the
-  same covariance as the Gaussian step (a bounded-increment weak Euler
-  scheme, Kloeden & Platen 1992, sec. 14.1); a drift adds its Euler
-  increment dt F.  A Gaussian orthogonal part w would move log d by a
-  multiple of the fluctuating |w|^2 and leave a defect of size
-  O(sqrt(T dt)); with |w| fixed the pathwise defect is O(dt).
-  Both ends of all pairs are one stacked state, X over Y: a (2, N, k) block
-  whose halves are the column-major (N, k) rows of X and of Y, with no copy
-  (manifolds._Scratch.both).  A step makes one exp map and one drift
-  evaluation on the stack, and its per-pair work on the halves (`_pairs`:
-  ip(X, X) once and the log map, with its sin and cos, from
-  ModelManifold._log; the split of the noise in `_coupled_step`); its kappa
-  adds one tan and, with a drift, one stacked inner product (`_kappa`).
-  Every array a step writes lives in the block's scratch, reused step after
-  step; the new stack and d take whichever of two the old ones are not in,
-  and anything kept longer is a new array.
-- The per-pair step (`_step_pair`; fields without constant_inverse_metric,
-  such as tensor-constructed or scalar-scaled ones): Gaussian
-  Euler-Maruyama.  Each step turns 2n standard normals into one joint
-  Gaussian tangent pair with block covariance [[A(x), C+], [C+^T, A(y)]]
-  from the parallel extremal coupling.  `step_coupled` is one such step
-  with its own draws, and `step_single` the Gaussian step for one point.
+- A = c g^{-1}, any drift: k ambient normals a pair, every row at once (a
+  stopped pair too, its result dropped); the parallel-transport coupling.
+  Each increment is Gaussian along the geodesic and of fixed norm
+  sqrt((n - 1) c dt) across it, with the covariance of the Gaussian step (a
+  bounded-increment weak Euler scheme, Kloeden & Platen 1992, sec. 14.1).  A
+  Gaussian orthogonal part w would move log d by a multiple of the
+  fluctuating |w|^2 and leave a defect of size O(sqrt(T dt)); with |w| fixed
+  the pathwise defect is O(dt), and zero in flat space.
+- Any other field: 2n normals a pair, row by row (a stopped pair is carried,
+  not evaluated); Gaussian Euler-Maruyama.  The normals go through the root
+  of [[A(x), C+], [C+^T, A(y)]], the parallel extremal coupling, in the
+  frames of one distance jet a pair, which also gives kappa_pair's value.
 
-`run_coupled` steps all its trajectories as one block; the estimator
-steps all its clouds as one block (rows capped by curvature._ROW_CAP),
-each row with its own step size.  Both draw the noise by `_noise_steps`,
-from one counter-based stream per trajectory or cloud, a block of steps
-at a time, so the noise in memory does not grow with the steps.  Every
-pair is stepped row by row: no result depends on the split.  The loop that
-owns a block makes its scratch, never the module.
+`step_coupled` is one row of the step, and `step_single` one point through
+its tail.  `run_coupled` steps all its trajectories as one block, and the
+Monte Carlo estimator all its clouds (rows capped by curvature._ROW_CAP), each
+row with its own step size.  Both draw the noise by `_noise_steps`, from one
+counter-based stream per trajectory or cloud, a block of steps at a time, so
+the noise in memory does not grow with the steps.  A step writes into the
+block's scratch: the new stack and d take whichever of two the old ones are
+not in, and anything kept longer is a new array.  Every pair is stepped row
+by row: no result depends on the split.  The loop that owns a block makes
+its scratch, never the module.
 """
 
 from __future__ import annotations
@@ -52,11 +45,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .coupling import extremal_covariances, sym_psd_sqrt
-from .curvature import kappa_pair
-from .errors import DivergenceError, InputError
+from .curvature import _pair_kappa, _pair_terms
+from .errors import CutLocusError, DivergenceError, InputError
 from .fields import DiffusionSpec, LinearDrift
 from .manifolds import (EUCLIDEAN, HYPERBOLIC, SPHERE, ModelManifold, Point,
-                        _ALLOCATING, _guarded_div, _philox, _Scratch)
+                        _ALLOCATING, _COINCIDENT, _guarded_div, _philox, _Scratch)
 
 _NOISE_BLOCK = 256  # time steps of noise drawn at once per trajectory
 
@@ -107,32 +100,22 @@ class CoupledTrajectory:
 
 
 def step_single(spec: DiffusionSpec, x: Point, dt: float, noise) -> Point:
-    """One Euler step in the exponential chart: the tangent increment is the
-    drift increment plus sqrt(dt) * A(x)^{1/2} applied to the noise vector
-    (components in the deterministic frame at x)."""
+    """One Euler step in the exponential chart: the drift increment plus
+    sqrt(dt) * A(x)^{1/2} applied to the noise vector (components in the
+    deterministic frame at x), by the coupled step's tail (_advance)."""
     m = spec.manifold
     noise = np.asarray(noise, dtype=float)
     if noise.shape != (m.dim,):
         raise InputError(f"noise must have dimension {m.dim}")
     if dt <= 0:
         raise InputError("dt must be positive")
-    E = m.frame(x)
-    root = sym_psd_sqrt(spec.diffusion.matrix(x, E))
-    return _advance_ambient(spec, x, math.sqrt(dt) * m.from_frame(E, root @ noise), dt)
-
-
-def _advance_ambient(spec: DiffusionSpec, x: Point, noise_inc: np.ndarray, dt: float) -> Point:
-    m = spec.manifold
-    drift = spec.drift
-    inc = noise_inc
-    if isinstance(drift, LinearDrift) and m.kind == EUCLIDEAN:
-        inc = inc + (math.exp(-drift.rate * dt) * x.coords - x.coords)  # exact flow
-    elif not drift.is_zero:
-        inc = inc + dt * drift.vector(x)
+    E, X = m.frame(x), x.coords[None]
+    V = m.from_frame(E, sym_psd_sqrt(spec.diffusion.matrix(x, E)) @ noise)[None]
+    h = _step(spec, dt)._replace(sig=math.sqrt(dt))  # V carries A's root
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
-        y = m.exp_many(x.coords, m.project_tangent(x.coords, inc))
-    _check_step(m, m._on_space(y), y)
-    return Point(m, y)
+        Xn = _advance(spec, X, V, _drift(spec, X), h, _ALLOCATING)[0]
+    _check_step(m, m._on_space(Xn), Xn)
+    return Point(m, Xn)
 
 
 def _check_step(m: ModelManifold, ok: bool, XY: np.ndarray):
@@ -147,40 +130,39 @@ def _check_step(m: ModelManifold, ok: bool, XY: np.ndarray):
 
 def step_coupled(spec: DiffusionSpec, x: Point, y: Point, dt: float,
                  rng: np.random.Generator) -> tuple[Point, Point]:
-    """One coupled Euler step with the parallel-transport-extremal block
-    covariance.  Coincident points receive identical increments."""
+    """One coupled step of (x, y): the one-pair case of run_coupled's step,
+    from one draw of rng's standard normals, k (A = c g^{-1}) or 2n.
+    Coincident points both take one step_single step; any other pair needs
+    0 < d < cut threshold (CutLocusError)."""
     m = spec.manifold
+    m._check_pair(x, y)
     if np.array_equal(x.coords, y.coords):
         xn = step_single(spec, x, dt, rng.standard_normal(m.dim))
         return xn, xn
-    return _step_pair(spec, x, y, dt, rng.standard_normal(2 * m.dim))
-
-
-def _step_pair(spec: DiffusionSpec, x: Point, y: Point, dt: float,
-               z: np.ndarray) -> tuple[Point, Point]:
-    """step_coupled for distinct x, y from the 2n standard normals z."""
-    m = spec.manifold
-    jet = m.distance_jet(x, y)  # raises CutLocusError unless 0 < d < cut threshold
-    A_x = spec.diffusion.matrix(x, jet.frame_x)
-    A_y = spec.diffusion.matrix(y, jet.frame_y)
-    cplus, _ = extremal_covariances(A_x, A_y, jet)
-    blk = np.block([[A_x, cplus.C], [cplus.C.T, A_y]])
-    root = sym_psd_sqrt(blk)
-    z = root @ z
-    return (_advance_ambient(spec, x, math.sqrt(dt) * m.from_frame(jet.frame_x, z[:m.dim]), dt),
-            _advance_ambient(spec, y, math.sqrt(dt) * m.from_frame(jet.frame_y, z[m.dim:]), dt))
+    if dt <= 0:
+        raise InputError("dt must be positive")
+    X, Y = x.coords[None], y.coords[None]
+    d = m.dist_many(X, Y)
+    if not 0.0 < d[0] < m.cut_threshold:
+        raise CutLocusError(f"a coupled step needs 0 < d < {m.cut_threshold:.17g}, got {d[0]:.17g}")
+    z = rng.standard_normal((1, 2 * m.dim if spec.diffusion.constant_inverse_metric is None
+                             else m.ambient_dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
+        Xn, Yn = XYn = _coupled_step(spec, _pairs(spec, X, Y, d), z, dt)
+    _check_step(m, m._on_space(Xn[0]) and m._on_space(Yn[0]), XYn)
+    return Point(m, Xn[0].copy()), Point(m, Yn[0].copy())
 
 
 # ---------------------------------------------------------------------------
-# the coupled-step kernel for A = c g^{-1}
+# the coupled step
 
 
 class _Pairs(NamedTuple):
-    """Pairs at distances d: XY holds both ends, X over Y, as a (2, N, k) stack
-    of s, the block's _Scratch (manifolds); u and uy (u') are the unit
-    velocities of the geodesic X -> Y at X and Y, the halves of the stack
-    s.both["u"], F the drift at XY, stacked, and xx = ip(X, X); None where
-    unneeded."""
+    """Pairs at distances d: XY holds both ends, X over Y, as a (2, N, k) stack of s,
+    the block's _Scratch (manifolds), and F the drift at XY (_drift).  A = c g^{-1}:
+    u and uy (u') are the unit velocities of the geodesic X -> Y at X and Y, the halves
+    of s.both["u"], xx = ip(X, X), and deg marks pairs closer than _COINCIDENT (u = 0).
+    Else jets maps each live row to its distance jet and _pair_terms.  None if unneeded."""
 
     XY: np.ndarray
     d: np.ndarray
@@ -188,30 +170,47 @@ class _Pairs(NamedTuple):
     uy: np.ndarray | None = None
     F: np.ndarray | None = None
     xx: np.ndarray | None = None
+    deg: np.ndarray | None = None
+    jets: dict | None = None
     s: _Scratch | None = None
 
 
+def _drift(spec: DiffusionSpec, XY: np.ndarray) -> np.ndarray | None:
+    """The drift at XY for the Euler increment; None if zero or a flow (_advance)."""
+    m = spec.manifold
+    if spec.drift.is_zero or (m.kind == EUCLIDEAN and isinstance(spec.drift, LinearDrift)):
+        return None
+    return spec.drift.vector_many(m, XY)
+
+
 def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray,
-           s: _Scratch | None = None, XY: np.ndarray | None = None) -> _Pairs:
+           s: _Scratch | None = None, XY: np.ndarray | None = None, live=None) -> _Pairs:
     """The _Pairs of X, Y at distances d in the block's scratch s, given XY, the
     stack whose halves they are (else a new scratch, and they are copied into
-    its stack): u from ModelManifold._log and u' from _velocity, with the sin
-    and cos _log formed, on the (N, k) halves, and the drift evaluated once,
-    on XY.  Flat space with zero or linear drift needs no direction; pairs
-    closer than 1e-15 (the threshold of transport_many) get u = 0."""
+    its stack), the drift evaluated once, on XY.  A = c g^{-1}: on the (N, k)
+    halves, u from ModelManifold._log and u' from _velocity with _log's sin and
+    cos (no u in flat space with zero or linear drift).  Else a distance jet
+    and its _pair_terms on each row of the mask `live` (all by default)."""
     m = spec.manifold
     s = _Scratch(np.empty(np.shape(X), order="F")) if s is None else s
     if XY is None:
         X, Y = XY = np.stack((X, Y), out=s.both["X0"])
-    if m.kind == EUCLIDEAN and (spec.drift.is_zero or isinstance(spec.drift, LinearDrift)):
+    F = _drift(spec, XY)
+    if spec.diffusion.constant_inverse_metric is None:
+        jets = {}
+        for i in (range(len(d)) if live is None else np.flatnonzero(live).tolist()):
+            jet = m.distance_jet(m.point(X[i].copy()), m.point(Y[i].copy()))
+            jets[i] = (jet, *_pair_terms(spec, jet))
+        return _Pairs(XY, d, F=F, jets=jets, s=s)
+    if m.kind == EUCLIDEAN and F is None:
         return _Pairs(XY, d, s=s)
     xx = None if m.kind == EUCLIDEAN else m._ip(X, X, s, "xx", "prod")
     s["u"], s["uy"] = s.both["u"]  # u over u': one stack for _kappa's drift term
     V, sn, cs = m._log(X, Y, d, s, "u", xx)
-    u = _guarded_div(V, d[:, None], (d < 1e-15)[:, None], 0.0, s["u"])
+    deg = (d < _COINCIDENT)[:, None]
+    u = _guarded_div(V, d[:, None], deg, 0.0, s["u"])
     uy = m._velocity(X, u, sn, cs, s, "uy")
-    F = None if spec.drift.is_zero else spec.drift.vector_many(m, XY)
-    return _Pairs(XY, d, u, uy, F, xx, s)
+    return _Pairs(XY, d, u, uy, F, xx, deg, s=s)
 
 
 class _Step(NamedTuple):
@@ -229,28 +228,32 @@ def _step(spec: DiffusionSpec, dt) -> _Step:
         decay = np.vectorize(lambda h: math.exp(-spec.drift.rate * h))(dt) if flow else 1.0
     except OverflowError:
         raise DivergenceError("the linear drift's flow exp(-rate dt) overflows") from None
-    return _Step(dt, np.sqrt(spec.diffusion.constant_inverse_metric * dt), decay)  # = math.sqrt
+    c = spec.diffusion.constant_inverse_metric or 1.0  # 1: the noise map carries A's root
+    return _Step(dt, np.sqrt(c * dt), decay)  # = math.sqrt
 
 
 def _coupled_step(spec: DiffusionSpec, p: _Pairs, z: np.ndarray, dt) -> np.ndarray:
-    """One parallel-transport coupled step of every pair in p from ambient
-    standard normals z, one row per pair, plus the Euler drift increment (in
-    flat space with a zero or linear drift, the common increment and the exact
-    flow); dt is a scalar, a column, or their _Step.  The tangent noise zt
-    splits into a*u along the geodesic and w across it, of fixed norm
-    sqrt(n - 1); X moves by a*u + w, Y by a*u' + w (u = 0: zt at both ends).
-    The velocities are the halves of one stack, which takes the step size,
-    the drift and one _exp, into the state stack of p.s that p is not in."""
+    """One coupled step of the pairs p from standard normals z, a row a pair,
+    into the state stack of p.s that p is not in; dt is a scalar, a column, or
+    their _Step.  A = c g^{-1}: the tangent noise zt at X splits into a*u
+    along the geodesic and w across it, of norm sqrt(n - 1); X moves by
+    a*u + w, Y by a*u' + w (zt where p.deg, z in flat space).  Else each row of
+    p.jets takes its 2n normals through the root of [[A(x), C+], [C+^T, A(y)]]
+    into its jet's frames, and the other rows get no noise.  Then _advance."""
     m = spec.manifold
     h = dt if isinstance(dt, _Step) else _step(spec, dt)
     s, b = p.s, p.s.both
     nxt = "X1" if p.XY is b["X0"] else "X0"
     VX, VY = V = b["v"]
-    if p.u is None:
-        # exact: the common Gaussian increment cancels in Y - X
-        noise = np.multiply(h.sig, z, out=VX)
-        return np.add(np.multiply(h.decay, p.XY, out=b[nxt]), noise, out=b[nxt])
-    if m.kind == EUCLIDEAN:
+    if p.jets is not None:
+        V.fill(0.0)
+        for i, (jet, A_x, A_y, _, _) in p.jets.items():
+            C = extremal_covariances(A_x, A_y, jet)[0].C
+            w = sym_psd_sqrt(np.block([[A_x, C], [C.T, A_y]])) @ z[i]
+            VX[i], VY[i] = jet.frame_x @ w[:m.dim], jet.frame_y @ w[m.dim:]
+    elif p.u is None:
+        V = z  # exact: the common Gaussian increment cancels in Y - X
+    elif m.kind == EUCLIDEAN:
         np.copyto(V, z)
     else:
         X = p.XY[0]
@@ -264,13 +267,22 @@ def _coupled_step(spec: DiffusionSpec, p: _Pairs, z: np.ndarray, dt) -> np.ndarr
         w = np.multiply(w, nw[:, None], out=W)
         np.add(vx, w, out=VX)
         np.add(np.multiply(a, p.uy, out=VY), w, out=VY)
-        deg = (p.d < 1e-15)[:, None]
-        if deg.any():
-            np.copyto(V, zt, where=deg)
-    V = np.multiply(V, h.sig, out=V)
-    if p.F is not None:
-        V = np.add(V, np.multiply(h.dt, p.F, out=b["prod"]), out=V)
-    return m._exp(p.XY, V, b, nxt, "v")
+        if p.deg.any():
+            np.copyto(V, zt, where=p.deg)
+    return _advance(spec, p.XY, V, p.F, h, b, nxt)
+
+
+def _advance(spec: DiffusionSpec, XY, V, F, h: _Step, s, out=None) -> np.ndarray:
+    """XY (pairs stacked, or points) moved by V times h.sig (into s["v"], which
+    V may be) plus the Euler increment h.dt F through one exp map into s[out];
+    in flat space with no F, the noise plus the exact flow h.decay XY."""
+    m = spec.manifold
+    V = np.multiply(V, h.sig, out=s["v"])
+    if F is None and m.kind == EUCLIDEAN:
+        return np.add(np.multiply(h.decay, XY, out=s[out]), V, out=s[out])
+    if F is not None:
+        V = np.add(V, np.multiply(h.dt, F, out=s["prod"]), out=V)
+    return m._exp(XY, V, s, out, "v")
 
 
 def kappa_fast(spec: DiffusionSpec, d, X=None, Y=None):
@@ -291,9 +303,13 @@ def kappa_fast(spec: DiffusionSpec, d, X=None, Y=None):
 
 
 def _kappa(spec: DiffusionSpec, p: _Pairs):
-    """kappa_fast of p: c (n - 1)(theta / sin theta - theta cot theta)/d^2 at theta = d/r is
+    """kappa of p.  Given p.jets, kappa_pair's bits on their rows (_pair_kappa), 0 elsewhere.
+    Else kappa_fast: c (n - 1)(theta / sin theta - theta cot theta)/d^2 at theta = d/r is
     c (n - 1) h/r^2, h = tan(theta/2)/theta (S) or -tanh(theta/2)/theta (H), which subtracts
     nothing; below theta = 1e-8, h is its limit +-1/2 to rounding and is taken as that."""
+    if p.jets is not None:
+        return np.array([_pair_kappa(*p.jets[i])[0] if i in p.jets else 0.0
+                         for i in range(len(p.d))])
     m = spec.manifold
     c = spec.diffusion.constant_inverse_metric
     drift = spec.drift.rate if isinstance(spec.drift, LinearDrift) else 0.0
@@ -348,54 +364,28 @@ def _noise_steps(rngs, rows: int, k: int, steps: int, block: int):
 
 def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
                steps: int, stride: int) -> tuple:
-    """All cfg.trajectories trajectories, stepped together by one step rule:
-    the kernel for A = c g^{-1} (k ambient normals a step, column-major), else
-    _step_pair and kappa_pair row by row (2n normals a step), each from its
-    own stream, _NOISE_BLOCK steps at a time.  A pair stops before it would
-    accept d >= cut ('cut-locus') or d <= 0 ('collapse'); the per-row rule
-    neither steps nor re-evaluates a stopped pair.  Returns the times, log d
-    and kappa integral (a row a trajectory), abort reasons and final X, Y.
-    The kernel writes into the block's own _Scratch, each step's stack X over
-    Y and its d into the one of two the last step's are not in; what is kept
-    past the next step (kappa, integral, records) is a new array, and the
-    final X, Y are the scratch's, written no more once the block ends."""
+    """All cfg.trajectories trajectories, stepped together by the one coupled
+    step from k or 2n normals a pair-step (column-major), each from its own
+    stream, _NOISE_BLOCK steps at a time.  A pair stops before it would accept
+    d >= cut ('cut-locus') or d <= 0 ('collapse') and is carried from then on.
+    Returns the times, log d and kappa integral (a row a trajectory), abort
+    reasons and final X, Y.  The step writes into the block's own _Scratch,
+    each step's stack X over Y and its d into the one of two the last step's
+    are not in; what is kept past the next step (kappa, integral, records) is
+    a new array, and the final X, Y are the scratch's, written no more once
+    the block ends."""
     m = spec.manifold
     dt = cfg.dt
     cut = m.cut_threshold - cfg.cut_margin * m.radius
     count = cfg.trajectories
     rngs = [_philox(cfg.seed, i) for i in range(count)]
-    kernel = spec.diffusion.constant_inverse_metric is not None
-    scratch = _Scratch(np.empty((count, m.ambient_dim), order="F")) if kernel else _ALLOCATING
-    XY = scratch.both["X0"] if kernel else np.empty((2, count, m.ambient_dim))
+    scratch = _Scratch(np.empty((count, m.ambient_dim), order="F"))
+    XY = scratch.both["X0"]
     XY[0], XY[1] = x0.coords, y0.coords
-    if kernel:
-        width = m.ambient_dim
-        step = _step(spec, dt)
-
-        def advance(p, z, alive):
-            return _coupled_step(spec, p, z, step)
-
-        def settle(XY, d, rows):
-            p = _pairs(spec, *XY, d, scratch, XY)
-            return p, _kappa(spec, p)
-    else:
-        width = 2 * m.dim
-
-        def advance(p, z, alive):
-            XY = p.XY.copy()
-            for i in np.flatnonzero(alive).tolist():  # contiguous z rows for the matmuls
-                xn, yn = _step_pair(spec, m.point(p.XY[0, i]), m.point(p.XY[1, i]), dt, z[i].copy())
-                XY[0, i], XY[1, i] = xn.coords, yn.coords
-            return XY
-
-        def settle(XY, d, rows):
-            kap = np.zeros(count)
-            for i in np.flatnonzero(rows).tolist():
-                kap[i] = kappa_pair(spec, m.point(XY[0, i]), m.point(XY[1, i])).kappa
-            return _Pairs(XY, d), kap
-
+    step = _step(spec, dt)
     alive = np.ones(count, dtype=bool)
-    p, kap = settle(XY, m.dist_many(*XY), alive)
+    p = _pairs(spec, *XY, m.dist_many(*XY), scratch, XY, alive)
+    kap = _kappa(spec, p)
     integral = np.zeros(count)
     reasons = [""] * count
     rec_idx = list(range(0, steps + 1, stride))
@@ -408,9 +398,10 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     logs[:, 0] = np.log(p.d)
     integ[:, 0] = 0.0
     pos = 1
+    width = 2 * m.dim if spec.diffusion.constant_inverse_metric is None else m.ambient_dim
     for s, z in enumerate(_noise_steps(rngs, 1, width, steps, _NOISE_BLOCK)):
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
-            Xn, Yn = XYn = np.asarray(advance(p, z, alive))  # an (X, Y) pair is stacked
+            Xn, Yn = XYn = np.asarray(_coupled_step(spec, p, z, step))  # an (X, Y) pair is stacked
             dn = m._dist(Xn, Yn, scratch, "d1" if p.d is scratch["d0", 1] else "d0")
         ok = (dn > 0.0) & (dn < cut)  # NaN and inf fail too, and _check_step rejects them
         halted = not ok.all()
@@ -419,13 +410,15 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
             for i in np.flatnonzero(alive & ~ok).tolist():
                 reasons[i] = "cut-locus" if dn[i] >= cut else "collapse"
             alive = alive & ok
-        if alive.all():  # no pair has stopped: nothing to merge
-            p, kn = settle(XYn, dn, alive)
-            integral, kap = integral + 0.5 * dt * (kap + kn), kn
-        else:
-            p, kn = settle(np.where(alive[:, None], XYn, p.XY), np.where(alive, dn, p.d), alive)
-            integral = np.where(alive, integral + 0.5 * dt * (kap + kn), integral)
-            kap = np.where(alive, kn, kap)
+        carry = not alive.all()  # a stopped pair keeps its last state, kappa and integral
+        if carry:
+            XYn, dn = np.where(alive[:, None], XYn, p.XY), np.where(alive, dn, p.d)
+        p = _pairs(spec, *XYn, dn, scratch, XYn, alive)
+        kn = _kappa(spec, p)
+        inc = integral + 0.5 * dt * (kap + kn)
+        if carry:
+            inc, kn = np.where(alive, inc, integral), np.where(alive, kn, kap)
+        integral, kap = inc, kn
         if (s + 1) in rec_set:
             logs[:, pos] = np.log(np.maximum(p.d, 1e-300))
             integ[:, pos] = integral

@@ -927,18 +927,21 @@ def test_blow_up_on_the_vectorised_route_exits_3(runner, args):
 def _vectorised_route_args(draw):
     """kappa --method mc or simulate on E, S or H of dimension 1-3 and scale
     1e-75-1e75, with a Brownian (c in 1e-6-1e6), OU (rate +-1e6, on E) or
-    potential (|a| <= 50, on S) field, from the base point to a point
-    1e-9 r away up to near the cut locus (3 r on H); simulate's horizon is
-    0.05 or, for a step count that is not finite, inf or 1e308."""
+    potential (|a| <= 50, on S) field; or, half the draws on S and H,
+    simulate at scale 1e-3-1e3 with a Kulkarni-Nomizu field, well formed or
+    not (_KN_FIELDS), which takes the per-pair noise map; from the base point
+    to a point 1e-9 r away up to near the cut locus (3 r on H); simulate's
+    horizon is 0.05 or, for a step count that is not finite, inf or 1e308."""
     kind = draw(st.sampled_from(["euclidean", "sphere", "hyperbolic"]))
     n = draw(st.integers(1, 3))
-    r = 10.0 ** draw(st.floats(-75.0, 75.0))
+    kn = kind != "euclidean" and draw(st.booleans())
+    r = 10.0 ** draw(st.floats(-3.0, 3.0) if kn else st.floats(-75.0, 75.0))
     fields = [st.just("brownian"), st.floats(-6.0, 6.0).map(lambda e: f"brownian:{10.0**e!r}")]
     if kind == "euclidean":
         fields.append(st.sampled_from(["ou:1e6", "ou:-1e6"]))
     if kind == "sphere":
         fields.append(st.floats(-50.0, 50.0).map(lambda a: f"potential:{a!r}*cos"))
-    field = draw(st.one_of(fields))
+    field = draw(st.just("kn") | _KN_FIELDS if kn else st.one_of(fields))  # kn: well formed 1 in 2
     top = math.pi if kind == "sphere" else 3.0
     theta = draw(st.one_of(st.floats(-9.0, 0.0).map(lambda e: top * 10.0**e),
                            st.floats(-12.0, -1.0).map(lambda e: top * (1.0 - 10.0**e))))
@@ -951,7 +954,7 @@ def _vectorised_route_args(draw):
         x[-1], y[0], y[-1] = r, r * sin(theta), r * cos(theta)
         space = f"{kind}:{n}:{r!r}"
     x, y = (",".join(repr(float(v)) for v in p) for p in (x, y))
-    if draw(st.booleans()):
+    if not kn and draw(st.booleans()):
         return ["kappa", "--method", "mc", "--manifold", space, "--field", field,
                 "--pair", f"{x};{y}", "--samples", str(draw(st.integers(16, 64)))]
     return ["simulate", "--manifold", space, "--field", field, "--x0", x, "--y0", y,
@@ -959,13 +962,14 @@ def _vectorised_route_args(draw):
             "--paths", "2"]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(args=_vectorised_route_args())
 def test_vectorised_route_exits_0_2_or_3_in_time_with_no_warning(args):
     # every input ends in a row or a typed error, never in a traceback, a
     # NaN row or a floating-point warning
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out.csv")
+        args = _with_kn_tensor(args, tmp)
         with warnings.catch_warnings(record=True) as caught, _time_budget(5.0):
             warnings.simplefilter("always")
             res = CliRunner().invoke(main, [*args, "--out", out], catch_exceptions=False)

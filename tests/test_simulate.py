@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 from riccigap import manifolds, simulate
 from riccigap.cli import main, parse_field, simulate_rows
 from riccigap.curvature import estimate_kappa_direct, kappa_dir, kappa_pair
-from riccigap.errors import DivergenceError, InputError
+from riccigap.errors import CutLocusError, DivergenceError, InputError
 from riccigap.fields import (
     ConstantFrameField,
     DiffusionSpec,
     InverseMetricField,
     LinearDrift,
     ScalarScaledMetricField,
+    TensorConstructedField,
     ZeroDrift,
     brownian,
     h_admissible_field,
@@ -34,6 +35,7 @@ from riccigap.fields import (
     parse_potential,
     random_riemann_like,
     reversible_potential,
+    tensor_diffusion,
 )
 from riccigap.manifolds import ModelManifold, TangentVector, parse_manifold
 from riccigap.simulate import (
@@ -263,15 +265,15 @@ def test_run_coupled_abort_near_cut_locus():
 
 def test_one_abort_rule_for_kernel_and_per_pair_steps(monkeypatch):
     # at step 4 the step puts pair 0 on one point (d = 0 exactly) and pair 1
-    # at the antipode, past the cut guard; the kernel and the per-pair rule
-    # must both stop them before accepting that state, and step only pair 2
-    # afterwards
+    # at the antipode, past the cut guard; the step must stop them before
+    # accepting that state, for the kernel's noise map and the per-pair one,
+    # and the per-pair rule evaluates only pair 2 afterwards
     stop, steps = 4, 10
-    kernel, pair_step = simulate._coupled_step, simulate._step_pair
+    kernel = simulate._coupled_step
     pole = np.array([0.0, 0.0, 1.0])
     calls = []
 
-    def forced_kernel(spec, p, z, dt):
+    def forced(spec, p, z, dt):
         X, Y = kernel(spec, p, z, dt)
         calls.append(len(X))
         if len(calls) == stop:
@@ -280,24 +282,16 @@ def test_one_abort_rule_for_kernel_and_per_pair_steps(monkeypatch):
             Y[1] = -X[1]
         return X, Y
 
-    def forced_pair(spec, x, y, dt, z):
-        xn, yn = pair_step(spec, x, y, dt, z)
-        calls.append(1)
-        if len(calls) == 3 * stop - 2:
-            return S2.point(pole), S2.point(pole)
-        if len(calls) == 3 * stop - 1:
-            return xn, S2.point(-xn.coords)
-        return xn, yn
-
-    monkeypatch.setattr(simulate, "_coupled_step", forced_kernel)
-    monkeypatch.setattr(simulate, "_step_pair", forced_pair)
+    monkeypatch.setattr(simulate, "_coupled_step", forced)
     x0 = S2.point([0.0, 0.0, 1.0])
     y0 = S2.exp_map(x0, TangentVector(x0, 0.5 * S2.tangent(x0, [1.0, 0, 0]).components))
     cfg = SimConfig(dt=1e-2, horizon=steps * 1e-2, trajectories=3, seed=2)
     for spec in (brownian(S2), DiffusionSpec(S2, ScalarScaledMetricField(lambda x: 1.0),
                                              ZeroDrift())):
         calls.clear()
-        trajs = run_coupled(spec, x0, y0, cfg)
+        with mock.patch.object(ModelManifold, "distance_jet", autospec=True,
+                               side_effect=ModelManifold.distance_jet) as jets:
+            trajs = run_coupled(spec, x0, y0, cfg)
         assert [(t.aborted, t.abort_reason) for t in trajs] == [
             (True, "collapse"), (True, "cut-locus"), (False, "")]
         for tr in trajs[:2]:
@@ -309,11 +303,13 @@ def test_one_abort_rule_for_kernel_and_per_pair_steps(monkeypatch):
             assert S2.distance(x, y) == pytest.approx(math.exp(tr.log_distance[-1]), rel=1e-12)
             assert 0 < S2.distance(x, y) < math.pi - 1e-6 - cfg.cut_margin
         assert trajs[2].log_distance[-1] != trajs[2].log_distance[stop - 1]
+        assert calls == [3] * steps
         if spec.diffusion.constant_inverse_metric is None:
-            # the stopped pairs are not stepped again
-            assert len(calls) == 3 * stop + (steps - stop)
+            # one jet a live pair at the start and after each step: the
+            # stopped pairs are not evaluated again
+            assert jets.call_count == 3 * stop + (steps + 1 - stop)
         else:
-            assert calls == [3] * steps
+            assert jets.call_count == 0
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -842,6 +838,60 @@ def test_each_kernel_step_takes_one_exp_map_and_one_drift_evaluation(manifold, f
         # 2 t values x 4 batches of 16 points: one group of 128 rows, 10 substeps
         estimate_kappa_direct(spec, x, y, samples=64, batches=4, substeps=10)
         assert (exp.call_count, vec.call_count) == (10, 10 * evaluations)
+
+
+def _spec_and_pair(manifold, field):
+    """The spec of `field` on `manifold` ("tensor": the tensor-constructed field
+    of random_riemann_like(3, seed=4)) and a pair 0.5 apart from the last axis."""
+    m = parse_manifold(manifold)
+    spec = (tensor_diffusion(m, random_riemann_like(3, seed=4)) if field == "tensor"
+            else parse_field(m, field))
+    x = m.point(np.eye(m.ambient_dim)[-1] * m.radius)
+    return spec, x, m.exp_map(x, TangentVector(x, 0.5 * np.eye(m.ambient_dim)[0]))
+
+
+@pytest.mark.parametrize("manifold, field", [
+    ("euclidean:2", "ou"), ("sphere:2:1", "brownian"), ("sphere:2:1", "potential:0.3*cos"),
+    ("sphere:3:0.7", "brownian"), ("hyperbolic:2:1", "brownian"), ("sphere:2:1", "tensor"),
+    ("hyperbolic:2:1", "tensor")])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_step_coupled_is_one_row_of_the_run_coupled_step(manifold, field, seed):
+    # the public one-pair step, drawing from trajectory 0's stream, has the
+    # bits of the final pair of a one-step, one-trajectory run, through the
+    # kernel's noise map (A = c g^{-1}) and through the per-pair one (tensor)
+    spec, x, y = _spec_and_pair(manifold, field)
+    dt = 1e-2
+    xn, yn = step_coupled(spec, x, y, dt, manifolds._philox(seed, 0))
+    (tr,) = run_coupled(spec, x, y, SimConfig(dt=dt, horizon=dt, trajectories=1, seed=seed))
+    assert not tr.aborted
+    assert _same_bits(xn.coords, tr.pair_states[-1][0].coords)
+    assert _same_bits(yn.coords, tr.pair_states[-1][1].coords)
+
+
+@pytest.mark.parametrize("field", ["brownian", "tensor"])
+def test_step_coupled_needs_0_lt_d_lt_the_cut_threshold(field):
+    # for every field: a pair of two points at distance 0, and a pair past
+    # the cut threshold (pi - 1e-6), have no coupled step
+    spec, x, _ = _spec_and_pair("sphere:2:1", field)
+    for y in ([1e-9, 0.0, 1.0], [0.0, 1e-7, -1.0]):
+        with pytest.raises(CutLocusError):
+            step_coupled(spec, x, S2.point(y), 1e-2, rng(0))
+
+
+def test_each_per_pair_step_takes_one_exp_map_and_one_jet_a_pair():
+    # fields without constant_inverse_metric take the kernel's tail: one
+    # ModelManifold._exp call a step for both ends of every pair; and one
+    # distance jet, with A at both of its ends, a pair at the start and after
+    # each step, which serves both kappa and the next step
+    spec, x, y = _spec_and_pair("sphere:2:1", "tensor")
+    with mock.patch.object(ModelManifold, "_exp", autospec=True,
+                           side_effect=ModelManifold._exp) as exp, \
+            mock.patch.object(ModelManifold, "distance_jet", autospec=True,
+                              side_effect=ModelManifold.distance_jet) as jets, \
+            mock.patch.object(TensorConstructedField, "matrix", autospec=True,
+                              side_effect=TensorConstructedField.matrix) as mat:
+        run_coupled(spec, x, y, SimConfig(dt=1e-2, horizon=0.2, trajectories=3, seed=1))
+    assert (exp.call_count, jets.call_count, mat.call_count) == (20, 63, 126)
 
 
 def test_distance_column_does_not_depend_on_the_csv_block(monkeypatch):
