@@ -497,17 +497,16 @@ def simulate_rows(manifold: str, field: str, x0: str, y0: str, dt: float,
     y = parse_coords(mfd, y0)
     cfg = simulate.SimConfig(dt=dt, horizon=horizon, trajectories=paths, seed=seed,
                              cut_margin=cut_margin, workers=workers)
-    trajs = simulate.run_coupled(spec, x, y, cfg)
-    n, width = len(trajs), trajs[0].times.size
+    times, log_d, kappa_integral, reasons, _, _ = simulate._run_block(spec, x, y, cfg)
+    n, width = log_d.shape
     rows = np.empty(n * width, dtype=[("trajectory", np.int64), ("t", float), ("distance", float),
                                       ("kappa_integral", float), ("defect", float)])
     rows["trajectory"] = np.repeat(np.arange(n), width)
-    rows["t"] = np.tile(trajs[0].times, n)
-    # (path, time) views of the columns; log d is stacked into "distance" for now
+    rows["t"] = np.tile(times, n)
+    # (path, time) views of the columns; log d is copied into "distance" for now
     logs, integ, defect = (rows[c].reshape(n, width) for c in ("distance", "kappa_integral",
                                                                 "defect"))
-    np.stack([tr.log_distance for tr in trajs], out=logs)
-    np.stack([tr.kappa_integral for tr in trajs], out=integ)
+    logs[:], integ[:] = log_d, kappa_integral
     np.add(np.subtract(logs, logs[:, :1], out=defect), integ, out=defect)  # CoupledTrajectory.defect
     dist = rows["distance"]  # math.exp, not np.exp: the two can differ in the last bit
     for i in range(0, len(rows), _BLOCK_ROWS):  # _BLOCK_ROWS Python floats at a time
@@ -519,7 +518,7 @@ def simulate_rows(manifold: str, field: str, x0: str, y0: str, dt: float,
         "paths": paths, "seed": seed,
         "mean_abs_defect": float(np.abs(finals).mean()),
         "mean_defect": float(finals.mean()),
-        "abort_fraction": float(np.mean([tr.aborted for tr in trajs])),
+        "abort_fraction": float(np.mean([bool(r) for r in reasons])),
     }
     return rows, summary
 

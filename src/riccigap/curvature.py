@@ -25,7 +25,8 @@ from .errors import (
     TermMismatchError,
 )
 from .fields import DiffusionSpec, h_residual
-from .manifolds import EUCLIDEAN, HYPERBOLIC, ModelManifold, Point, TangentVector, _philox
+from .manifolds import (EUCLIDEAN, HYPERBOLIC, ModelManifold, Point, TangentVector, _philox,
+                        _scipy_routine)
 
 _EPS = float(np.finfo(float).eps)
 _UNIT_TOL = 1e-9  # relative miss allowed in a direction's norm near the pole,
@@ -366,11 +367,10 @@ def _cloud_w1s(m: ModelManifold, clouds) -> list[float]:
 
 
 def linear_sum_assignment(cost: np.ndarray):
-    """scipy.optimize.linear_sum_assignment, imported on first use: scipy.optimize
-    is most of the package's import time and only the assignments need it."""
-    from scipy.optimize import linear_sum_assignment as solve
-
-    return solve(cost)
+    """scipy.optimize.linear_sum_assignment (Crouse 2016), the very function,
+    taken from its compiled module scipy.optimize._lsap (_scipy_routine): only
+    the assignments need scipy.optimize, most of the package's import cost."""
+    return _scipy_routine("optimize._lsap", "linear_sum_assignment", "scipy.optimize")(cost)
 
 
 def _assignment_w1(m: ModelManifold, X: np.ndarray, Y: np.ndarray, shift=None):

@@ -34,7 +34,7 @@ class NonPositiveCurvatureError(RicciGapError):
 
 
 class DegenerateSpectrumError(RicciGapError):
-    """The zero eigenvalue of a discretized generator is not simple."""
+    """The zero eigenvalue of a discretized generator is not simple, or its bisection failed."""
 
 
 class TermMismatchError(RicciGapError):

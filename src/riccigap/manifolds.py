@@ -105,6 +105,33 @@ def _philox(seed: int, word: int) -> np.random.Generator:
         key=np.array([seed & (2**64 - 1), word & (2**64 - 1)], dtype=np.uint64)))
 
 
+def _scipy_routine(extension: str, name: str, public: str):
+    """Routine `name` of the compiled module scipy.<extension> without running
+    its package's __init__ (scipy.optimize's or scipy.linalg's import costs tens
+    of MB and tenths of a second, for one routine each): the module in
+    sys.modules, else its file in the installed scipy, loaded and registered
+    there under that name for a later public import to reuse.  The binding of
+    `name` in the public module `public` if the file, module or routine is missing."""
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    full = "scipy." + extension
+    module = sys.modules.get(full)
+    if module is None and (scipy := importlib.util.find_spec("scipy")) is not None:
+        stem = os.path.join(os.path.dirname(scipy.origin), *extension.split("."))
+        path = next((stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                     if os.path.isfile(stem + suffix)), None)
+        if path is not None:
+            spec = importlib.util.spec_from_file_location(full, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[full] = module
+    routine = getattr(module, name, None)
+    return routine if routine is not None else getattr(importlib.import_module(public), name)
+
+
 def _as_vec(a) -> np.ndarray:
     v = np.asarray(a, dtype=float)
     if v.ndim != 1:

@@ -333,16 +333,7 @@ def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> li
     A step that overflows or leaves the space raises DivergenceError
     (_check_step)."""
     m = spec.manifold
-    if m.kind == SPHERE and cfg.cut_margin >= math.pi / 2:
-        raise InputError("cut_margin must be below pi/2, a quarter circumference in radii")
-    d0 = m.distance(x0, y0)
-    if not 0 < d0 < m.cut_threshold - cfg.cut_margin * m.radius + 1e-300:
-        raise InputError("initial distance must lie in (0, cut threshold - margin)")
-    steps = int(round(cfg.horizon / cfg.dt))
-    if abs(steps * cfg.dt - cfg.horizon) > 1e-9 * cfg.horizon:
-        steps = math.ceil(cfg.horizon / cfg.dt)
-    times, logs, integ, reasons, X, Y = _run_block(spec, x0, y0, cfg, steps,
-                                                   max(1, steps // 512))
+    times, logs, integ, reasons, X, Y = _run_block(spec, x0, y0, cfg)
     return [CoupledTrajectory(  # views of the block's arrays
         times=times, pair_states=[(m.point(X[i].copy()), m.point(Y[i].copy()))],
         log_distance=logs[i], kappa_integral=integ[i], aborted=bool(reasons[i]),
@@ -362,21 +353,29 @@ def _noise_steps(rngs, rows: int, k: int, steps: int, block: int):
         yield from buf[:nb]
 
 
-def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
-               steps: int, stride: int) -> tuple:
-    """All cfg.trajectories trajectories, stepped together by the one coupled
-    step from k or 2n normals a pair-step (column-major), each from its own
-    stream, _NOISE_BLOCK steps at a time.  A pair stops before it would accept
+def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> tuple:
+    """run_coupled's checks and run, as arrays: all cfg.trajectories
+    trajectories, stepped together by the one coupled step from k or 2n
+    normals a pair-step (column-major), each from its own stream,
+    _NOISE_BLOCK steps at a time.  A pair stops before it would accept
     d >= cut ('cut-locus') or d <= 0 ('collapse') and is carried from then on.
     Returns the times, log d and kappa integral (a row a trajectory), abort
-    reasons and final X, Y.  The step writes into the block's own _Scratch,
-    each step's stack X over Y and its d into the one of two the last step's
-    are not in; what is kept past the next step (kappa, integral, records) is
-    a new array, and the final X, Y are the scratch's, written no more once
-    the block ends."""
+    reasons and final X, Y: the CLI's table reads these without building
+    run_coupled's Points and CoupledTrajectory objects.  The step writes into
+    the block's own _Scratch, each step's stack X over Y and its d into the
+    one of two the last step's are not in; what is kept past the next step
+    (kappa, integral, records) is a new array, and the final X, Y are the
+    scratch's, written no more once the block ends."""
     m = spec.manifold
+    if m.kind == SPHERE and cfg.cut_margin >= math.pi / 2:
+        raise InputError("cut_margin must be below pi/2, a quarter circumference in radii")
     dt = cfg.dt
     cut = m.cut_threshold - cfg.cut_margin * m.radius
+    if not 0 < m.distance(x0, y0) < cut + 1e-300:
+        raise InputError("initial distance must lie in (0, cut threshold - margin)")
+    steps = int(round(cfg.horizon / dt))
+    if abs(steps * dt - cfg.horizon) > 1e-9 * cfg.horizon:
+        steps = math.ceil(cfg.horizon / dt)
     count = cfg.trajectories
     rngs = [_philox(cfg.seed, i) for i in range(count)]
     scratch = _Scratch(np.empty((count, m.ambient_dim), order="F"))
@@ -388,7 +387,7 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig,
     kap = _kappa(spec, p)
     integral = np.zeros(count)
     reasons = [""] * count
-    rec_idx = list(range(0, steps + 1, stride))
+    rec_idx = list(range(0, steps + 1, max(1, steps // 512)))
     if rec_idx[-1] != steps:
         rec_idx.append(steps)
     times = np.asarray(rec_idx, dtype=float) * dt

@@ -36,7 +36,7 @@ from .errors import (
     NonPositiveCurvatureError,
 )
 from .fields import DiffusionSpec, PotentialDrift, ZonalPolynomial, reversible_potential
-from .manifolds import SPHERE, ModelManifold
+from .manifolds import SPHERE, ModelManifold, _scipy_routine
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,15 +168,20 @@ def _ground(cond: np.ndarray, w: np.ndarray, v=0.0) -> float:
     weights w, killing rate v and conductances cond (the two end entries tie
     the ends to the boundary): the positive-definite tridiagonal
     W^{-1/2} B^T C B W^{-1/2} + diag(v), or InputError if w or the matrix
-    overflows.  scipy.linalg is imported on first use."""
-    from scipy.linalg import eigh_tridiagonal
-
+    overflows.  LAPACK's dstebz, with the arguments eigh_tridiagonal(d, e,
+    eigvals_only=True, select="i", select_range=(0, 0)) passes it, taken from
+    scipy.linalg._flapack without importing scipy.linalg (_scipy_routine);
+    DegenerateSpectrumError unless it finds one eigenvalue with info 0."""
+    dstebz = _scipy_routine("linalg._flapack", "dstebz", "scipy.linalg.lapack")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         d = (cond[:-1] + cond[1:]) / w + v
         e = -cond[1:-1] / np.sqrt(w[:-1] * w[1:])
     if not all(np.isfinite(a).all() for a in (w, d, e)):
         raise InputError("the discretized operator overflows: the potential is too large")
-    return float(eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 0))[0])
+    found, lam, _, _, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    if found != 1 or info != 0:
+        raise DegenerateSpectrumError(f"dstebz found {found} ground eigenvalues, info {info}")
+    return float(lam[0])
 
 
 def _conductances(op: DiscretizedOperator) -> np.ndarray:

@@ -385,23 +385,30 @@ BLOCK_CASES = [
 ]
 
 
+def record_runs(monkeypatch):
+    """The arguments of each run the simulator makes, run_coupled's or the
+    CLI table's (both go through simulate._run_block), in order."""
+    calls, run = [], simulate._run_block
+
+    def recording(*args):
+        calls.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(simulate, "_run_block", recording)
+    return calls
+
+
 @pytest.mark.parametrize("manifold, field, x0, y0", BLOCK_CASES)
 def test_run_coupled_and_csv_independent_of_workers_and_blocks(manifold, field, x0, y0,
                                                                monkeypatch):
     # 300 steps: one full noise block of 256 steps and a remainder of 44.
-    # The trajectories are those run_coupled returns inside the CLI call.
+    # The trajectories are those run_coupled returns for the CLI call's run.
     dt, horizon = 1e-3, 0.3
     assert round(horizon / dt) % simulate._NOISE_BLOCK != 0
-    runs = []
-
-    def recording(*args):
-        runs.append(run_coupled(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(simulate, "run_coupled", recording)
+    calls = record_runs(monkeypatch)
     runner = CliRunner()
     for paths in (1, 7, 641):
-        runs.clear()
+        calls.clear()
         csvs = []
         for workers in (1, 2, 3):
             res = runner.invoke(main, ["simulate", "--manifold", manifold, "--field", field,
@@ -413,6 +420,7 @@ def test_run_coupled_and_csv_independent_of_workers_and_blocks(manifold, field, 
             csvs.append(res.stdout_bytes)
         assert csvs[1] == csvs[0] and csvs[2] == csvs[0], (paths, manifold, field)
         assert csvs[0].count(b"\r\n") == 2 + paths * 301
+        runs = [run_coupled(*args) for args in list(calls)]
         assert [len(run) for run in runs] == [paths] * 3
         for other in runs[1:]:
             for a, b in zip(runs[0], other):
@@ -533,17 +541,12 @@ def test_run_coupled_calls_the_package_on_the_calling_thread_only(case, monkeypa
 @pytest.mark.parametrize("manifold, field, x0, y0", BLOCK_CASES)
 def test_simulate_table_equals_one_built_from_the_trajectories(manifold, field, x0, y0,
                                                                monkeypatch):
-    # the CLI stacks the trajectories' arrays into its table's columns; the table
-    # must be the one built from run_coupled's trajectory objects, cell for cell
-    runs = []
-
-    def recording(*args):
-        runs.append(run_coupled(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(simulate, "run_coupled", recording)
+    # the CLI copies the run's arrays into its table's columns; the table must
+    # be the one built from run_coupled's trajectory objects, cell for cell
+    calls = record_runs(monkeypatch)
     rows, summary = simulate_rows(manifold, field, x0, y0, 1e-3, 0.05, 7, 3, 0.1, 2)
-    trajs = runs[0]
+    assert len(calls) == 1
+    trajs = run_coupled(*calls[0])
     logd = np.concatenate([tr.log_distance for tr in trajs])
     assert np.array_equal(rows["trajectory"],
                           np.repeat(np.arange(len(trajs)), [tr.times.size for tr in trajs]))
