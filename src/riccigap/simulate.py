@@ -31,9 +31,10 @@ row with its own step size.  Both draw the noise by `_noise_steps`, from one
 counter-based stream per trajectory or cloud, a block of steps at a time, so
 the noise in memory does not grow with the steps.  A step writes into the
 block's scratch: the new stack and d take whichever of two the old ones are
-not in, and anything kept longer is a new array.  Every pair is stepped row
-by row: no result depends on the split.  The loop that owns a block makes
-its scratch, never the module.
+not in.  No step reads kappa, its integral or the records, so a run keeps
+each step's d and what _pairs gives for kappa and settles them once a noise
+block (`_run_block`).  Every pair is stepped row by row: no result depends
+on the split.  The loop that owns a block makes its scratch, never the module.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import extremal_covariances, sym_psd_sqrt
+from .coupling import _extremal_terms, sym_psd_sqrt
 from .curvature import _pair_kappa, _pair_terms
 from .errors import CutLocusError, DivergenceError, InputError
 from .fields import DiffusionSpec, LinearDrift
@@ -184,13 +185,15 @@ def _drift(spec: DiffusionSpec, XY: np.ndarray) -> np.ndarray | None:
 
 
 def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray,
-           s: _Scratch | None = None, XY: np.ndarray | None = None, live=None) -> _Pairs:
+           s: _Scratch | None = None, XY: np.ndarray | None = None, live=None, kept=None) -> _Pairs:
     """The _Pairs of X, Y at distances d in the block's scratch s, given XY, the
     stack whose halves they are (else a new scratch, and they are copied into
     its stack), the drift evaluated once, on XY.  A = c g^{-1}: on the (N, k)
     halves, u from ModelManifold._log and u' from _velocity with _log's sin and
     cos (no u in flat space with zero or linear drift).  Else a distance jet
-    and its _pair_terms on each row of the mask `live` (all by default)."""
+    and its _pair_terms on each row of the mask `live` (all by default).  Into kept
+    what _kappa needs besides d: kappa_pair's bits on live rows (0 elsewhere), or
+    the drift term <u, F(x)> - <u', F(y)> if there is an F."""
     m = spec.manifold
     s = _Scratch(np.empty(np.shape(X), order="F")) if s is None else s
     if XY is None:
@@ -201,15 +204,20 @@ def _pairs(spec: DiffusionSpec, X: np.ndarray, Y: np.ndarray, d: np.ndarray,
         for i in (range(len(d)) if live is None else np.flatnonzero(live).tolist()):
             jet = m.distance_jet(m.point(X[i].copy()), m.point(Y[i].copy()))
             jets[i] = (jet, *_pair_terms(spec, jet))
+        if kept is not None:
+            kept[:] = [_pair_kappa(*jets[i])[0] if i in jets else 0.0 for i in range(len(d))]
         return _Pairs(XY, d, F=F, jets=jets, s=s)
     if m.kind == EUCLIDEAN and F is None:
         return _Pairs(XY, d, s=s)
     xx = None if m.kind == EUCLIDEAN else m._ip(X, X, s, "xx", "prod")
-    s["u"], s["uy"] = s.both["u"]  # u over u': one stack for _kappa's drift term
+    s["u"], s["uy"] = s.both["u"]  # u over u': one stack for kappa's drift term
     V, sn, cs = m._log(X, Y, d, s, "u", xx)
-    deg = (d < _COINCIDENT)[:, None]
+    deg = (d < _COINCIDENT)[:, None]  # the step's one test of d (None: no pair is so close)
+    deg = deg if np.count_nonzero(deg) else None
     u = _guarded_div(V, d[:, None], deg, 0.0, s["u"])
     uy = m._velocity(X, u, sn, cs, s, "uy")
+    if kept is not None and F is not None:  # <u, F(x)> over <u', F(y)>, subtracted
+        np.subtract(*m._ip(s.both["u"], F, s.both, "f", "prod"), out=kept)
     return _Pairs(XY, d, u, uy, F, xx, deg, s=s)
 
 
@@ -248,7 +256,7 @@ def _coupled_step(spec: DiffusionSpec, p: _Pairs, z: np.ndarray, dt) -> np.ndarr
     if p.jets is not None:
         V.fill(0.0)
         for i, (jet, A_x, A_y, _, _) in p.jets.items():
-            C = extremal_covariances(A_x, A_y, jet)[0].C
+            C = np.add(*_extremal_terms(A_x, A_y, jet)[2:])  # C+ = C0 + the rank-one term
             w = sym_psd_sqrt(np.block([[A_x, C], [C.T, A_y]])) @ z[i]
             VX[i], VY[i] = jet.frame_x @ w[:m.dim], jet.frame_y @ w[m.dim:]
     elif p.u is None:
@@ -267,7 +275,7 @@ def _coupled_step(spec: DiffusionSpec, p: _Pairs, z: np.ndarray, dt) -> np.ndarr
         w = np.multiply(w, nw[:, None], out=W)
         np.add(vx, w, out=VX)
         np.add(np.multiply(a, p.uy, out=VY), w, out=VY)
-        if p.deg.any():
+        if p.deg is not None:
             np.copyto(V, zt, where=p.deg)
     return _advance(spec, p.XY, V, p.F, h, b, nxt)
 
@@ -296,34 +304,34 @@ def kappa_fast(spec: DiffusionSpec, d, X=None, Y=None):
     if isinstance(spec.drift, LinearDrift) and spec.manifold.kind != EUCLIDEAN:
         raise InputError("linear drift is defined on Euclidean space")
     if spec.drift.is_zero or isinstance(spec.drift, LinearDrift):
-        return _kappa(spec, _Pairs(None, d))
+        return _kappa(spec, np.atleast_1d(d)).reshape(d.shape)
     if X is None or Y is None:
         raise InputError("kappa_fast needs the points for a drift other than zero or linear")
-    return _kappa(spec, _pairs(spec, np.atleast_2d(X), np.atleast_2d(Y), np.atleast_1d(d)))
+    kept = np.empty(np.size(d))
+    p = _pairs(spec, np.atleast_2d(X), np.atleast_2d(Y), np.atleast_1d(d), kept=kept)
+    return _kappa(spec, p.d, kept)
 
 
-def _kappa(spec: DiffusionSpec, p: _Pairs):
-    """kappa of p.  Given p.jets, kappa_pair's bits on their rows (_pair_kappa), 0 elsewhere.
-    Else kappa_fast: c (n - 1)(theta / sin theta - theta cot theta)/d^2 at theta = d/r is
-    c (n - 1) h/r^2, h = tan(theta/2)/theta (S) or -tanh(theta/2)/theta (H), which subtracts
-    nothing; below theta = 1e-8, h is its limit +-1/2 to rounding and is taken as that."""
-    if p.jets is not None:
-        return np.array([_pair_kappa(*p.jets[i])[0] if i in p.jets else 0.0
-                         for i in range(len(p.d))])
+def _kappa(spec: DiffusionSpec, d: np.ndarray, kept: np.ndarray | None = None) -> np.ndarray:
+    """kappa at distances d (any shape) from what _pairs kept: kappa itself on the per-pair
+    route.  Else kappa_fast: c (n - 1)(theta / sin theta - theta cot theta)/d^2 at theta = d/r
+    is c (n - 1) h/r^2, h = tan(theta/2)/theta (S) or -tanh(theta/2)/theta (H), which subtracts
+    nothing; below theta = 1e-8, h is its limit +-1/2 to rounding and is taken as that; a drift
+    other than zero or linear adds kept/d.  Elementwise: a block has the bits of its rows."""
     m = spec.manifold
     c = spec.diffusion.constant_inverse_metric
+    if c is None:
+        return kept
     drift = spec.drift.rate if isinstance(spec.drift, LinearDrift) else 0.0
     if m.kind == EUCLIDEAN:
-        kap = np.full_like(p.d, drift)
-    else:
-        th = p.d / m.radius
-        half = np.tan(th / 2) if m.kind == SPHERE else -np.tanh(th / 2)
-        h = _guarded_div(half, th, th < 1e-8, 0.5 if m.kind == SPHERE else -0.5)
-        kap = drift + c * (m.dim - 1) * h / m.radius**2
-    if p.F is None:
+        return np.full_like(d, drift)
+    th = d / m.radius
+    half = np.tan(th / 2) if m.kind == SPHERE else -np.tanh(th / 2)
+    h = _guarded_div(half, th, th < 1e-8, 0.5 if m.kind == SPHERE else -0.5, half)
+    kap = drift + np.divide(np.multiply(c * (m.dim - 1), h, out=h), m.radius**2, out=h)
+    if spec.drift.is_zero or isinstance(spec.drift, LinearDrift):
         return kap
-    f = m._ip(p.s.both["u"], p.F, p.s.both, "f", "prod")  # <u, F(x)> over <u', F(y)>
-    return kap + (f[0] - f[1]) / np.maximum(p.d, 1e-300)
+    return np.add(kap, kept / np.maximum(d, 1e-300), out=kap)
 
 
 def run_coupled(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> list[CoupledTrajectory]:
@@ -360,12 +368,12 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> tup
     _NOISE_BLOCK steps at a time.  A pair stops before it would accept
     d >= cut ('cut-locus') or d <= 0 ('collapse') and is carried from then on.
     Returns the times, log d and kappa integral (a row a trajectory), abort
-    reasons and final X, Y: the CLI's table reads these without building
-    run_coupled's Points and CoupledTrajectory objects.  The step writes into
-    the block's own _Scratch, each step's stack X over Y and its d into the
-    one of two the last step's are not in; what is kept past the next step
-    (kappa, integral, records) is a new array, and the final X, Y are the
-    scratch's, written no more once the block ends."""
+    reasons and final X, Y (the scratch's): the CLI's table reads these without
+    building run_coupled's Points and CoupledTrajectory objects.  Each step
+    writes its d and what _pairs kept into row j of D and K, whose row 0 is the step
+    before the noise block's; at the block's end one _kappa call, the trapezoid
+    increments (zero from a pair's stop on) and one accumulate onto the integral
+    settle it by the steps' own operations in their order, bit for bit."""
     m = spec.manifold
     if m.kind == SPHERE and cfg.cut_margin >= math.pi / 2:
         raise InputError("cut_margin must be below pi/2, a quarter circumference in radii")
@@ -382,21 +390,14 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> tup
     XY = scratch.both["X0"]
     XY[0], XY[1] = x0.coords, y0.coords
     step = _step(spec, dt)
-    alive = np.ones(count, dtype=bool)
-    p = _pairs(spec, *XY, m.dist_many(*XY), scratch, XY, alive)
-    kap = _kappa(spec, p)
-    integral = np.zeros(count)
-    reasons = [""] * count
-    rec_idx = list(range(0, steps + 1, max(1, steps // 512)))
-    if rec_idx[-1] != steps:
-        rec_idx.append(steps)
-    times = np.asarray(rec_idx, dtype=float) * dt
-    rec_set = set(rec_idx)
-    logs = np.empty((count, len(rec_idx)))
-    integ = np.empty((count, len(rec_idx)))
+    alive, stopped = np.ones(count, dtype=bool), False
+    D, K = np.empty((2, min(_NOISE_BLOCK, steps) + 1, count))
+    p = _pairs(spec, *XY, m.dist_many(*XY), scratch, XY, alive, K[0])
+    integral, reasons = np.zeros(count), [""] * count
+    rec = np.append(np.arange(0, steps, max(1, steps // 512)), steps)  # the recorded steps
+    logs, integ = np.empty((count, len(rec))), np.zeros((count, len(rec)))
     logs[:, 0] = np.log(p.d)
-    integ[:, 0] = 0.0
-    pos = 1
+    D[0], stop = p.d, np.full(count, steps + 1)  # the step each pair stopped at
     width = 2 * m.dim if spec.diffusion.constant_inverse_metric is None else m.ambient_dim
     for s, z in enumerate(_noise_steps(rngs, 1, width, steps, _NOISE_BLOCK)):
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
@@ -408,21 +409,27 @@ def _run_block(spec: DiffusionSpec, x0: Point, y0: Point, cfg: SimConfig) -> tup
         if halted:  # rare: alive is rebuilt only on such steps
             for i in np.flatnonzero(alive & ~ok).tolist():
                 reasons[i] = "cut-locus" if dn[i] >= cut else "collapse"
-            alive = alive & ok
-        carry = not alive.all()  # a stopped pair keeps its last state, kappa and integral
-        if carry:
+            stop[alive & ~ok] = s + 1
+            alive, stopped = alive & ok, True  # a pair fails, so one has stopped
+        if stopped:  # a stopped pair keeps its last state
             XYn, dn = np.where(alive[:, None], XYn, p.XY), np.where(alive, dn, p.d)
-        p = _pairs(spec, *XYn, dn, scratch, XYn, alive)
-        kn = _kappa(spec, p)
-        inc = integral + 0.5 * dt * (kap + kn)
-        if carry:
-            inc, kn = np.where(alive, inc, integral), np.where(alive, kn, kap)
-        integral, kap = inc, kn
-        if (s + 1) in rec_set:
-            logs[:, pos] = np.log(np.maximum(p.d, 1e-300))
-            integ[:, pos] = integral
-            pos += 1
-    return times, logs, integ, reasons, *p.XY
+        j = s % _NOISE_BLOCK + 1
+        p = _pairs(spec, *XYn, dn, scratch, XYn, alive, K[j])
+        D[j] = p.d
+        if j + 1 < len(D) and s + 1 < steps:
+            continue
+        first, kap, inc = s + 2 - j, _kappa(spec, D[:j + 1], K[:j + 1]), D[1:j + 1]
+        lo, hi = np.searchsorted(rec, [first, s + 2])  # the records of steps first .. s + 1
+        got = inc[rec[lo:hi] - first]
+        logs[:, lo:hi] = np.log(np.maximum(got, 1e-300, out=got), out=got).T
+        inc = np.multiply(0.5 * dt, np.add(kap[:-1], kap[1:], out=inc), out=inc)
+        if stopped:
+            inc[np.arange(first, s + 2)[:, None] >= stop] = 0.0
+        np.add(integral, inc[0], out=inc[0])
+        integral = np.add.accumulate(inc, axis=0, out=inc)[-1].copy()
+        integ[:, lo:hi] = inc[rec[lo:hi] - first].T
+        D[0], K[0] = p.d, K[j]
+    return rec * dt, logs, integ, reasons, *p.XY
 
 
 # ---------------------------------------------------------------------------

@@ -263,12 +263,15 @@ def test_run_coupled_abort_near_cut_locus():
             assert tr.abort_reason == "cut-locus"
 
 
-def test_one_abort_rule_for_kernel_and_per_pair_steps(monkeypatch):
-    # at step 4 the step puts pair 0 on one point (d = 0 exactly) and pair 1
+def test_one_abort_rule_for_kernel_and_per_pair_steps():
+    # at step `stop` the step puts pair 0 on one point (d = 0 exactly) and pair 1
     # at the antipode, past the cut guard; the step must stop them before
     # accepting that state, for the kernel's noise map and the per-pair one,
-    # and the per-pair rule evaluates only pair 2 afterwards
-    stop, steps = 4, 10
+    # and the per-pair rule evaluates only pair 2 afterwards.  Steps 256 and 257
+    # are the last of the first noise block and the first of the second, where
+    # kappa and its integral are settled; every record before the stop, and all
+    # of pair 2's, are those of the same run with no forced step
+    assert simulate._NOISE_BLOCK == 256
     kernel = simulate._coupled_step
     pole = np.array([0.0, 0.0, 1.0])
     calls = []
@@ -282,34 +285,41 @@ def test_one_abort_rule_for_kernel_and_per_pair_steps(monkeypatch):
             Y[1] = -X[1]
         return X, Y
 
-    monkeypatch.setattr(simulate, "_coupled_step", forced)
     x0 = S2.point([0.0, 0.0, 1.0])
     y0 = S2.exp_map(x0, TangentVector(x0, 0.5 * S2.tangent(x0, [1.0, 0, 0]).components))
-    cfg = SimConfig(dt=1e-2, horizon=steps * 1e-2, trajectories=3, seed=2)
-    for spec in (brownian(S2), DiffusionSpec(S2, ScalarScaledMetricField(lambda x: 1.0),
-                                             ZeroDrift())):
-        calls.clear()
-        with mock.patch.object(ModelManifold, "distance_jet", autospec=True,
-                               side_effect=ModelManifold.distance_jet) as jets:
-            trajs = run_coupled(spec, x0, y0, cfg)
-        assert [(t.aborted, t.abort_reason) for t in trajs] == [
-            (True, "collapse"), (True, "cut-locus"), (False, "")]
-        for tr in trajs[:2]:
-            # recorded at every step: nothing after step stop - 1 is accepted
-            assert tr.log_distance.size == steps + 1
-            assert (tr.log_distance[stop:] == tr.log_distance[stop - 1]).all()
-            assert (tr.kappa_integral[stop:] == tr.kappa_integral[stop - 1]).all()
-            x, y = tr.pair_states[-1]
-            assert S2.distance(x, y) == pytest.approx(math.exp(tr.log_distance[-1]), rel=1e-12)
-            assert 0 < S2.distance(x, y) < math.pi - 1e-6 - cfg.cut_margin
-        assert trajs[2].log_distance[-1] != trajs[2].log_distance[stop - 1]
-        assert calls == [3] * steps
-        if spec.diffusion.constant_inverse_metric is None:
-            # one jet a live pair at the start and after each step: the
-            # stopped pairs are not evaluated again
-            assert jets.call_count == 3 * stop + (steps + 1 - stop)
-        else:
-            assert jets.call_count == 0
+    for stop, steps in ((4, 10), (256, 260), (257, 260)):
+        cfg = SimConfig(dt=1e-2, horizon=steps * 1e-2, trajectories=3, seed=2)
+        for spec in (brownian(S2), DiffusionSpec(S2, ScalarScaledMetricField(lambda x: 1.0),
+                                                 ZeroDrift())):
+            free = run_coupled(spec, x0, y0, cfg)
+            calls.clear()
+            with mock.patch.object(ModelManifold, "distance_jet", autospec=True,
+                                   side_effect=ModelManifold.distance_jet) as jets, \
+                    mock.patch.object(simulate, "_coupled_step", forced):
+                trajs = run_coupled(spec, x0, y0, cfg)
+            assert [(t.aborted, t.abort_reason) for t in trajs] == [
+                (True, "collapse"), (True, "cut-locus"), (False, "")]
+            for tr, ref in zip(trajs, free):
+                # recorded at every step: nothing after step stop - 1 is accepted
+                assert tr.log_distance.size == steps + 1
+                assert _same_bits(tr.log_distance[:stop], ref.log_distance[:stop])
+                assert _same_bits(tr.kappa_integral[:stop], ref.kappa_integral[:stop])
+            for tr in trajs[:2]:
+                assert (tr.log_distance[stop:] == tr.log_distance[stop - 1]).all()
+                assert (tr.kappa_integral[stop:] == tr.kappa_integral[stop - 1]).all()
+                x, y = tr.pair_states[-1]
+                assert S2.distance(x, y) == pytest.approx(math.exp(tr.log_distance[-1]),
+                                                          rel=1e-12)
+                assert 0 < S2.distance(x, y) < math.pi - 1e-6 - cfg.cut_margin
+            assert _same_bits(trajs[2].log_distance, free[2].log_distance)
+            assert _same_bits(trajs[2].kappa_integral, free[2].kappa_integral)
+            assert calls == [3] * steps
+            if spec.diffusion.constant_inverse_metric is None:
+                # one jet a live pair at the start and after each step: the
+                # stopped pairs are not evaluated again
+                assert jets.call_count == 3 * stop + (steps + 1 - stop)
+            else:
+                assert jets.call_count == 0
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -472,6 +482,16 @@ def run_pin_digest(case, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_coupled_pinned_bits(case, workers):
     assert run_pin_digest(case, workers) == case[-1]
+
+
+@pytest.mark.parametrize("case", RUN_PINS, ids=[c[0] for c in RUN_PINS])
+@pytest.mark.parametrize("block", [1, 7, 300])
+def test_run_coupled_pinned_bits_at_every_noise_block(case, block, monkeypatch):
+    # kappa, its integral and the records are settled once a noise block: blocks of
+    # one step, of 7 (42 full blocks and a remainder of 6) and one block of all 300
+    # steps keep every pinned bit, including the double well's stops
+    monkeypatch.setattr(simulate, "_NOISE_BLOCK", block)
+    assert run_pin_digest(case, 1) == case[-1]
 
 
 @pytest.mark.parametrize("case", RUN_PINS, ids=[c[0] for c in RUN_PINS])
@@ -719,6 +739,12 @@ def _reference_kernel(spec, X, Y, d, z, dt):
     return u, uy, kap, (m.exp_many(X, vx), m.exp_many(Y, vy))
 
 
+def _kappa_of(spec, X, Y, d):
+    """kappa of the pairs X, Y at distances d, as run_coupled forms it from _pairs."""
+    kept = np.empty_like(d)
+    return simulate._kappa(spec, simulate._pairs(spec, X, Y, d, kept=kept).d, kept)
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -765,7 +791,7 @@ def test_fused_kernel_matches_composed_kernels_bitwise(case, n, seed, tiny, clos
     p = simulate._pairs(spec, layout(X), layout(Y), d)
     if u is not None:
         assert _same_bits(p.u, u) and _same_bits(p.uy, uy)
-    assert _same_bits(simulate._kappa(spec, p), kap)
+    assert _same_bits(_kappa_of(spec, layout(X), layout(Y), d), kap)
     if spec.drift.is_zero or isinstance(spec.drift, LinearDrift):
         assert _same_bits(kappa_fast(spec, d), kap)
     else:
@@ -775,6 +801,38 @@ def test_fused_kernel_matches_composed_kernels_bitwise(case, n, seed, tiny, clos
     # a step size given once for many steps keeps the bits
     got = simulate._coupled_step(spec, p, layout(z), simulate._step(spec, dt))
     assert _same_bits(got[0], Xn) and _same_bits(got[1], Yn)
+
+
+@pytest.mark.parametrize("manifold, field", [
+    ("sphere:2:1", "brownian"), ("sphere:2:1", "potential:0.3*cos"), ("sphere:3:0.7", "brownian"),
+    ("sphere:3:0.7", "potential:0.3*cos"), ("hyperbolic:2:1", "brownian"), ("euclidean:2", "ou")])
+def test_kappa_of_a_block_of_steps_has_the_bits_of_its_rows(manifold, field):
+    # run_coupled settles kappa once a noise block, from the (steps, N) block of
+    # distances and drift terms its steps kept: each row must have the bits of the
+    # same call on that row alone and of kappa_fast on it, with theta on both
+    # sides of the 1e-8 limit, at the limit and at d = 0
+    m = parse_manifold(manifold)
+    spec = parse_field(m, field)
+    g = rng(31)
+    steps, n = 9, 6
+    r = 1.0 if m.kind == "euclidean" else m.radius
+    d = r * 10.0 ** g.uniform(-12, 0.3, (steps, n))
+    d[0, 0], d[1, 1], d[2, 2] = 0.0, 1e-8 * r, np.nextafter(1e-8, 0.0) * r
+    X = np.array([[m.random_point(g).coords for _ in range(n)] for _ in range(steps)])
+    V = m.project_tangent(X, g.standard_normal(X.shape))
+    Y = m.exp_many(X, V * (d / np.sqrt(m.ip(V, V)))[..., None])
+    kept = np.empty_like(d)  # the drift terms, as the steps of a block keep them
+    for i in range(steps):
+        simulate._pairs(spec, X[i], Y[i], d[i], kept=kept[i])
+    block = simulate._kappa(spec, d, kept)
+    for i in range(steps):
+        assert _same_bits(block[i], simulate._kappa(spec, d[i], kept[i])), i
+        assert _same_bits(block[i], _kappa_of(spec, X[i], Y[i], d[i])), i
+        want = (kappa_fast(spec, d[i]) if spec.drift.is_zero or isinstance(spec.drift, LinearDrift)
+                else kappa_fast(spec, d[i], X[i], Y[i]))
+        assert _same_bits(block[i], want), i
+    if spec.drift.is_zero or isinstance(spec.drift, LinearDrift):
+        assert _same_bits(kappa_fast(spec, d), block)
 
 
 def _kernel_block(spec, X, Y, z, dt):
@@ -787,8 +845,9 @@ def _kernel_block(spec, X, Y, z, dt):
     XY[0], XY[1] = X, Y
     d, kaps = m.dist_many(X, Y), []
     for zi in z:
-        p = simulate._pairs(spec, *XY, d, s, XY)
-        kaps.append(simulate._kappa(spec, p).copy())
+        kept = np.empty_like(d)
+        p = simulate._pairs(spec, *XY, d, s, XY, kept=kept)
+        kaps.append(simulate._kappa(spec, p.d, kept))
         XY = simulate._coupled_step(spec, p, np.asfortranarray(zi), dt)
         d = m._dist(*XY, s, "d")
     return np.array(kaps), XY.copy()
@@ -823,7 +882,8 @@ def test_kernel_rows_do_not_depend_on_the_block_size(manifold, field):
                                              ("hyperbolic:2:1", "brownian")])
 def test_each_kernel_step_takes_one_exp_map_and_one_drift_evaluation(manifold, field):
     # both ends of every pair go through one ModelManifold._exp call a step,
-    # and the drift is evaluated once a step (and once at the start of a run)
+    # and the drift is evaluated once a step (and once at the start of a run);
+    # run_coupled forms kappa once a noise block, on its steps and the one before
     m = parse_manifold(manifold)
     spec = parse_field(m, field)
     x = m.point(np.eye(m.ambient_dim)[-1])
@@ -833,9 +893,15 @@ def test_each_kernel_step_takes_one_exp_map_and_one_drift_evaluation(manifold, f
     with mock.patch.object(ModelManifold, "_exp", autospec=True,
                            side_effect=ModelManifold._exp) as exp, \
             mock.patch.object(drift, "vector_many", autospec=True,
-                              side_effect=drift.vector_many) as vec:
+                              side_effect=drift.vector_many) as vec, \
+            mock.patch.object(simulate, "_kappa", side_effect=simulate._kappa) as kap:
         run_coupled(spec, x, y, SimConfig(dt=1e-2, horizon=0.2, trajectories=3, seed=1))
-        assert (exp.call_count, vec.call_count) == (20, 21 * evaluations)
+        # kappa once for the one noise block of 20 steps, on 21 rows: the start's and theirs
+        assert (exp.call_count, vec.call_count, kap.call_count) == (20, 21 * evaluations, 1)
+        kap.reset_mock()
+        with mock.patch.object(simulate, "_NOISE_BLOCK", 7):  # blocks of 7, 7 and 6 steps
+            run_coupled(spec, x, y, SimConfig(dt=1e-2, horizon=0.2, trajectories=3, seed=1))
+        assert [c.args[1].shape for c in kap.call_args_list] == [(8, 3), (8, 3), (7, 3)]
         exp.reset_mock()
         vec.reset_mock()
         # 2 t values x 4 batches of 16 points: one group of 128 rows, 10 substeps
